@@ -319,21 +319,66 @@ let rec run_access catalog ~opts ~view_lookup access : Alg_env.t list =
        correct superset of the bound fetch. *)
     run_access catalog ~opts ~view_lookup
       (Med_planner.A_sql { source_name; export; fragment; pattern })
-  | Med_planner.A_view { view; pattern } -> (
+  | Med_planner.A_view { view; pattern; composed } -> (
     match view_lookup view with
-    | Some trees -> match_documents pattern trees
+    | Some trees ->
+      (* A materialized copy serves the view; conditions a composed
+         access absorbed left the caller's plan, so they apply here. *)
+      let absorbed =
+        match composed with Some c -> c.Med_planner.absorbed | None -> []
+      in
+      List.filter
+        (fun env -> List.for_all (fun cond -> Alg_expr.eval_pred env cond) absorbed)
+        (match_documents pattern trees)
     | None -> (
-      match Med_catalog.find_view catalog view with
-      | None -> fail "unknown view %s" view
-      | Some v ->
-        let trees =
-          List.concat_map
-            (fun def ->
-              let sub = Med_planner.compile ~opts catalog def in
-              (exec catalog ~opts ~partial:false ~view_lookup sub).trees)
-            v.Med_catalog.definitions
-        in
-        match_documents pattern trees))
+      match composed with
+      | Some c -> run_composed catalog ~opts ~view_lookup pattern c
+      | None -> (
+        match Med_catalog.find_view catalog view with
+        | None -> fail "unknown view %s" view
+        | Some v ->
+          let trees =
+            List.concat_map
+              (fun def ->
+                let sub = Med_planner.compile ~opts catalog def in
+                (exec catalog ~opts ~partial:false ~view_lookup sub).trees)
+              v.Med_catalog.definitions
+          in
+          match_documents pattern trees)))
+
+(* A composed view access: run each specialized definition and bind the
+   caller's variables from its rows.  A row whose template values are
+   all atoms yields exactly the one root match its tree would; a row
+   carrying element content instantiates its tree and matches it, as
+   the tree path does.  Sub-plans run strict, inheriting the enclosing
+   query's retry context, like the tree path's nested executions. *)
+and run_composed catalog ~opts ~view_lookup pattern (c : Med_planner.composed) =
+  let resolver = direct_resolver catalog in
+  let atom_or_unbound env v =
+    match Alg_env.get env v with Some (Dtree.Node _) -> false | Some (Dtree.Atom _) | None -> true
+  in
+  let bind env (x, b) =
+    match b with
+    | Med_planner.B_var v ->
+      (x, Option.value ~default:(Dtree.atom Value.Null) (Alg_env.get env v))
+    | Med_planner.B_const t -> (x, t)
+  in
+  List.concat_map
+    (fun (d : Med_planner.composed_def) ->
+      let envs =
+        fst
+          (Src_retry.with_query (Med_catalog.retry catalog) ~partial:false (fun () ->
+               fst (run_plan catalog ~opts ~partial:false ~view_lookup d.Med_planner.sub)))
+      in
+      List.concat_map
+        (fun env ->
+          if List.for_all (atom_or_unbound env) d.Med_planner.element_vars then
+            [ Alg_env.of_bindings (List.map (bind env) d.Med_planner.binds) ]
+          else
+            match_documents pattern
+              (Xq_eval.instantiate resolver env d.Med_planner.sub.Med_planner.construct))
+        envs)
+    c.Med_planner.defs
 
 (* Several SQL fragments bound for one relational source, shipped as a
    single batched round trip (one latency charge).  Cache hits resolve
@@ -758,6 +803,20 @@ and exec catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compiled) =
   { trees; bindings = envs; skipped_sources = skipped; stale_sources = stale }
 
 and exec_body catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compiled) =
+  let envs, skipped = run_plan catalog ~opts ~partial ~view_lookup compiled in
+  (* Instantiate the CONSTRUCT template per binding.  Correlated
+     subqueries re-enter through the direct resolver. *)
+  let resolver = direct_resolver catalog in
+  let trees =
+    List.concat_map
+      (fun env -> Xq_eval.instantiate resolver env compiled.Med_planner.construct)
+      envs
+  in
+  (trees, envs, skipped)
+
+(* Fetch and run the plan: the bindings and the sources partial mode
+   skipped. *)
+and run_plan catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compiled) =
   Obs_trace.with_span "query" (fun qspan ->
       let sources, _fetch_info = prepare catalog ~opts ~view_lookup compiled in
       let mode = Med_catalog.exec_mode catalog in
@@ -785,15 +844,7 @@ and exec_body catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compil
         Obs_span.set qspan "skipped" (String.concat "," skipped)
       end;
       Obs_span.set_int qspan "rows" (List.length envs);
-      (* Instantiate the CONSTRUCT template per binding.  Correlated
-         subqueries re-enter through the direct resolver. *)
-      let resolver = direct_resolver catalog in
-      let trees =
-        List.concat_map
-          (fun env -> Xq_eval.instantiate resolver env compiled.Med_planner.construct)
-          envs
-      in
-      (trees, envs, skipped))
+      (envs, skipped))
 
 let run_compiled ?(view_lookup = no_lookup) catalog compiled =
   exec catalog ~opts:Med_sqlgen.default_options ~partial:false ~view_lookup compiled

@@ -24,6 +24,7 @@ type access =
   | A_view of {
       view : string;
       pattern : Xq_ast.pattern;
+      composed : composed option;
     }
   | A_sql_bind of {
       source_name : string;
@@ -35,7 +36,23 @@ type access =
       bind_col : string;     (* column of [fragment] the IN-list filters *)
     }
 
-type opt_info = {
+and composed = {
+  absorbed : Alg_expr.t list;
+  literals : (string * Value.ty) list;
+  defs : composed_def list;
+}
+
+and composed_def = {
+  sub : compiled;
+  binds : (string * view_bind) list;
+  element_vars : string list;
+}
+
+and view_bind =
+  | B_var of string
+  | B_const of Dtree.t
+
+and opt_info = {
   oi_mode : string;        (* "dp" | "dp-fallback:greedy" *)
   oi_order : string;       (* chosen join tree, e.g. "((a1 ⋈ a0) ⋈ a2)" *)
   oi_est_rows : float;
@@ -43,7 +60,7 @@ type opt_info = {
   oi_binds : (string * string) list;  (* bound access id -> driver id *)
 }
 
-type compiled = {
+and compiled = {
   plan : Alg_plan.t;
   accesses : (string * access) list;
   construct : Xq_ast.template;
@@ -70,8 +87,16 @@ let access_key = function
   | A_match { source_name; export; pattern } ->
     Printf.sprintf "match|%s.%s|%s" source_name export
       (Xq_pretty.pattern_to_string pattern)
-  | A_view { view; pattern } ->
-    Printf.sprintf "view|%s|%s" view (Xq_pretty.pattern_to_string pattern)
+  | A_view { view; pattern; composed } ->
+    (* Conditions absorbed into a composed view change what it returns,
+       so two specializations of one pattern never share feedback. *)
+    let absorbed =
+      match composed with
+      | Some { absorbed = _ :: _ as conds; _ } ->
+        "|" ^ String.concat " AND " (List.map Alg_expr.to_string conds)
+      | Some { absorbed = []; _ } | None -> ""
+    in
+    Printf.sprintf "view|%s|%s%s" view (Xq_pretty.pattern_to_string pattern) absorbed
   | A_sql_bind { source_name; fragment; bind_driver; bind_var; _ } ->
     (* A bound fetch ships different SQL per driver extent, so its
        feedback must not pollute the plain fragment's estimates. *)
@@ -134,50 +159,6 @@ let access_vars = function
   | A_sql_join { fragment; _ } -> List.map fst fragment.Med_sqlgen.jf_binds
   | A_path { pattern; _ } | A_match { pattern; _ } | A_view { pattern; _ } ->
     Xq_ast.pattern_vars pattern
-
-(* Pick the access path for one clause, absorbing pushable conditions. *)
-let clause_access opts catalog (clause : Xq_ast.clause) candidates =
-  let name = clause.Xq_ast.clause_source in
-  match Med_catalog.find_view catalog name with
-  | Some _ -> (A_view { view = name; pattern = clause.Xq_ast.clause_pattern }, [])
-  | None -> (
-    match Src_registry.resolve_export (Med_catalog.registry catalog) name with
-    | None -> fail "unknown source or view %S" name
-    | Some (src, export) -> (
-      let fallback = A_match { source_name = src.Source.name; export; pattern = clause.Xq_ast.clause_pattern } in
-      match src.Source.kind with
-      | Source.Xml_store ->
-        (* Path preselection when the store accepts it. *)
-        if src.Source.capability.Source.can_path && opts.Med_sqlgen.pushdown_select then
-          match Med_pathgen.compile_pattern clause.Xq_ast.clause_pattern with
-          | Some path ->
-            ( A_path
-                { source_name = src.Source.name; export; path;
-                  pattern = clause.Xq_ast.clause_pattern },
-              [] )
-          | None -> (fallback, [])
-        else (fallback, [])
-      | Source.Flat_file -> (fallback, [])
-      | Source.Relational -> (
-        if not src.Source.capability.Source.can_select then (fallback, [])
-        else
-          let schema =
-            List.find_opt
-              (fun r -> String.equal r.Dschema.rel_name export)
-              (src.Source.relations ())
-          in
-          match schema with
-          | None -> (fallback, [])
-          | Some schema -> (
-            (* Only the canonical row shape compiles to SQL. *)
-            let pattern = clause.Xq_ast.clause_pattern in
-            if pattern.Xq_ast.tag <> "row" && pattern.Xq_ast.tag <> "*" then (fallback, [])
-            else
-              match Med_sqlgen.compile_clause opts schema pattern candidates with
-              | None -> (fallback, [])
-              | Some fragment ->
-                ( A_sql { source_name = src.Source.name; export; fragment; pattern },
-                  fragment.Med_sqlgen.pushed_conditions )))))
 
 (* Join [left] (vars [lvars]) with the scan of [access_id] (vars [rvars])
    on their shared variables.  The right side's shared variables are
@@ -401,7 +382,364 @@ let apply_binds rels binds accesses =
         | _ -> entry))
     accesses
 
-let compile ?(opts = Med_sqlgen.default_options) ?feedback catalog (q : Xq_ast.query) =
+(* ------------------------------------------------------------------ *)
+(* View composition                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A clause over a view compiles into the view's definitions,
+   specialized by the clause, the way a clause over a table compiles
+   into SQL: the clause's literals and the candidate conditions over its
+   variables become conditions on the definitions' variables, which the
+   definitions' own compilation pushes into their fragments.  The access
+   then binds the clause's variables straight from the definitions'
+   environments, without building the view's trees.  This is exact only
+   where the clause can match a view tree at its root alone, and only in
+   ways a condition on an atomic value reproduces; every other view
+   keeps the tree path (instantiate every tree, then match it). *)
+
+(* A flat CONSTRUCT template: one attribute-free root element whose
+   children are attribute-free [<tag>$var</tag>] or [<tag>literal</tag>]
+   elements, every tag distinct and none equal to the root's. *)
+type flat_child = F_var of string | F_text of string
+
+let distinct names = List.length (List.sort_uniq String.compare names) = List.length names
+
+let flat_template = function
+  | Xq_ast.Tpl_element (root, [], kids) ->
+    let child = function
+      | Xq_ast.Tpl_element (tag, [], [ Xq_ast.Tpl_var v ]) -> Some (tag, F_var v)
+      | Xq_ast.Tpl_element (tag, [], [ Xq_ast.Tpl_text s ]) -> Some (tag, F_text s)
+      | _ -> None
+    in
+    let children = List.filter_map child kids in
+    if List.length children = List.length kids && distinct (root :: List.map fst children)
+    then Some (root, children)
+    else None
+  | _ -> None
+
+(* What compile time knows of a definition variable's values: whether
+   every value is an atom — so splicing it into the template and
+   matching it back returns the same atom, and no element content can
+   hide a deeper match — and the column type when every value is a
+   typed column value of that type. *)
+type var_fact = { atomic : bool; ty : Value.ty option }
+
+let not_atomic = { atomic = false; ty = None }
+
+let combine_facts = function
+  | [] -> not_atomic
+  | f :: rest ->
+    List.fold_left
+      (fun acc g ->
+        { atomic = acc.atomic && g.atomic; ty = (if acc.ty = g.ty then acc.ty else None) })
+      f rest
+
+(* The value a caller literal stands for at a column type, when
+   comparing a value's text with the literal is the same as comparing
+   the value with it: the literal prints back as itself and is not the
+   text of NULL.  Floats print lossily, so they never qualify. *)
+let canonical_literal ty s =
+  match ty with
+  | Value.TInt | Value.TString | Value.TBool | Value.TDate -> (
+    match Value.parse_as ty s with
+    | Some v when s <> Value.to_string Value.Null && String.equal (Value.to_string v) s ->
+      Some v
+    | Some _ | None -> None)
+  | Value.TFloat | Value.TNull -> None
+
+(* Where a variable occurs in a clause pattern: as the sole content of a
+   root child [<tag>$v</tag>], as an attribute value, or elsewhere. *)
+type occurrence = O_column of string | O_attr | O_other
+
+let occurrences (p : Xq_ast.pattern) v =
+  let attrs (q : Xq_ast.pattern) =
+    List.filter_map
+      (fun (_, a) -> match a with Xq_ast.A_var w when w = v -> Some O_attr | _ -> None)
+      q.Xq_ast.attrs
+    @ if q.Xq_ast.element_as = Some v then [ O_other ] else []
+  in
+  let rec inside (q : Xq_ast.pattern) = attrs q @ List.concat_map child q.Xq_ast.children
+  and child = function
+    | Xq_ast.P_var w -> if w = v then [ O_other ] else []
+    | Xq_ast.P_text _ -> []
+    | Xq_ast.P_element sub -> inside sub
+  in
+  attrs p
+  @ List.concat_map
+      (function
+        | Xq_ast.P_element
+            { tag; attrs = []; element_as = None; children = [ Xq_ast.P_var w ] }
+          when w = v ->
+          [ O_column tag ]
+        | c -> child c)
+      p.Xq_ast.children
+
+(* A view every definition of which has a flat template over atomic
+   values, all under one root tag: that tag and each child tag's fact.
+   Memoized per composition, since nested views are summarized once per
+   variable that reads them. *)
+let rec view_summary memo catalog name =
+  match Hashtbl.find_opt memo name with
+  | Some summary -> summary
+  | None ->
+    let summary =
+      match Med_catalog.find_view catalog name with
+      | None -> None
+      | Some view -> (
+        let flats =
+          List.map
+            (fun (def : Xq_ast.query) ->
+              Option.map
+                (fun (root, children) ->
+                  (root, List.map (fun (tag, c) -> (tag, child_fact memo catalog def c)) children))
+                (flat_template def.Xq_ast.construct))
+            view.Med_catalog.definitions
+        in
+        match flats with
+        | Some (root, _) :: _
+          when List.for_all (function Some (r, _) -> r = root | None -> false) flats ->
+          let facts = List.concat_map (fun f -> snd (Option.get f)) flats in
+          if List.for_all (fun (_, f) -> f.atomic) facts then
+            let tags = List.sort_uniq String.compare (List.map fst facts) in
+            Some
+              ( root,
+                List.map
+                  (fun tag ->
+                    ( tag,
+                      combine_facts
+                        (List.filter_map
+                           (fun (t, f) -> if t = tag then Some f else None)
+                           facts) ))
+                  tags )
+          else None
+        | _ -> None)
+    in
+    Hashtbl.replace memo name summary;
+    summary
+
+and child_fact memo catalog def = function
+  | F_var v -> def_var_fact memo catalog def v
+  | F_text s -> { atomic = true; ty = Some (Value.type_of (Value.of_string_guess s)) }
+
+and def_var_fact memo catalog (def : Xq_ast.query) v =
+  combine_facts
+    (List.concat_map
+       (fun (clause : Xq_ast.clause) ->
+         List.map (occurrence_fact memo catalog clause)
+           (occurrences clause.Xq_ast.clause_pattern v))
+       def.Xq_ast.clauses)
+
+and occurrence_fact memo catalog (clause : Xq_ast.clause) occurrence =
+  let name = clause.Xq_ast.clause_source in
+  let root = clause.Xq_ast.clause_pattern.Xq_ast.tag in
+  match occurrence, Med_catalog.find_view catalog name with
+  | O_column tag, Some _ -> (
+    match view_summary memo catalog name with
+    | Some (vroot, facts) when vroot = root ->
+      Option.value ~default:not_atomic (List.assoc_opt tag facts)
+    | Some _ | None -> not_atomic)
+  | O_column tag, None -> (
+    (* A table's rows are [<row>] elements of atom-valued columns, both
+       as SQL results and in the table's XML view. *)
+    match Src_registry.resolve_export (Med_catalog.registry catalog) name with
+    | Some (src, export)
+      when root = "row" && export <> "row"
+           && (src.Source.kind = Source.Relational || src.Source.kind = Source.Flat_file) ->
+      let ty =
+        if src.Source.kind <> Source.Relational then None
+        else
+          Option.bind
+            (List.find_opt
+               (fun r -> String.equal r.Dschema.rel_name export)
+               (src.Source.relations ()))
+            (fun schema ->
+              Option.map (fun c -> c.Dschema.col_ty) (Dschema.find_column schema tag))
+      in
+      { atomic = true; ty }
+    | Some _ | None -> not_atomic)
+  | O_attr, None -> (
+    match Src_registry.resolve_export (Med_catalog.registry catalog) name with
+    | Some (src, _) when src.Source.kind = Source.Xml_store -> { atomic = true; ty = None }
+    | Some _ | None -> not_atomic)
+  | O_attr, Some _ | O_other, _ -> not_atomic
+
+(* What the clause asks of each child of a view tree's root. *)
+type ask = Ask_any | Ask_var of string | Ask_text of string
+
+(* The clause shapes composition handles: a root element without
+   attributes or ELEMENT_AS, whose children are distinct-tagged
+   [<tag/>], [<tag>$x</tag>] or [<tag>literal</tag>] elements, each
+   variable bound once. *)
+let clause_asks (p : Xq_ast.pattern) =
+  if p.Xq_ast.tag = "*" || p.Xq_ast.attrs <> [] || p.Xq_ast.element_as <> None then None
+  else
+    let ask = function
+      | Xq_ast.P_element { tag; attrs = []; element_as = None; children } when tag <> "*" -> (
+        match children with
+        | [] -> Some (tag, Ask_any)
+        | [ Xq_ast.P_var x ] -> Some (tag, Ask_var x)
+        | [ Xq_ast.P_text s ] -> Some (tag, Ask_text s)
+        | _ -> None)
+      | _ -> None
+    in
+    let asks = List.filter_map ask p.Xq_ast.children in
+    let vars = List.filter_map (function _, Ask_var x -> Some x | _ -> None) asks in
+    if List.length asks = List.length p.Xq_ast.children
+       && distinct (List.map fst asks) && distinct vars
+    then Some asks
+    else None
+
+(* A caller condition rewritten over one definition's variables. *)
+let rec rebind_expr binds (e : Alg_expr.t) : Alg_expr.t =
+  let go = rebind_expr binds in
+  match e with
+  | Alg_expr.Var x -> (
+    match List.assoc_opt x binds with
+    | Some (B_var v) -> Alg_expr.Var v
+    | Some (B_const t) -> Alg_expr.Const (Option.value ~default:Value.Null (Dtree.atom_value t))
+    | None -> e)
+  | Alg_expr.Const _ -> e
+  | Alg_expr.Child (a, l) -> Alg_expr.Child (go a, l)
+  | Alg_expr.Attr (a, n) -> Alg_expr.Attr (go a, n)
+  | Alg_expr.Text a -> Alg_expr.Text (go a)
+  | Alg_expr.Label a -> Alg_expr.Label (go a)
+  | Alg_expr.Binop (op, a, b) -> Alg_expr.Binop (op, go a, go b)
+  | Alg_expr.Not a -> Alg_expr.Not (go a)
+  | Alg_expr.Neg a -> Alg_expr.Neg (go a)
+  | Alg_expr.Call (f, args) -> Alg_expr.Call (f, List.map go args)
+  | Alg_expr.Like (a, pat) -> Alg_expr.Like (go a, pat)
+  | Alg_expr.Is_null a -> Alg_expr.Is_null (go a)
+
+(* Specialize [view] for a clause with [pattern]: [None] when the view
+   cannot be composed exactly, otherwise the composed access and the
+   candidate conditions it absorbed. *)
+let rec compose_view ?feedback opts catalog (view : Med_catalog.view) (pattern : Xq_ast.pattern)
+    candidates =
+  let ( let* ) = Option.bind in
+  let* asks = clause_asks pattern in
+  let memo = Hashtbl.create 8 in
+  let specialize (def : Xq_ast.query) =
+    let* root, children = flat_template def.Xq_ast.construct in
+    if root <> pattern.Xq_ast.tag || def.Xq_ast.limit <> None then None
+    else begin
+      let fact = def_var_fact memo catalog def in
+      let atomic =
+        List.for_all (function _, F_var v -> (fact v).atomic | _, F_text _ -> true) children
+      in
+      let rec walk binds conds literals = function
+        | [] -> Some (List.rev binds, List.rev conds, literals)
+        | (tag, ask) :: rest -> (
+          let* child = List.assoc_opt tag children in
+          match ask, child with
+          | Ask_any, _ -> walk binds conds literals rest
+          | Ask_var x, F_var v -> walk ((x, B_var v) :: binds) conds literals rest
+          | Ask_var x, F_text s ->
+            walk ((x, B_const (Dtree.atom (Value.of_string_guess s))) :: binds) conds literals
+              rest
+          | Ask_text s, F_text lit ->
+            if String.equal (Value.to_string (Value.of_string_guess lit)) s then
+              walk binds conds literals rest
+            else None
+          | Ask_text s, F_var v ->
+            let* ty = if atomic then (fact v).ty else None in
+            let* value = canonical_literal ty s in
+            let cond = Alg_expr.Binop (Alg_expr.Eq, Alg_expr.Var v, Alg_expr.Const value) in
+            walk binds (cond :: conds) ((s, ty) :: literals) rest)
+      in
+      let* binds, conds, literals = walk [] [] [] asks in
+      let element_vars =
+        if atomic then [] else List.filter_map (function _, F_var v -> Some v | _ -> None) children
+      in
+      Some (def, binds, conds, literals, element_vars)
+    end
+  in
+  let specs = List.map specialize view.Med_catalog.definitions in
+  if List.exists Option.is_none specs then None
+  else begin
+    let specs = List.map Option.get specs in
+    (* Candidate conditions move into the definitions only when every
+       value they can read is an atom the caller would see unchanged. *)
+    let bound = List.filter_map (function _, Ask_var x -> Some x | _ -> None) asks in
+    let absorbed =
+      if List.exists (fun (_, _, _, _, element_vars) -> element_vars <> []) specs then []
+      else
+        List.filter
+          (fun cond ->
+            let vars = Alg_expr.free_vars cond in
+            vars <> []
+            && List.for_all (fun v -> List.mem v bound) vars
+            && Med_sqlgen.translate_condition (List.map (fun v -> (v, v)) bound) cond <> None)
+          candidates
+    in
+    let defs =
+      List.map
+        (fun ((def : Xq_ast.query), binds, conds, _, element_vars) ->
+          let conditions =
+            def.Xq_ast.conditions @ conds @ List.map (rebind_expr binds) absorbed
+          in
+          let sub = compile ~opts ?feedback catalog { def with Xq_ast.conditions } in
+          { sub; binds; element_vars })
+        specs
+    in
+    (* Occurrence order, so a plan-cache rebind maps them in place. *)
+    let literals =
+      List.fold_left
+        (fun acc l -> if List.mem l acc then acc else acc @ [ l ])
+        []
+        (List.concat_map (fun (_, _, _, literals, _) -> List.rev literals) specs)
+    in
+    Some ({ absorbed; literals; defs }, absorbed)
+  end
+
+(* Pick the access path for one clause, absorbing pushable conditions. *)
+and clause_access ?feedback opts catalog (clause : Xq_ast.clause) candidates =
+  let name = clause.Xq_ast.clause_source in
+  match Med_catalog.find_view catalog name with
+  | Some view -> (
+    let pattern = clause.Xq_ast.clause_pattern in
+    match compose_view ?feedback opts catalog view pattern candidates with
+    | Some (composed, absorbed) -> (A_view { view = name; pattern; composed = Some composed }, absorbed)
+    | None -> (A_view { view = name; pattern; composed = None }, []))
+  | None -> (
+    match Src_registry.resolve_export (Med_catalog.registry catalog) name with
+    | None -> fail "unknown source or view %S" name
+    | Some (src, export) -> (
+      let fallback = A_match { source_name = src.Source.name; export; pattern = clause.Xq_ast.clause_pattern } in
+      match src.Source.kind with
+      | Source.Xml_store ->
+        (* Path preselection when the store accepts it. *)
+        if src.Source.capability.Source.can_path && opts.Med_sqlgen.pushdown_select then
+          match Med_pathgen.compile_pattern clause.Xq_ast.clause_pattern with
+          | Some path ->
+            ( A_path
+                { source_name = src.Source.name; export; path;
+                  pattern = clause.Xq_ast.clause_pattern },
+              [] )
+          | None -> (fallback, [])
+        else (fallback, [])
+      | Source.Flat_file -> (fallback, [])
+      | Source.Relational -> (
+        if not src.Source.capability.Source.can_select then (fallback, [])
+        else
+          let schema =
+            List.find_opt
+              (fun r -> String.equal r.Dschema.rel_name export)
+              (src.Source.relations ())
+          in
+          match schema with
+          | None -> (fallback, [])
+          | Some schema -> (
+            (* Only the canonical row shape compiles to SQL. *)
+            let pattern = clause.Xq_ast.clause_pattern in
+            if pattern.Xq_ast.tag <> "row" && pattern.Xq_ast.tag <> "*" then (fallback, [])
+            else
+              match Med_sqlgen.compile_clause opts schema pattern candidates with
+              | None -> (fallback, [])
+              | Some fragment ->
+                ( A_sql { source_name = src.Source.name; export; fragment; pattern },
+                  fragment.Med_sqlgen.pushed_conditions )))))
+
+and compile ?(opts = Med_sqlgen.default_options) ?feedback catalog (q : Xq_ast.query) =
   (* Resolve accesses clause by clause; once a condition is pushed into a
      fragment it leaves the residual pool. *)
   let residual = ref q.Xq_ast.conditions in
@@ -434,7 +772,7 @@ let compile ?(opts = Med_sqlgen.default_options) ?feedback catalog (q : Xq_ast.q
          (fun i clause ->
            if List.mem i !covered then []
            else begin
-             let access, pushed = clause_access opts catalog clause !residual in
+             let access, pushed = clause_access ?feedback opts catalog clause !residual in
              residual := List.filter (fun c -> not (List.memq c pushed)) !residual;
              [ (Printf.sprintf "a%d" i, access) ]
            end)
@@ -661,11 +999,33 @@ let access_to_string (aid, access) =
   | A_match { source_name; export; pattern } ->
     Printf.sprintf "  %s -> MATCH @%s.%s: %s" aid source_name export
       (Xq_pretty.pattern_to_string pattern)
-  | A_view { view; pattern } ->
+  | A_view { view; pattern; composed = None } ->
     Printf.sprintf "  %s -> VIEW %s: %s" aid view (Xq_pretty.pattern_to_string pattern)
+  | A_view { view; pattern; composed = Some { absorbed; _ } } ->
+    Printf.sprintf "  %s -> VIEW %s (composed): %s%s" aid view
+      (Xq_pretty.pattern_to_string pattern)
+      (match absorbed with
+      | [] -> ""
+      | conds -> " absorbing " ^ String.concat ", " (List.map Alg_expr.to_string conds))
   | A_sql_bind { source_name; fragment; bind_driver; bind_var; bind_col; _ } ->
     Printf.sprintf "  %s -> SQL-BIND @%s: %s [%s IN keys of %s.$%s]" aid
       source_name fragment.Med_sqlgen.sql_text bind_col bind_driver bind_var
+
+(* One line per access, and under a composed view the accesses of each
+   specialized definition, two spaces deeper per level ([UNION] between
+   the definitions of a union view). *)
+let rec add_access_lines buf depth entry =
+  Buffer.add_string buf (String.make (2 * depth) ' ');
+  Buffer.add_string buf (access_to_string entry);
+  Buffer.add_char buf '\n';
+  match snd entry with
+  | A_view { composed = Some { defs; _ }; _ } ->
+    List.iteri
+      (fun i d ->
+        if i > 0 then Buffer.add_string buf (String.make (2 * depth + 4) ' ' ^ "UNION\n");
+        List.iter (add_access_lines buf (depth + 1)) d.sub.accesses)
+      defs
+  | _ -> ()
 
 let opt_info_to_string oi =
   if oi.oi_order = "" then Printf.sprintf "optimizer: %s" oi.oi_mode
@@ -688,11 +1048,7 @@ let explain compiled =
     Buffer.add_string buf (opt_info_to_string oi);
     Buffer.add_char buf '\n');
   Buffer.add_string buf "accesses:\n";
-  List.iter
-    (fun entry ->
-      Buffer.add_string buf (access_to_string entry);
-      Buffer.add_char buf '\n')
-    compiled.accesses;
+  List.iter (add_access_lines buf 0) compiled.accesses;
   (match compiled.residual_conditions with
   | [] -> ()
   | conds ->

@@ -6,8 +6,10 @@
 
     + each clause gets an {e access}: a SQL fragment pushed into a
       relational source ({!Med_sqlgen}), a path-preselected or plain
-      client-side pattern match over an export's XML view, or a match
-      over another mediated schema (hierarchical composition); clause
+      client-side pattern match over an export's XML view, or an
+      access over another mediated schema — composed at compile time
+      with the view's definitions where that is exact, a match over the
+      view's instantiated trees otherwise (hierarchical composition); clause
       groups over one join-capable relational source collapse into a
       single SQL join fragment when {e all} of the group's clauses are
       row-shaped and variable-connected (a partially-connected group
@@ -53,6 +55,10 @@ type access =
   | A_view of {
       view : string;
       pattern : Xq_ast.pattern;
+      composed : composed option;
+          (** the view's definitions specialized for this clause; [None]
+              when the view cannot be composed exactly and runs the tree
+              path (instantiate every tree, then match [pattern]) *)
     }
   | A_sql_bind of {
       source_name : string;
@@ -71,7 +77,41 @@ type access =
           driver fails or exceeds the key cap, the executor ships the
           unbound fragment instead. *)
 
-type opt_info = {
+(** A clause over a view, composed with the view's definitions at
+    compile time.  The clause's literals and the candidate conditions
+    over its variables became conditions on the definitions' variables
+    (pushed into their fragments by the definitions' compilation); the
+    access binds the clause's variables straight from each sub-plan's
+    environments, without building the view's trees. *)
+and composed = {
+  absorbed : Alg_expr.t list;
+      (** caller conditions absorbed into every definition, over the
+          caller's variables; re-applied when a materialized copy serves
+          the view instead *)
+  literals : (string * Value.ty) list;
+      (** caller literals pushed as typed equalities, with the column
+          type they were parsed at (see {!canonical_literal}) *)
+  defs : composed_def list;  (** in definition order *)
+}
+
+and composed_def = {
+  sub : compiled;  (** the definition plus its absorbed conditions *)
+  binds : (string * view_bind) list;
+      (** caller variable -> where its value comes from, in pattern
+          order *)
+  element_vars : string list;
+      (** template variables whose values may carry element content.  A
+          row binding one to an element instantiates the template and
+          matches it (the tree path, for that row only).  Empty when
+          every value is known to be an atom — the only case in which
+          conditions are absorbed. *)
+}
+
+and view_bind =
+  | B_var of string    (** the definition variable spliced under the tag *)
+  | B_const of Dtree.t (** a literal template child *)
+
+and opt_info = {
   oi_mode : string;   (** ["dp"], or ["dp-fallback:greedy"] past the cap *)
   oi_order : string;  (** chosen join tree, e.g. [((a1 ⋈ a0) ⋈ a2)] *)
   oi_est_rows : float;
@@ -79,7 +119,7 @@ type opt_info = {
   oi_binds : (string * string) list;  (** bound access id -> driver id *)
 }
 
-type compiled = {
+and compiled = {
   plan : Alg_plan.t;
   accesses : (string * access) list;  (** access id -> spec, for Scan leaves *)
   construct : Xq_ast.template;
@@ -116,6 +156,14 @@ val compile :
     every access weighs the same default and the order degenerates to
     the original first-come greedy walk. *)
 
+val canonical_literal : Value.ty -> string -> Value.t option
+(** The value a caller literal stands for at a column type, when
+    comparing a column value's text with the literal (XML-QL's
+    semantics) is the same as comparing the value with it: the literal
+    prints back as itself and is not the text of NULL.  Floats print
+    lossily and never qualify; nor do literals such as ["014"] at
+    [TInt]. *)
+
 val estimated_rows :
   ?feedback:Obs_feedback.t -> ?stats:Med_stats.t -> access -> float
 (** The unified cardinality estimate for one access — the single entry
@@ -124,7 +172,8 @@ val estimated_rows :
 val access_key : access -> string
 (** Stable identity of an access across compilations — the key under
     which {!Obs_feedback} stores observed cardinalities.  Built from the
-    shipped artifact (SQL text, path + pattern, view name + pattern), so
+    shipped artifact (SQL text, path + pattern, view name + pattern +
+    the conditions a composed view absorbed), so
     the same logical access in a recompiled query maps to the same
     observations. *)
 
@@ -141,7 +190,8 @@ val source_rows :
 val explain : compiled -> string
 (** Operator tree plus, per SQL access, the fragment shipped to the
     source; under the DP optimizer also the chosen order and its
-    estimates. *)
+    estimates.  A composed view's line is followed by its definitions'
+    accesses, indented one level deeper. *)
 
 val opt_info_to_string : opt_info -> string
 (** The one-line optimizer cell EXPLAIN and EXPLAIN ANALYZE print. *)

@@ -261,7 +261,7 @@ let map_fragment sb (f : Med_sqlgen.fragment) =
     pushed_conditions = List.map (map_expr sb) f.Med_sqlgen.pushed_conditions;
   }
 
-let map_access sb (id, (a : Med_planner.access)) =
+let rec map_access sb (id, (a : Med_planner.access)) =
   ( id,
     match a with
     | Med_planner.A_sql { source_name; export; fragment; pattern } ->
@@ -291,8 +291,13 @@ let map_access sb (id, (a : Med_planner.access)) =
       A_path { source_name; export; path; pattern = map_pattern sb pattern }
     | A_match { source_name; export; pattern } ->
       A_match { source_name; export; pattern = map_pattern sb pattern }
-    | A_view { view; pattern } ->
-      A_view { view; pattern = map_pattern sb pattern }
+    | A_view { view; pattern; composed } ->
+      A_view
+        {
+          view;
+          pattern = map_pattern sb pattern;
+          composed = Option.map (map_composed sb) composed;
+        }
     | A_sql_bind { source_name; export; fragment; pattern; bind_driver;
                    bind_var; bind_col } ->
       (* The IN-list is computed at fetch time from the driver's rows,
@@ -308,7 +313,31 @@ let map_access sb (id, (a : Med_planner.access)) =
           bind_col;
         } )
 
-let map_compiled sb (c : Med_planner.compiled) =
+(* A composed view maps through its absorbed conditions and its
+   sub-plans.  A parameter that lands as a literal was pushed as a typed
+   equality only because its value was canonical for the column; a value
+   that is not would have compiled to the tree path instead. *)
+and map_composed sb (c : Med_planner.composed) =
+  let literals =
+    List.map
+      (fun (s, ty) ->
+        let s' = map_str sb s in
+        if Med_planner.canonical_literal ty s' = None then
+          raise (Unrebindable "a view literal is not canonical for its column");
+        (s', ty))
+      c.Med_planner.literals
+  in
+  {
+    Med_planner.absorbed = List.map (map_expr sb) c.Med_planner.absorbed;
+    literals;
+    defs =
+      List.map
+        (fun (d : Med_planner.composed_def) ->
+          { d with Med_planner.sub = map_compiled sb d.Med_planner.sub })
+        c.Med_planner.defs;
+  }
+
+and map_compiled sb (c : Med_planner.compiled) =
   {
     Med_planner.plan = map_plan sb c.Med_planner.plan;
     accesses = List.map (map_access sb) c.Med_planner.accesses;

@@ -86,14 +86,16 @@ let rec match_pattern (p : Xq_ast.pattern) tree =
         with_element_as
     end
 
+(* Pre-order: a node's own matches, then each child subtree's in order.
+   Accumulated in reverse, so a document costs time linear in its size. *)
 let match_anywhere p tree =
-  let out = ref [] in
-  let rec go t =
-    out := !out @ match_pattern p t;
-    List.iter (fun k -> match k with Dtree.Node _ -> go k | Dtree.Atom _ -> ()) (Dtree.kids t)
+  let rec go acc t =
+    let acc = List.rev_append (match_pattern p t) acc in
+    List.fold_left
+      (fun acc k -> match k with Dtree.Node _ -> go acc k | Dtree.Atom _ -> acc)
+      acc (Dtree.kids t)
   in
-  go tree;
-  !out
+  List.rev (go [] tree)
 
 (* ------------------------------------------------------------------ *)
 (* Query evaluation                                                    *)

@@ -595,6 +595,262 @@ let test_order_limit_pushdown () =
     (List.map Dtree.text results = [ "Umbrella"; "Globex" ]
     || List.map Dtree.text results = [ "Umbrella"; "Initech" ])
 
+(* ------------------------------------------------------------------ *)
+(* View composition                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* A shop large enough that pushed constants visibly cut what ships: 30
+   customers over three regions and four tiers, 90 orders (some for
+   customers that do not exist). *)
+let make_shop () =
+  let db = Rel_db.create ~name:"shop" () in
+  let exec s = ignore (Rel_db.exec db s) in
+  exec "CREATE TABLE customers (id INT PRIMARY KEY, name TEXT, region TEXT, tier INT)";
+  exec "CREATE TABLE orders (oid INT PRIMARY KEY, cust_id INT, amount INT, item TEXT)";
+  let regions = [| "west"; "east"; "south" |] in
+  let items = [| "widget"; "gadget"; "server"; "scrap" |] in
+  for i = 1 to 30 do
+    exec
+      (Printf.sprintf "INSERT INTO customers VALUES (%d, 'cust%02d', '%s', %d)" i i
+         regions.(i mod 3) (1 + (i mod 4)))
+  done;
+  for o = 1 to 90 do
+    exec
+      (Printf.sprintf "INSERT INTO orders VALUES (%d, %d, %d, '%s')" (1000 + o)
+         (1 + (o * 7 mod 31)) (o * 37 mod 500) items.(o mod 4))
+  done;
+  db
+
+let shop_catalog () =
+  let cat = Med_catalog.create () in
+  let shop, stats = Net_sim.wrap Net_sim.default_profile (Rel_source.make (make_shop ())) in
+  Med_catalog.register_source cat shop;
+  Med_catalog.register_source cat
+    (Xml_source.of_xml_strings ~name:"products" [ ("catalog", catalog_xml) ]);
+  Med_catalog.register_source cat
+    (Csv_source.make ~name:"legacy"
+       [ ("contacts", "cust,email\ncust03,c3@x.com\ncust07,c7@x.com\nzeta,z@x.com\n") ]);
+  (cat, stats)
+
+let define cat name text = Med_catalog.define_view_text cat name text
+
+(* Level 1 renames customers; level 2 joins west customers (a literal in
+   the definition) with their orders. *)
+let define_two_levels cat =
+  define cat "cust"
+    {|WHERE <row><id>$i</id><name>$n</name><region>$r</region><tier>$t</tier></row> IN "shop.customers"
+      CONSTRUCT <cust><cid>$i</cid><name>$n</name><region>$r</region><tier>$t</tier></cust>|};
+  define cat "west_buys"
+    {|WHERE <cust><cid>$i</cid><name>$n</name><region>"west"</region><tier>$t</tier></cust> IN "cust",
+            <row><oid>$o</oid><cust_id>$i</cust_id><amount>$a</amount><item>$it</item></row> IN "shop.orders"
+      CONSTRUCT <buy><oid>$o</oid><cid>$i</cid><who>$n</who><tier>$t</tier><amount>$a</amount><item>$it</item></buy>|}
+
+(* Answers in order, for queries whose ORDER BY is total. *)
+let agree_ordered cat query =
+  List.map Dtree.to_string (Med_exec.run cat query)
+  = List.map Dtree.to_string (Xq_eval.eval (Med_exec.direct_resolver cat) query)
+
+(* The composition of the access over [view] in a compiled plan, at any
+   depth: [Some (Some c)] composed, [Some None] the tree path. *)
+let rec find_view_access name (c : Med_planner.compiled) =
+  List.find_map
+    (fun (_, a) ->
+      match a with
+      | Med_planner.A_view { view; composed; _ } when view = name -> Some composed
+      | Med_planner.A_view { composed = Some { Med_planner.defs; _ }; _ } ->
+        List.find_map (fun d -> find_view_access name d.Med_planner.sub) defs
+      | _ -> None)
+    c.Med_planner.accesses
+
+let explain cat query = Med_planner.explain (Med_planner.compile cat query)
+
+let composed cat query name =
+  match find_view_access name (Med_planner.compile cat query) with
+  | Some (Some _) -> true
+  | Some None -> false
+  | None -> Alcotest.failf "no access over view %s" name
+
+let test_compose_two_levels () =
+  let cat, stats = shop_catalog () in
+  define_two_levels cat;
+  let query =
+    q
+      {|WHERE <buy><oid>$o</oid><cid>$c</cid><who>$w</who><item>"widget"</item><amount>$a</amount></buy> IN "west_buys",
+              $c >= 10
+        CONSTRUCT <hit><o>$o</o><w>$w</w><a>$a</a></hit>
+        ORDER BY $a DESC, $o|}
+  in
+  check bool_t "composed at both levels" true
+    (composed cat query "west_buys" && composed cat query "cust");
+  let plan = explain cat query in
+  check bool_t "definition literal and range reach the customers fragment" true
+    (contains plan "FROM customers WHERE region = 'west' AND id >= 10");
+  check bool_t "caller literal reaches the orders fragment" true
+    (contains plan "FROM orders WHERE item = 'widget'");
+  Net_sim.reset stats;
+  let results = Med_exec.run cat query in
+  check bool_t "some answers" true (results <> []);
+  check bool_t "ships only qualifying rows" true (stats.Net_sim.tuples_shipped < 30);
+  check bool_t "matches reference" true (agree cat query);
+  check bool_t "matches reference in order" true (agree_ordered cat query)
+
+let test_compose_union_view () =
+  let cat, _ = shop_catalog () in
+  define cat "parties"
+    {|WHERE <row><name>$n</name><tier>$t</tier></row> IN "shop.customers"
+      CONSTRUCT <party><name>$n</name><kind>"customer"</kind></party>
+      UNION
+      WHERE <row><cust>$n</cust></row> IN "legacy.contacts"
+      CONSTRUCT <party><name>$n</name><kind>"contact"</kind></party>|};
+  let query =
+    q
+      {|WHERE <party><name>$n</name><kind>$k</kind></party> IN "parties", $n >= "cust2"
+        CONSTRUCT <p><n>$n</n><k>$k</k></p>
+        ORDER BY $k, $n|}
+  in
+  check bool_t "composed" true (composed cat query "parties");
+  check bool_t "range absorbed into both definitions" true
+    (contains (explain cat query) "WHERE name >= 'cust2'");
+  check bool_t "matches reference" true (agree cat query);
+  check bool_t "matches reference in order" true (agree_ordered cat query)
+
+let test_compose_definition_order_by () =
+  let cat, _ = shop_catalog () in
+  define cat "by_name"
+    {|WHERE <row><id>$i</id><name>$n</name></row> IN "shop.customers"
+      CONSTRUCT <c><id>$i</id><name>$n</name></c>
+      ORDER BY $n DESC|};
+  (* No ORDER BY in the caller: the answer keeps the definition's order. *)
+  let query = q {|WHERE <c><id>$i</id><name>$n</name></c> IN "by_name", $i <= 12 CONSTRUCT <x>$n</x>|} in
+  check bool_t "composed" true (composed cat query "by_name");
+  check int_t "twelve" 12 (List.length (Med_exec.run cat query));
+  check bool_t "matches reference in order" true (agree_ordered cat query)
+
+(* Views the composition cannot reproduce exactly keep the tree path —
+   and still answer like the reference. *)
+let test_compose_fallbacks () =
+  let cat, _ = shop_catalog () in
+  let base = {|WHERE <row><id>$i</id><name>$n</name><tier>$t</tier></row> IN "shop.customers"|} in
+  let flat = "CONSTRUCT <c><id>$i</id><name>$n</name><tier>$t</tier></c>" in
+  define cat "flat" (base ^ " " ^ flat);
+  List.iter
+    (fun (what, construct) -> define cat what (base ^ " " ^ construct))
+    [ ("nested", "CONSTRUCT <c><id>$i</id><info><name>$n</name></info></c>");
+      ( "aggregate",
+        {|CONSTRUCT <c><id>$i</id><name>{COUNT WHERE <row><cust_id>$i</cust_id></row> IN "shop.orders" CONSTRUCT <o/>}</name></c>|}
+      );
+      ("expression", "CONSTRUCT <c><id>$i</id><name>{$t * 2}</name></c>");
+      ("repeated_tag", "CONSTRUCT <c><id>$i</id><id>$t</id><name>$n</name></c>");
+      ("child_attr", {|CONSTRUCT <c><id kind="pk">$i</id><name>$n</name></c>|});
+      ("root_attr", {|CONSTRUCT <c kind="customer"><id>$i</id><name>$n</name></c>|});
+      ("limited", flat ^ " ORDER BY $i LIMIT 3") ];
+  let case view pattern =
+    let query = q (Printf.sprintf {|WHERE %s IN "%s" CONSTRUCT <x>$i</x>|} pattern view) in
+    check bool_t (view ^ " keeps the tree path") false (composed cat query view);
+    check bool_t (view ^ " matches reference") true (agree cat query)
+  in
+  List.iter
+    (fun view -> case view "<c><id>$i</id></c>")
+    [ "nested"; "aggregate"; "expression"; "repeated_tag"; "child_attr"; "root_attr"; "limited" ];
+  (* Caller patterns over the flat view. *)
+  case "flat" "<c><id>$i</id></c> ELEMENT_AS $e";
+  case "flat" "<*><id>$i</id></*>";
+  case "flat" "<c><id>$i</id><tier>$i</tier></c>";
+  case "flat" "<other><id>$i</id></other>";
+  case "flat" "<c><id>$i</id><id>$j</id></c>";
+  (* The same views composed, for contrast. *)
+  check bool_t "flat composes" true
+    (composed cat (q {|WHERE <c><id>$i</id></c> IN "flat" CONSTRUCT <x>$i</x>|}) "flat")
+
+(* XML-QL compares a literal with the value's text: "014" never equals
+   the INT 14, so that literal cannot become the typed equality
+   [id = 14]; "14" can. *)
+let test_compose_noncanonical_literal () =
+  let cat, _ = shop_catalog () in
+  define cat "ids"
+    {|WHERE <row><id>$i</id><name>$n</name></row> IN "shop.customers"
+      CONSTRUCT <c><id>$i</id><name>$n</name></c>|};
+  let with_id lit = q (Printf.sprintf {|WHERE <c><id>"%s"</id><name>$n</name></c> IN "ids" CONSTRUCT <x>$n</x>|} lit) in
+  check bool_t "014 keeps the tree path" false (composed cat (with_id "014") "ids");
+  check int_t "014 matches nothing, as before" 0 (List.length (Med_exec.run cat (with_id "014")));
+  check bool_t "014 matches reference" true (agree cat (with_id "014"));
+  check bool_t "14 composes" true (composed cat (with_id "14") "ids");
+  check int_t "14 matches one" 1 (List.length (Med_exec.run cat (with_id "14")));
+  check bool_t "14 matches reference" true (agree cat (with_id "14"))
+
+(* Values with element content: a row whose spliced content holds a
+   deeper match yields it, as matching the instantiated tree does. *)
+let test_compose_element_content () =
+  let cat = Med_catalog.create () in
+  Med_catalog.register_source cat
+    (Xml_source.of_xml_strings ~name:"docs"
+       [ ( "d",
+           {|<d><item sku="a"><price>5</price></item>
+                <item sku="b"><price><p><sku>inner</sku><price>7</price></p></price></item></d>|}
+         ) ]);
+  define cat "priced"
+    {|WHERE <item sku=$s><price>$p</price></item> IN "docs.d"
+      CONSTRUCT <p><sku>$s</sku><price>$p</price></p>|};
+  let query = q {|WHERE <p><sku>$s</sku><price>$x</price></p> IN "priced" CONSTRUCT <r>$s</r>|} in
+  check bool_t "composed" true (composed cat query "priced");
+  check int_t "two roots and one nested match" 3 (List.length (Med_exec.run cat query));
+  check bool_t "matches reference" true (agree cat query);
+  (* Values that may be elements never absorb conditions: filtering the
+     definition's rows by sku would lose the nested match. *)
+  let filtered =
+    q {|WHERE <p><sku>$s</sku><price>$x</price></p> IN "priced", $s = "inner" CONSTRUCT <r>$s</r>|}
+  in
+  check bool_t "condition stays with the caller" true
+    (contains (explain cat filtered) "residual conditions");
+  check int_t "the nested match survives the filter" 1 (List.length (Med_exec.run cat filtered));
+  check bool_t "filtered matches reference" true (agree cat filtered)
+
+let test_compose_partial_offline () =
+  let cat = Med_catalog.create () in
+  Med_catalog.register_source cat (Rel_source.make (make_crm ()));
+  let down, _ =
+    Net_sim.wrap { Net_sim.default_profile with Net_sim.availability = 0.0 }
+      (Xml_source.of_xml_strings ~name:"products" [ ("catalog", catalog_xml) ])
+  in
+  Med_catalog.register_source cat down;
+  define cat "priced"
+    {|WHERE <product sku=$s><price>$p</price></product> IN "products.catalog"
+      CONSTRUCT <pr><sku>$s</sku><price>$p</price></pr>|};
+  define cat "bought"
+    {|WHERE <row><item>$s</item><oid>$o</oid></row> IN "crm.orders",
+            <pr><sku>$s</sku><price>$p</price></pr> IN "priced"
+      CONSTRUCT <b><oid>$o</oid><price>$p</price></b>|};
+  let query = q {|WHERE <b><oid>$o</oid><price>$p</price></b> IN "bought" CONSTRUCT <x>$o</x>|} in
+  check bool_t "composed" true (composed cat query "bought");
+  let trees, skipped = Med_exec.run_partial cat query in
+  check int_t "nothing answered" 0 (List.length trees);
+  check (Alcotest.list string_t) "the source under the view is skipped" [ "products" ] skipped;
+  let live =
+    q {|WHERE <row><name>$n</name></row> IN "crm.customers" CONSTRUCT <x>$n</x>|}
+  in
+  let trees, skipped = Med_exec.run_partial cat live in
+  check int_t "live part unaffected" 4 (List.length trees);
+  check int_t "nothing skipped" 0 (List.length skipped)
+
+let test_compose_materialized () =
+  let cat, stats = shop_catalog () in
+  define_two_levels cat;
+  let store = Mat_store.create cat in
+  ignore (Mat_store.materialize store "west_buys");
+  let query =
+    q
+      {|WHERE <buy><oid>$o</oid><cid>$c</cid><item>"widget"</item></buy> IN "west_buys", $c >= 10
+        CONSTRUCT <hit>$o</hit> ORDER BY $o|}
+  in
+  check bool_t "composed" true (composed cat query "west_buys");
+  Net_sim.reset stats;
+  let served = Med_exec.run ~view_lookup:(Mat_store.lookup store) cat query in
+  check int_t "zero source calls" 0 stats.Net_sim.calls;
+  (* The absorbed range applies to the stored copy too. *)
+  check (Alcotest.list string_t) "same answer as the sources give"
+    (List.map Dtree.to_string (Med_exec.run cat query))
+    (List.map Dtree.to_string served)
+
 (* Property: compiled pipeline agrees with the reference evaluator on
    random relational data for a fixed query family. *)
 let prop_compiled_equals_reference =
@@ -626,9 +882,27 @@ let prop_compiled_equals_reference =
                  $t >= 1, $a < 800
             CONSTRUCT <hit><i>$i</i><a>$a</a></hit>|}
       in
-      agree cat query
-      && agree ~opts:Med_sqlgen.no_pushdown cat query
-      && agree ~opts:Med_sqlgen.no_join_pushdown cat query)
+      (* The same join through two levels of views, a literal and a
+         range reaching the bottom level. *)
+      Med_catalog.define_view_text cat "cust"
+        {|WHERE <row><id>$i</id><name>$n</name><tier>$t</tier></row> IN "crm.customers"
+          CONSTRUCT <cust><id>$i</id><name>$n</name><tier>$t</tier></cust>|};
+      Med_catalog.define_view_text cat "spend"
+        {|WHERE <cust><id>$i</id><tier>$t</tier></cust> IN "cust",
+                <row><cust_id>$i</cust_id><amount>$a</amount></row> IN "crm.orders"
+          CONSTRUCT <spend><id>$i</id><tier>$t</tier><amount>$a</amount></spend>|};
+      let through_views =
+        q
+          {|WHERE <spend><id>$i</id><tier>"1"</tier><amount>$a</amount></spend> IN "spend",
+                 $i >= 3, $a < 800
+            CONSTRUCT <hit><i>$i</i><a>$a</a></hit>|}
+      in
+      List.for_all
+        (fun query ->
+          agree cat query
+          && agree ~opts:Med_sqlgen.no_pushdown cat query
+          && agree ~opts:Med_sqlgen.no_join_pushdown cat query)
+        [ query; through_views ])
 
 let () =
   let props = List.map QCheck_alcotest.to_alcotest [ prop_compiled_equals_reference ] in
@@ -678,6 +952,17 @@ let () =
           Alcotest.test_case "partial results" `Quick test_partial_results_mode;
           Alcotest.test_case "pushdown ships fewer tuples" `Quick
             test_pushdown_ships_fewer_tuples;
+        ] );
+      ( "compose",
+        [
+          Alcotest.test_case "two levels, literals and a range" `Quick test_compose_two_levels;
+          Alcotest.test_case "union view" `Quick test_compose_union_view;
+          Alcotest.test_case "definition with ORDER BY" `Quick test_compose_definition_order_by;
+          Alcotest.test_case "fallbacks keep the tree path" `Quick test_compose_fallbacks;
+          Alcotest.test_case "non-canonical literal" `Quick test_compose_noncanonical_literal;
+          Alcotest.test_case "element content" `Quick test_compose_element_content;
+          Alcotest.test_case "partial mode, offline source" `Quick test_compose_partial_offline;
+          Alcotest.test_case "materialized view" `Quick test_compose_materialized;
         ] );
       ( "join-pushdown",
         [

@@ -439,6 +439,49 @@ let test_plan_cache_inlines_nonrebindable () =
   check int_t "repeat of same inlined value hits" 1 s.hits;
   check int_t "distinct inlined values miss" 2 s.misses
 
+(* A lens over a two-level view: the parameter lands as a literal the
+   composition pushes into the bottom level's SQL, and a rebind maps it
+   there, through the composed access's sub-plans. *)
+let test_plan_cache_rebinds_through_views () =
+  let sys = fresh_system () in
+  let cat = Nimble.catalog sys in
+  Med_catalog.define_view_text cat "cust"
+    {|WHERE <row><id>$i</id><name>$n</name><region>$r</region></row> IN "crm.customers"
+      CONSTRUCT <cust><cid>$i</cid><name>$n</name><region>$r</region></cust>|};
+  Med_catalog.define_view_text cat "regional"
+    {|WHERE <cust><cid>$i</cid><name>$n</name><region>$r</region></cust> IN "cust"
+      CONSTRUCT <rc><name>$n</name><region>$r</region></rc>|};
+  let lens =
+    Fe_lens.make ~name:"people"
+      ~params:[ Fe_lens.param "region" Value.TString ]
+      [ ( "in_region",
+          {|WHERE <rc><name>$n</name><region>%region%</region></rc> IN "regional"
+            CONSTRUCT <p>$n</p> ORDER BY $n|} ) ]
+  in
+  let pc = Srv_plancache.create cat in
+  let lookup region =
+    Srv_plancache.lookup pc ~lens ~query:"in_region" ~args:[ ("region", region) ]
+  in
+  let _, first_hit = lookup "west" in
+  let rebound, hit = lookup "east" in
+  check bool_t "first compiles" false first_hit;
+  check bool_t "second rebinds" true hit;
+  let s = Srv_plancache.stats pc in
+  check int_t "no fallback" 0 s.fallbacks;
+  check bool_t "parametric entry" true (contains (Srv_plancache.report pc) "param people/");
+  let cold =
+    Med_planner.compile cat (Fe_lens.instantiate lens "in_region" [ ("region", "east") ])
+  in
+  check bool_t "rebound plan = cold compile" true (rebound = cold);
+  check bool_t "the value reaches the source" true
+    (contains (Med_planner.explain rebound) "FROM customers WHERE region = 'east'");
+  (* "" is also the text of NULL, so it cannot become [region = '']: the
+     rebind refuses, and the invocation compiles to the tree path. *)
+  let empty, hit = lookup "" in
+  check bool_t "empty value recompiles" false hit;
+  check bool_t "empty value plan = cold compile" true
+    (empty = Med_planner.compile cat (Fe_lens.instantiate lens "in_region" [ ("region", "") ]))
+
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -607,6 +650,8 @@ let () =
             test_plan_cache_invalidation_and_lru;
           Alcotest.test_case "non-rebindable values inline" `Quick
             test_plan_cache_inlines_nonrebindable;
+          Alcotest.test_case "rebinds through composed views" `Quick
+            test_plan_cache_rebinds_through_views;
         ] );
       ( "dispatch",
         [

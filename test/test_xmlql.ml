@@ -180,6 +180,42 @@ let test_match_text_pattern () =
   let p = pat_of {|<title>"Old Web"</title>|} in
   check int_t "one title" 1 (List.length (Xq_eval.match_anywhere p bib_doc))
 
+(* The pre-order walk spelled out: a node's own matches, then each
+   child subtree's, concatenated. *)
+let rec preorder_matches p t =
+  Xq_eval.match_pattern p t
+  @ List.concat_map
+      (fun k -> match k with Dtree.Node _ -> preorder_matches p k | Dtree.Atom _ -> [])
+      (Dtree.kids t)
+
+let test_match_anywhere_linear () =
+  let same_order p doc =
+    List.equal Alg_env.equal (Xq_eval.match_anywhere p doc) (preorder_matches p doc)
+  in
+  check Alcotest.bool "wildcard matches in pre-order" true
+    (same_order (pat_of "<*><last>$l</last></*>") bib_doc);
+  let n = 20_000 in
+  let doc =
+    Source.table_document "t"
+      (List.init n (fun i ->
+           Tuple.make
+             [ ("id", Value.Int (i + 1)); ("name", Value.String (Printf.sprintf "n%d" i)) ]))
+  in
+  let p = pat_of "<row><id>$i</id></row>" in
+  let t0 = Sys.time () in
+  let envs = Xq_eval.match_anywhere p doc in
+  let elapsed = Sys.time () -. t0 in
+  check (Alcotest.list int_t) "one match per row, in row order" (List.init n (fun i -> i + 1))
+    (List.map
+       (fun env -> match Alg_env.value_of env "i" with Value.Int i -> i | _ -> -1)
+       envs);
+  check Alcotest.bool "same order as the pre-order walk" true (same_order p doc);
+  (* Appending each node's matches to the accumulator makes the walk
+     quadratic, seconds at this size; a linear walk takes milliseconds. *)
+  check Alcotest.bool
+    (Printf.sprintf "20k rows in linear time (%.3fs)" elapsed)
+    true (elapsed < 1.5)
+
 (* ------------------------------------------------------------------ *)
 (* Query evaluation                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -373,6 +409,7 @@ let () =
           Alcotest.test_case "attribute literal" `Quick test_match_attr_literal;
           Alcotest.test_case "wildcard tag" `Quick test_match_wildcard_tag;
           Alcotest.test_case "text pattern" `Quick test_match_text_pattern;
+          Alcotest.test_case "anywhere: pre-order, linear" `Quick test_match_anywhere_linear;
         ] );
       ( "evaluation",
         [
