@@ -65,8 +65,34 @@ let micro_fixtures () =
   let dirty = Workloads.dirty_customers (Prng.create 8) ~n:300 ~dup_rate:0.2 in
   (xml_text, doc, db, cat, query_text, parsed, dirty)
 
+(* A star schema at the benchmark's warehouse sizes: 5,000 facts over
+   365 days and 50 stores. *)
+let star_db () =
+  let g = Prng.create 9 in
+  let db = Rel_db.create ~name:"dw" () in
+  List.iter
+    (fun stmt -> ignore (Rel_db.exec db stmt))
+    [ "CREATE TABLE fact (fid INT PRIMARY KEY, day_id INT, store_id INT, product_id INT, revenue INT)";
+      "CREATE TABLE days (day_id INT PRIMARY KEY, month INT)";
+      "CREATE TABLE stores (store_id INT PRIMARY KEY, city TEXT)" ];
+  let row fields = Tuple.make fields in
+  Rel_db.insert_many db "days"
+    (List.init 365 (fun i ->
+         row [ ("day_id", Value.Int (i + 1)); ("month", Value.Int (min 12 (1 + (i / 31)))) ]));
+  Rel_db.insert_many db "stores"
+    (List.init 50 (fun i ->
+         row [ ("store_id", Value.Int (i + 1)); ("city", Value.String (Printf.sprintf "city%d" (i mod 7))) ]));
+  Rel_db.insert_many db "fact"
+    (List.init 5000 (fun i ->
+         row
+           [ ("fid", Value.Int (i + 1)); ("day_id", Value.Int (1 + Prng.int g 365));
+             ("store_id", Value.Int (1 + Prng.int g 50)); ("product_id", Value.Int (1 + Prng.int g 400));
+             ("revenue", Value.Int (10 + Prng.int g 2000)) ]));
+  db
+
 let micro_tests () =
   let xml_text, doc, db, cat, query_text, parsed, dirty = micro_fixtures () in
+  let dw = star_db () in
   let open Bechamel in
   [
     Test.make ~name:"xml_parse_2k_nodes" (Staged.stage (fun () ->
@@ -77,6 +103,14 @@ let micro_tests () =
         ignore (Rel_db.query db "SELECT name FROM customers WHERE id = 999")));
     Test.make ~name:"sql_scan_filter_2k" (Staged.stage (fun () ->
         ignore (Rel_db.query db "SELECT name FROM customers WHERE tier = 2")));
+    Test.make ~name:"sql_join_3way" (Staged.stage (fun () ->
+        ignore
+          (Rel_db.query dw
+             "SELECT f.fid, f.store_id, s.city, d.month, f.product_id, f.revenue FROM fact f \
+              JOIN days d ON f.day_id = d.day_id JOIN stores s ON f.store_id = s.store_id \
+              WHERE f.store_id = 7 AND d.month = 3 AND f.revenue > 1500")));
+    Test.make ~name:"sql_update_by_pk" (Staged.stage (fun () ->
+        ignore (Rel_db.exec db "UPDATE customers SET balance = 12.5 WHERE id = 999")));
     Test.make ~name:"xmlql_parse" (Staged.stage (fun () ->
         ignore (Xq_parser.parse_exn query_text)));
     Test.make ~name:"mediator_compile" (Staged.stage (fun () ->

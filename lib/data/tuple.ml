@@ -2,8 +2,7 @@ type t = (string * Value.t) array
 
 let empty = [||]
 
-let make bindings =
-  let arr = Array.of_list bindings in
+let check_distinct arr =
   let n = Array.length arr in
   for i = 0 to n - 1 do
     let name = fst arr.(i) in
@@ -13,6 +12,10 @@ let make bindings =
     done
   done;
   arr
+
+let make bindings = check_distinct (Array.of_list bindings)
+
+let of_arrays names values = check_distinct (Array.map2 (fun n v -> (n, v)) names values)
 
 let fields t = Array.to_list t
 let field_names t = Array.to_list (Array.map fst t)

@@ -14,6 +14,12 @@ val make : (string * Value.t) list -> t
 (** Field order is preserved.
     @raise Invalid_argument on duplicate field names. *)
 
+val of_arrays : string array -> Value.t array -> t
+(** [of_arrays names values] is {!make} of the paired arrays, without
+    an intermediate list.
+    @raise Invalid_argument as {!make} does, or when the lengths
+    differ. *)
+
 val fields : t -> (string * Value.t) list
 val field_names : t -> string list
 val values : t -> Value.t list

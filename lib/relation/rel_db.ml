@@ -96,39 +96,66 @@ let run_insert db tname cols rows =
     rows;
   Affected !count
 
-let run_update db tname assigns where =
+(* UPDATE and DELETE compile their WHERE once against the table's
+   layout.  When a conjunct is [col = literal] on an indexed column, as
+   index selection requires for SELECT, only that key's rows are
+   visited; the whole WHERE still decides each of them.  The literal
+   must have the column's type, so the index's exact-key lookup finds
+   every row SQL equality would, and every column must resolve, so an
+   unknown column is still reported however few rows the key has. *)
+let dml_target db tname where =
   let tbl = table_exn db tname in
-  let pred tup = match where with None -> true | Some w -> Sql_eval.eval_pred tup w in
-  let apply tup =
-    List.fold_left
-      (fun acc (cname, e) -> Tuple.set acc cname (Sql_eval.eval tup e))
-      tup assigns
+  let layout = Rel_table.columns tbl in
+  let pred = match where with None -> fun _ -> true | Some w -> Sql_eval.compile_pred layout w in
+  let ids =
+    match where with
+    | Some w
+      when List.for_all
+             (fun (q, n) -> Result.is_ok (Sql_eval.slot layout q n))
+             (Sql_ast.expr_columns w) ->
+      let schema = Rel_table.schema tbl in
+      List.find_map
+        (fun e ->
+          match Sql_plan.column_literal tbl ~alias:tname e with
+          | Some (cname, Sql_ast.Eq, v)
+            when (match Dschema.find_column schema cname with
+                 | Some c -> Value.type_of v = c.Dschema.col_ty
+                 | None -> false) ->
+            Rel_table.eq_ids tbl cname v
+          | _ -> None)
+        (Sql_ast.conjuncts w)
+    | Some _ | None -> None
   in
-  try Affected (Rel_table.update_where tbl pred apply)
+  (tbl, layout, pred, ids)
+
+let run_update db tname assigns where =
+  let tbl, layout, pred, ids = dml_target db tname where in
+  let assigns = List.map (fun (cname, e) -> (cname, Sql_eval.compile layout e)) assigns in
+  (* Every assignment reads the row as it was before the update. *)
+  let apply row =
+    let tup = Tuple.of_arrays layout row in
+    List.fold_left (fun acc (cname, c) -> Tuple.set acc cname (c row)) tup assigns
+  in
+  try Affected (Rel_table.update_rows ?ids tbl pred apply)
   with
   | Rel_table.Constraint_violation m -> fail "%s" m
   | Sql_eval.Eval_error m -> fail "%s" m
 
 let run_delete db tname where =
-  let tbl = table_exn db tname in
-  let pred tup = match where with None -> true | Some w -> Sql_eval.eval_pred tup w in
-  try Affected (Rel_table.delete_where tbl pred)
+  let tbl, _, pred, ids = dml_target db tname where in
+  try Affected (Rel_table.delete_rows ?ids tbl pred)
   with Sql_eval.Eval_error m -> fail "%s" m
 
 let run_select db select =
   try
-    let names = Sql_exec.output_names (catalog db) select in
-    let rows = Sql_exec.run_select (catalog db) select in
+    let names, rows = Sql_exec.run_select (catalog db) select in
     Rows (names, rows)
   with
   | Sql_exec.Exec_error m -> fail "%s" m
   | Sql_eval.Eval_error m -> fail "%s" m
   | Sql_plan.Plan_error m -> fail "%s" m
 
-let exec db text =
-  let stmt =
-    try Sql_parser.parse_exn text with Sql_parser.Parse_error m -> fail "%s" m
-  in
+let exec_statement db stmt =
   match stmt with
   | Sql_ast.Select s -> run_select db s
   | Sql_ast.Create_table (tname, defs) -> run_create_table db tname defs
@@ -144,6 +171,11 @@ let exec db text =
   | Sql_ast.Drop_table tname ->
     drop_table db tname;
     Created
+
+let exec db text =
+  match Sql_parser.parse text with
+  | Ok stmt -> exec_statement db stmt
+  | Error m -> fail "%s" m
 
 let query db text =
   match exec db text with

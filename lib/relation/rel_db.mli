@@ -25,6 +25,10 @@ val name : t -> string
 val exec : t -> string -> result
 (** Parse and run one SQL statement.  @raise Sql_error on any failure. *)
 
+val exec_statement : t -> Sql_ast.statement -> result
+(** Run one parsed statement: {!exec} without the parse, for callers
+    that already hold the AST.  @raise Sql_error on any failure. *)
+
 val query : t -> string -> Tuple.t list
 (** [exec] specialized to SELECT; returns the rows.
     @raise Sql_error when the statement is not a SELECT. *)

@@ -12,6 +12,7 @@ type index = {
 
 type t = {
   tbl_schema : Dschema.relational;
+  tbl_columns : string array;  (* column names: the layout of every stored row *)
   tbl_primary_key : string option;
   pk_pos : int;  (* -1 when none *)
   mutable slots : Value.t array option array;
@@ -41,6 +42,7 @@ let create ?primary_key schema =
   in
   {
     tbl_schema = schema;
+    tbl_columns = Array.of_list (Dschema.column_names schema);
     tbl_primary_key = primary_key;
     pk_pos;
     slots = Array.make 16 None;
@@ -53,10 +55,9 @@ let schema t = t.tbl_schema
 let name t = t.tbl_schema.Dschema.rel_name
 let row_count t = t.live
 let primary_key t = t.tbl_primary_key
+let columns t = t.tbl_columns
 
-let row_to_tuple t row =
-  Tuple.make
-    (List.mapi (fun i c -> (c.Dschema.col_name, row.(i))) t.tbl_schema.Dschema.columns)
+let row_to_tuple t row = Tuple.of_arrays t.tbl_columns row
 
 let tuple_to_row t tup =
   match Dschema.coerce_tuple t.tbl_schema tup with
@@ -140,21 +141,29 @@ let insert_values t values =
   let tup = Tuple.make (List.map2 (fun c v -> (c.Dschema.col_name, v)) cols values) in
   insert t tup
 
-let get t id =
-  if id < 0 || id >= t.next_slot then None
-  else Option.map (row_to_tuple t) t.slots.(id)
+let row t id = if id < 0 || id >= t.next_slot then None else t.slots.(id)
 
-let scan t f =
+let get t id = Option.map (row_to_tuple t) (row t id)
+
+let iter_rows t f =
   for i = 0 to t.next_slot - 1 do
     match t.slots.(i) with
-    | Some row -> f i (row_to_tuple t row)
+    | Some row -> f i row
     | None -> ()
   done
 
-let to_list t =
+let rows t =
   let out = ref [] in
-  scan t (fun _ tup -> out := tup :: !out);
-  List.rev !out
+  for i = t.next_slot - 1 downto 0 do
+    match t.slots.(i) with
+    | Some row -> out := row :: !out
+    | None -> ()
+  done;
+  !out
+
+let scan t f = iter_rows t (fun i row -> f i (row_to_tuple t row))
+
+let to_list t = List.map (row_to_tuple t) (rows t)
 
 let delete_slot t id =
   match t.slots.(id) with
@@ -164,34 +173,42 @@ let delete_slot t id =
     t.slots.(id) <- None;
     t.live <- t.live - 1
 
-let delete_where t pred =
+(* The slots an UPDATE or DELETE visits: every slot, or the given row
+   ids in ascending order — the order a full pass would meet them. *)
+let visit t ids f =
+  match ids with
+  | None ->
+    for i = 0 to t.next_slot - 1 do
+      f i
+    done
+  | Some ids -> List.iter f (List.sort_uniq Int.compare ids)
+
+let delete_rows ?ids t pred =
   let deleted = ref 0 in
-  for i = 0 to t.next_slot - 1 do
-    match t.slots.(i) with
-    | Some row when pred (row_to_tuple t row) ->
-      delete_slot t i;
-      incr deleted
-    | Some _ | None -> ()
-  done;
+  visit t ids (fun i ->
+      match row t i with
+      | Some r when pred r ->
+        delete_slot t i;
+        incr deleted
+      | Some _ | None -> ());
   !deleted
 
-let update_where t pred f =
+let update_rows ?ids t pred f =
   let updated = ref 0 in
-  for i = 0 to t.next_slot - 1 do
-    match t.slots.(i) with
-    | Some row when pred (row_to_tuple t row) ->
-      let new_row = tuple_to_row t (f (row_to_tuple t row)) in
-      List.iter
-        (fun idx ->
-          if not (Value.equal row.(idx.idx_pos) new_row.(idx.idx_pos)) then begin
-            index_remove idx row.(idx.idx_pos) i;
-            index_add idx new_row.(idx.idx_pos) i
-          end)
-        t.indexes;
-      t.slots.(i) <- Some new_row;
-      incr updated
-    | Some _ | None -> ()
-  done;
+  visit t ids (fun i ->
+      match row t i with
+      | Some r when pred r ->
+        let new_row = tuple_to_row t (f r) in
+        List.iter
+          (fun idx ->
+            if not (Value.equal r.(idx.idx_pos) new_row.(idx.idx_pos)) then begin
+              index_remove idx r.(idx.idx_pos) i;
+              index_add idx new_row.(idx.idx_pos) i
+            end)
+          t.indexes;
+        t.slots.(i) <- Some new_row;
+        incr updated
+      | Some _ | None -> ());
   !updated
 
 let clear t =
@@ -241,23 +258,24 @@ let has_index t cname =
     (fun idx -> match idx.impl with Ibtree _ -> Btree_index | Ihash _ -> Hash_index)
     (find_index t cname)
 
-let rows_of_ids t ids =
-  List.filter_map (fun id -> get t id) ids
+let rows_of_ids t ids = List.filter_map (row t) ids
 
-let lookup_eq t cname v =
+let eq_ids t cname v =
   match find_index t cname with
-  | Some { impl = Ibtree bt; _ } -> rows_of_ids t (Rel_btree.find_all bt v)
-  | Some { impl = Ihash h; _ } ->
-    rows_of_ids t (List.rev (Option.value ~default:[] (Hashtbl.find_opt h v)))
+  | Some { impl = Ibtree bt; _ } -> Some (Rel_btree.find_all bt v)
+  | Some { impl = Ihash h; _ } -> Some (List.rev (Option.value ~default:[] (Hashtbl.find_opt h v)))
+  | None -> None
+
+let lookup_eq_rows t cname v =
+  match eq_ids t cname v with
+  | Some ids -> rows_of_ids t ids
   | None ->
+    let pos = column_pos t.tbl_schema cname in
     let out = ref [] in
-    scan t (fun _ tup ->
-        match Tuple.get tup cname with
-        | Some v' when Value.equal v v' -> out := tup :: !out
-        | Some _ | None -> ());
+    if pos >= 0 then iter_rows t (fun _ r -> if Value.equal v r.(pos) then out := r :: !out);
     List.rev !out
 
-let lookup_range t cname ?lo ?hi () =
+let lookup_range_rows t cname ?lo ?hi () =
   let in_bounds v =
     (match lo with
     | None -> true
@@ -273,14 +291,22 @@ let lookup_range t cname ?lo ?hi () =
   in
   match find_index t cname with
   | Some { impl = Ibtree bt; _ } ->
-    rows_of_ids t (List.map snd (Rel_btree.range bt ?lo ?hi ()))
+    (* NULL keys sort first in the tree but lie in no range. *)
+    Rel_btree.range bt ?lo ?hi ()
+    |> List.filter_map (fun (k, id) -> if k = Value.Null then None else row t id)
   | Some { impl = Ihash _; _ } | None ->
+    let pos = column_pos t.tbl_schema cname in
     let out = ref [] in
-    scan t (fun _ tup ->
-        match Tuple.get tup cname with
-        | Some v when v <> Value.Null && in_bounds v -> out := tup :: !out
-        | Some _ | None -> ());
+    if pos >= 0 then
+      iter_rows t (fun _ r ->
+          let v = r.(pos) in
+          if v <> Value.Null && in_bounds v then out := r :: !out);
     List.rev !out
+
+let lookup_eq t cname v = List.map (row_to_tuple t) (lookup_eq_rows t cname v)
+
+let lookup_range t cname ?lo ?hi () =
+  List.map (row_to_tuple t) (lookup_range_rows t cname ?lo ?hi ())
 
 let index_served t cname mode =
   match find_index t cname, mode with

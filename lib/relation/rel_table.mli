@@ -20,6 +20,10 @@ val name : t -> string
 val row_count : t -> int
 val primary_key : t -> string option
 
+val columns : t -> string array
+(** Column names in schema order: the layout of every positional row
+    this module hands out. *)
+
 (** {1 Mutation} *)
 
 val insert : t -> Tuple.t -> int
@@ -30,24 +34,41 @@ val insert : t -> Tuple.t -> int
 val insert_values : t -> Value.t list -> int
 (** Positional insert (must match schema arity). *)
 
-val delete_where : t -> (Tuple.t -> bool) -> int
-(** Delete all rows satisfying the predicate; returns how many. *)
+val delete_rows : ?ids:int list -> t -> (Value.t array -> bool) -> int
+(** Delete the rows satisfying the predicate; returns how many.  With
+    [ids], only those row ids are visited (in ascending order), so they
+    must include every row the predicate accepts. *)
 
-val update_where : t -> (Tuple.t -> bool) -> (Tuple.t -> Tuple.t) -> int
-(** Update matching rows through the function (result is re-coerced);
-    returns how many. *)
+val update_rows :
+  ?ids:int list -> t -> (Value.t array -> bool) -> (Value.t array -> Tuple.t) -> int
+(** Replace each row satisfying the predicate by the function's result,
+    coerced into schema shape, and keep the indexes in step; returns how
+    many.  [ids] restricts the visit as in {!delete_rows}.
+    @raise Constraint_violation when coercion fails. *)
 
 val clear : t -> unit
 
-(** {1 Access} *)
+(** {1 Access}
+
+    The positional readers hand out the table's stored rows themselves,
+    laid out as {!columns}: callers must not mutate them.  Updates
+    replace a row's array rather than writing into it, so a row read
+    earlier keeps its values.  The tuple readers wrap them. *)
+
+val iter_rows : t -> (int -> Value.t array -> unit) -> unit
+(** Iterate live rows (with their ids) in insertion order. *)
+
+val rows : t -> Value.t array list
+(** Live rows in insertion order. *)
 
 val get : t -> int -> Tuple.t option
 (** Fetch by row id; [None] for deleted or out-of-range ids. *)
 
 val scan : t -> (int -> Tuple.t -> unit) -> unit
-(** Iterate live rows in insertion order. *)
+(** {!iter_rows} over named tuples. *)
 
 val to_list : t -> Tuple.t list
+(** {!rows} as named tuples. *)
 
 (** {1 Indexes} *)
 
@@ -57,13 +78,25 @@ val create_index : t -> kind:index_kind -> string -> unit
 
 val has_index : t -> string -> index_kind option
 
-val lookup_eq : t -> string -> Value.t -> Tuple.t list
+val eq_ids : t -> string -> Value.t -> int list option
+(** Ids of the rows whose column is equal to the value as the column's
+    index stores keys; [None] when the column has no index. *)
+
+val lookup_eq_rows : t -> string -> Value.t -> Value.t array list
 (** Equality lookup through an index when one exists, else a scan. *)
+
+val lookup_range_rows :
+  t -> string -> ?lo:Value.t * bool -> ?hi:Value.t * bool -> unit -> Value.t array list
+(** Range lookup; uses a B+tree index when available, else a scan with
+    filtering.  NULL lies in no range.  Results are in key order when
+    served by the index. *)
+
+val lookup_eq : t -> string -> Value.t -> Tuple.t list
+(** {!lookup_eq_rows} as named tuples. *)
 
 val lookup_range :
   t -> string -> ?lo:Value.t * bool -> ?hi:Value.t * bool -> unit -> Tuple.t list
-(** Range lookup; uses a B+tree index when available, else a scan with
-    filtering.  Results are in key order when served by the index. *)
+(** {!lookup_range_rows} as named tuples. *)
 
 val index_served : t -> string -> [ `Eq | `Range ] -> bool
 (** Would {!lookup_eq} / {!lookup_range} on this column be index-backed?

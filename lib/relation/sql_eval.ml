@@ -2,32 +2,36 @@ exception Eval_error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Eval_error m)) fmt
 
-let resolve tup qualifier name =
+type layout = string array
+
+let find_slot layout name =
+  let n = Array.length layout in
+  let rec go i = if i >= n then -1 else if String.equal layout.(i) name then i else go (i + 1) in
+  go 0
+
+let slot layout qualifier name =
   match qualifier with
   | Some q -> (
-    let full = q ^ "." ^ name in
-    match Tuple.get tup full with
-    | Some v -> v
-    | None -> (
+    let i = find_slot layout (q ^ "." ^ name) in
+    if i >= 0 then Ok i
+    else
       (* A bare-named field also answers a qualified reference when it is
          the only candidate (single-table queries need no prefixes). *)
-      match Tuple.get tup name with
-      | Some v -> v
-      | None -> fail "unknown column %s.%s" q name))
+      let i = find_slot layout name in
+      if i >= 0 then Ok i else Error (Printf.sprintf "unknown column %s.%s" q name))
   | None -> (
-    match Tuple.get tup name with
-    | Some v -> v
-    | None -> (
+    let i = find_slot layout name in
+    if i >= 0 then Ok i
+    else
       let suffix = "." ^ name in
-      let candidates =
-        List.filter
-          (fun (fname, _) -> String.ends_with ~suffix fname)
-          (Tuple.fields tup)
-      in
-      match candidates with
-      | [ (_, v) ] -> v
-      | [] -> fail "unknown column %s" name
-      | _ :: _ :: _ -> fail "ambiguous column %s" name))
+      let candidates = ref [] in
+      Array.iteri
+        (fun i fname -> if String.ends_with ~suffix fname then candidates := i :: !candidates)
+        layout;
+      match !candidates with
+      | [ i ] -> Ok i
+      | [] -> Error (Printf.sprintf "unknown column %s" name)
+      | _ :: _ :: _ -> Error (Printf.sprintf "ambiguous column %s" name))
 
 let like_match ~pattern s =
   let pn = String.length pattern and sn = String.length s in
@@ -80,94 +84,136 @@ let apply_function name args =
     Value.String (String.concat "" (List.map Value.to_string args))
   | name, args -> fail "unknown function %s/%d" name (List.length args)
 
-let bool3 = function
-  | None -> Value.Null
-  | Some b -> Value.Bool b
+(* Both results are static constants: predicates over many rows
+   allocate no booleans. *)
+let bool b = if b then Value.Bool true else Value.Bool false
 
-let compare3 op a b =
-  match Value.compare_sql a b with
-  | None -> Value.Null
-  | Some c ->
-    let r =
-      match op with
-      | Sql_ast.Eq -> c = 0
-      | Sql_ast.Neq -> c <> 0
-      | Sql_ast.Lt -> c < 0
-      | Sql_ast.Le -> c <= 0
-      | Sql_ast.Gt -> c > 0
-      | Sql_ast.Ge -> c >= 0
-      | Sql_ast.Add | Sql_ast.Sub | Sql_ast.Mul | Sql_ast.Div | Sql_ast.And | Sql_ast.Or ->
-        fail "compare3: not a comparison"
-    in
-    Value.Bool r
+(* The test a comparison applies to [Value.compare]'s result. *)
+let comparison = function
+  | Sql_ast.Eq -> fun c -> c = 0
+  | Sql_ast.Neq -> fun c -> c <> 0
+  | Sql_ast.Lt -> fun c -> c < 0
+  | Sql_ast.Le -> fun c -> c <= 0
+  | Sql_ast.Gt -> fun c -> c > 0
+  | Sql_ast.Ge -> fun c -> c >= 0
+  | Sql_ast.Add | Sql_ast.Sub | Sql_ast.Mul | Sql_ast.Div | Sql_ast.And | Sql_ast.Or ->
+    invalid_arg "Sql_eval.comparison"
 
-let rec eval tup expr =
+(* Each closure evaluates its operands in the order the former tuple
+   interpreter did: OCaml applies [f (eval a) (eval b)] right operand
+   first, so comparisons and arithmetic read [b] before [a], while
+   BETWEEN and function arguments go left to right.  The same error
+   therefore surfaces first when several operands fail. *)
+let rec compile layout expr : Value.t array -> Value.t =
   match expr with
-  | Sql_ast.Col (q, n) -> resolve tup q n
-  | Sql_ast.Lit v -> v
+  | Sql_ast.Col (q, n) -> (
+    match slot layout q n with
+    | Ok i -> fun row -> row.(i)
+    | Error m -> fun _ -> raise (Eval_error m))
+  | Sql_ast.Lit v -> fun _ -> v
   | Sql_ast.Unop (Sql_ast.Neg, e) -> (
-    match eval tup e with
-    | Value.Null -> Value.Null
-    | v -> (
-      try Value.neg v with Invalid_argument _ -> fail "cannot negate %s" (Value.to_display v)))
+    let ce = compile layout e in
+    fun row ->
+      match ce row with
+      | Value.Null -> Value.Null
+      | v -> (
+        try Value.neg v with Invalid_argument _ -> fail "cannot negate %s" (Value.to_display v)))
   | Sql_ast.Unop (Sql_ast.Not, e) -> (
-    match eval tup e with
-    | Value.Null -> Value.Null
-    | v -> Value.Bool (not (Value.is_truthy v)))
+    let ce = compile layout e in
+    fun row ->
+      match ce row with
+      | Value.Null -> Value.Null
+      | v -> bool (not (Value.is_truthy v)))
   | Sql_ast.Binop (Sql_ast.And, a, b) -> (
     (* Kleene AND: F dominates. *)
-    match eval tup a with
-    | Value.Bool false -> Value.Bool false
-    | va -> (
-      match eval tup b with
+    let ca = compile layout a and cb = compile layout b in
+    fun row ->
+      match ca row with
       | Value.Bool false -> Value.Bool false
-      | vb -> (
-        match va, vb with
-        | Value.Null, _ | _, Value.Null -> Value.Null
-        | va, vb -> Value.Bool (Value.is_truthy va && Value.is_truthy vb))))
+      | va -> (
+        match cb row with
+        | Value.Bool false -> Value.Bool false
+        | vb -> (
+          match va, vb with
+          | Value.Null, _ | _, Value.Null -> Value.Null
+          | va, vb -> bool (Value.is_truthy va && Value.is_truthy vb))))
   | Sql_ast.Binop (Sql_ast.Or, a, b) -> (
-    match eval tup a with
-    | Value.Bool true -> Value.Bool true
-    | va -> (
-      match eval tup b with
+    let ca = compile layout a and cb = compile layout b in
+    fun row ->
+      match ca row with
       | Value.Bool true -> Value.Bool true
-      | vb -> (
-        match va, vb with
-        | Value.Null, _ | _, Value.Null -> Value.Null
-        | va, vb -> Value.Bool (Value.is_truthy va || Value.is_truthy vb))))
+      | va -> (
+        match cb row with
+        | Value.Bool true -> Value.Bool true
+        | vb -> (
+          match va, vb with
+          | Value.Null, _ | _, Value.Null -> Value.Null
+          | va, vb -> bool (Value.is_truthy va || Value.is_truthy vb))))
   | Sql_ast.Binop ((Sql_ast.Eq | Sql_ast.Neq | Sql_ast.Lt | Sql_ast.Le | Sql_ast.Gt | Sql_ast.Ge) as op, a, b) ->
-    compare3 op (eval tup a) (eval tup b)
-  | Sql_ast.Binop (Sql_ast.Add, a, b) -> arith Value.add (eval tup a) (eval tup b)
-  | Sql_ast.Binop (Sql_ast.Sub, a, b) -> arith Value.sub (eval tup a) (eval tup b)
-  | Sql_ast.Binop (Sql_ast.Mul, a, b) -> arith Value.mul (eval tup a) (eval tup b)
-  | Sql_ast.Binop (Sql_ast.Div, a, b) -> arith Value.div (eval tup a) (eval tup b)
-  | Sql_ast.Fncall (name, args) -> apply_function name (List.map (eval tup) args)
+    let ca = compile layout a and cb = compile layout b and holds = comparison op in
+    fun row -> (
+      let vb = cb row in
+      match ca row, vb with
+      | Value.Null, _ | _, Value.Null -> Value.Null
+      | va, vb -> bool (holds (Value.compare va vb)))
+  | Sql_ast.Binop (Sql_ast.Add, a, b) -> arith layout Value.add a b
+  | Sql_ast.Binop (Sql_ast.Sub, a, b) -> arith layout Value.sub a b
+  | Sql_ast.Binop (Sql_ast.Mul, a, b) -> arith layout Value.mul a b
+  | Sql_ast.Binop (Sql_ast.Div, a, b) -> arith layout Value.div a b
+  | Sql_ast.Fncall (name, args) ->
+    let cargs = List.map (compile layout) args in
+    fun row -> apply_function name (List.map (fun c -> c row) cargs)
   | Sql_ast.Like (e, pattern) -> (
-    match eval tup e with
-    | Value.Null -> Value.Null
-    | v -> Value.Bool (like_match ~pattern (Value.to_string v)))
+    let ce = compile layout e in
+    fun row ->
+      match ce row with
+      | Value.Null -> Value.Null
+      | v -> bool (like_match ~pattern (Value.to_string v)))
   | Sql_ast.In_list (e, es) -> (
-    match eval tup e with
-    | Value.Null -> Value.Null
-    | v ->
-      let vs = List.map (eval tup) es in
-      if List.exists (fun x -> Value.compare_sql v x = Some 0) vs then Value.Bool true
-      else if List.exists (fun x -> x = Value.Null) vs then Value.Null
-      else Value.Bool false)
+    let ce = compile layout e and ces = List.map (compile layout) es in
+    fun row ->
+      match ce row with
+      | Value.Null -> Value.Null
+      | v ->
+        let vs = List.map (fun c -> c row) ces in
+        if List.exists (fun x -> Value.compare_sql v x = Some 0) vs then Value.Bool true
+        else if List.exists (fun x -> x = Value.Null) vs then Value.Null
+        else Value.Bool false)
   | Sql_ast.Between (e, lo, hi) -> (
-    let v = eval tup e and vlo = eval tup lo and vhi = eval tup hi in
-    match Value.compare_sql v vlo, Value.compare_sql v vhi with
-    | Some a, Some b -> Value.Bool (a >= 0 && b <= 0)
-    | _, _ -> Value.Null)
-  | Sql_ast.Is_null e -> bool3 (Some (eval tup e = Value.Null))
-  | Sql_ast.Is_not_null e -> bool3 (Some (eval tup e <> Value.Null))
+    let ce = compile layout e and clo = compile layout lo and chi = compile layout hi in
+    fun row ->
+      let v = ce row in
+      let vlo = clo row in
+      let vhi = chi row in
+      match Value.compare_sql v vlo, Value.compare_sql v vhi with
+      | Some a, Some b -> bool (a >= 0 && b <= 0)
+      | _, _ -> Value.Null)
+  | Sql_ast.Is_null e ->
+    let ce = compile layout e in
+    fun row -> bool (ce row = Value.Null)
+  | Sql_ast.Is_not_null e ->
+    let ce = compile layout e in
+    fun row -> bool (ce row <> Value.Null)
 
-and arith f a b =
-  try f a b
-  with Invalid_argument _ ->
-    fail "type error in arithmetic on %s and %s" (Value.to_display a) (Value.to_display b)
+and arith layout f a b =
+  let ca = compile layout a and cb = compile layout b in
+  fun row ->
+    let vb = cb row in
+    let va = ca row in
+    try f va vb
+    with Invalid_argument _ ->
+      fail "type error in arithmetic on %s and %s" (Value.to_display va) (Value.to_display vb)
 
-let eval_pred tup expr =
-  match eval tup expr with
+let truthy = function
   | Value.Null -> false
   | v -> Value.is_truthy v
+
+let compile_pred layout expr =
+  let c = compile layout expr in
+  fun row -> truthy (c row)
+
+let layout_of tup = Array.of_list (Tuple.field_names tup)
+
+let eval tup expr = compile (layout_of tup) expr (Array.of_list (Tuple.values tup))
+
+let eval_pred tup expr = truthy (eval tup expr)

@@ -3,93 +3,110 @@ exception Exec_error of string
 let fail fmt = Printf.ksprintf (fun m -> raise (Exec_error m)) fmt
 
 (* ------------------------------------------------------------------ *)
-(* Plan execution                                                      *)
+(* Plan execution over positional rows                                 *)
 (* ------------------------------------------------------------------ *)
 
-let scan_rows catalog table_name access =
-  match catalog.Sql_plan.table_of table_name with
-  | None -> fail "unknown table %s" table_name
-  | Some table -> (
-    match access with
-    | Sql_plan.Seq_scan -> Rel_table.to_list table
-    | Sql_plan.Index_eq (cname, v) -> Rel_table.lookup_eq table cname v
-    | Sql_plan.Index_range (cname, lo, hi) -> Rel_table.lookup_range table cname ?lo ?hi ())
+(* A plan node yields its layout (alias-qualified field names) and its
+   rows, which are the tables' stored arrays or joins of them; no named
+   tuple is built below the projection. *)
 
-let rec scans_of_plan = function
-  | Sql_plan.Scan { table; binding; _ } -> [ (binding, table) ]
-  | Sql_plan.Nl_join { left; right; _ } | Sql_plan.Hash_join { left; right; _ } ->
-    scans_of_plan left @ scans_of_plan right
+(* The layout of [Tuple.concat l r] over rows laid out as [l] and [r]:
+   left wins on a repeated name.  Returns the layout, the row joiner
+   and the number of right fields kept (the width of LEFT OUTER
+   padding). *)
+let joiner l r =
+  let keep =
+    Array.of_list
+      (List.filter (fun i -> not (Array.mem r.(i) l)) (List.init (Array.length r) Fun.id))
+  in
+  let join =
+    if Array.length keep = Array.length r then Array.append
+    else fun lrow rrow -> Array.append lrow (Array.map (fun i -> rrow.(i)) keep)
+  in
+  (Array.append l (Array.map (fun i -> r.(i)) keep), join, Array.length keep)
 
-(* Left-outer padding: bind every right-side column to NULL so that
-   projections and predicates over the right side stay well defined. *)
-let pad_right catalog lt right_plan =
-  List.fold_left
-    (fun acc (binding, table) ->
-      match catalog.Sql_plan.table_of table with
-      | None -> fail "unknown table %s" table
-      | Some t ->
-        List.fold_left
-          (fun acc c -> Tuple.set acc (binding ^ "." ^ c.Dschema.col_name) Value.Null)
-          acc (Rel_table.schema t).Dschema.columns)
-    lt (scans_of_plan right_plan)
+let compile_filter layout = function
+  | None -> fun _ -> true
+  | Some e -> Sql_eval.compile_pred layout e
+
+(* Each left row's matches in order; LEFT OUTER keeps an unmatched left
+   row with a NULL tail for the right side's fields. *)
+let join_rows kind pad lrows matches_of =
+  List.concat_map
+    (fun lrow ->
+      match matches_of lrow, kind with
+      | [], Sql_ast.Left_outer -> [ Array.append lrow (Array.make pad Value.Null) ]
+      | matches, _ -> matches)
+    lrows
 
 let rec run_plan catalog plan =
   match plan with
   | Sql_plan.Scan { table; binding; access; filter; est = _ } ->
-    let rows = scan_rows catalog table access in
-    let rows = List.map (Tuple.prefix binding) rows in
-    (match filter with
-    | None -> rows
-    | Some f -> List.filter (fun t -> Sql_eval.eval_pred t f) rows)
-  | Sql_plan.Nl_join { left; right; kind; cond; est = _ } ->
-    let lrows = run_plan catalog left in
-    let rrows = run_plan catalog right in
-    let match_row lt =
-      List.filter_map
-        (fun rt ->
-          let joined = Tuple.concat lt rt in
-          match cond with
-          | None -> Some joined
-          | Some c -> if Sql_eval.eval_pred joined c then Some joined else None)
-        rrows
+    let t =
+      match catalog.Sql_plan.table_of table with
+      | Some t -> t
+      | None -> fail "unknown table %s" table
     in
-    List.concat_map
-      (fun lt ->
-        match match_row lt, kind with
-        | [], Sql_ast.Left_outer -> [ pad_right catalog lt right ]
-        | matches, _ -> matches)
-      lrows
+    let layout = Array.map (fun c -> binding ^ "." ^ c) (Rel_table.columns t) in
+    let keep = compile_filter layout filter in
+    let rows =
+      match access with
+      | Sql_plan.Seq_scan when filter = None -> Rel_table.rows t
+      | Sql_plan.Seq_scan ->
+        let out = ref [] in
+        Rel_table.iter_rows t (fun _ row -> if keep row then out := row :: !out);
+        List.rev !out
+      | Sql_plan.Index_eq (cname, v) -> List.filter keep (Rel_table.lookup_eq_rows t cname v)
+      | Sql_plan.Index_range (cname, lo, hi) ->
+        List.filter keep (Rel_table.lookup_range_rows t cname ?lo ?hi ())
+    in
+    (layout, rows)
+  | Sql_plan.Nl_join { left; right; kind; cond; est = _ } ->
+    let llayout, lrows = run_plan catalog left in
+    let rlayout, rrows = run_plan catalog right in
+    let layout, join, pad = joiner llayout rlayout in
+    let matches = compile_filter layout cond in
+    let rows =
+      join_rows kind pad lrows (fun lrow ->
+          List.filter_map
+            (fun rrow ->
+              let joined = join lrow rrow in
+              if matches joined then Some joined else None)
+            rrows)
+    in
+    (layout, rows)
   | Sql_plan.Hash_join { left; right; kind; left_key; right_key; residual; est = _ } ->
-    let lrows = run_plan catalog left in
-    let rrows = run_plan catalog right in
+    let llayout, lrows = run_plan catalog left in
+    let rlayout, rrows = run_plan catalog right in
+    let layout, join, pad = joiner llayout rlayout in
+    let lkey = Sql_eval.compile llayout left_key in
+    let rkey = Sql_eval.compile rlayout right_key in
+    let matches = compile_filter layout residual in
     (* Build on the right side, probe from the left, preserving left
        order (needed for LEFT OUTER semantics). *)
-    let index : (Value.t, Tuple.t list) Hashtbl.t = Hashtbl.create (List.length rrows) in
+    let index : (Value.t, Value.t array list) Hashtbl.t = Hashtbl.create (List.length rrows) in
     List.iter
-      (fun rt ->
-        match Sql_eval.eval rt right_key with
+      (fun rrow ->
+        match rkey rrow with
         | Value.Null -> () (* NULL keys never join *)
         | k ->
           let existing = Option.value ~default:[] (Hashtbl.find_opt index k) in
-          Hashtbl.replace index k (rt :: existing))
+          Hashtbl.replace index k (rrow :: existing))
       (List.rev rrows);
-    List.concat_map
-      (fun lt ->
-        let matches =
-          match Sql_eval.eval lt left_key with
+    let rows =
+      join_rows kind pad lrows (fun lrow ->
+          match lkey lrow with
           | Value.Null -> []
           | k ->
             Option.value ~default:[] (Hashtbl.find_opt index k)
-            |> List.filter_map (fun rt ->
-                   let joined = Tuple.concat lt rt in
-                   match residual with
-                   | None -> Some joined
-                   | Some c -> if Sql_eval.eval_pred joined c then Some joined else None)
-        in
-        match matches, kind with
-        | [], Sql_ast.Left_outer -> [ pad_right catalog lt right ]
-        | matches, _ -> matches)
-      lrows
+            |> List.filter_map (fun rrow ->
+                   let joined = join lrow rrow in
+                   if matches joined then Some joined else None))
+    in
+    (layout, rows)
+  | Sql_plan.Filter { input; pred; est = _ } ->
+    let layout, rows = run_plan catalog input in
+    (layout, List.filter (Sql_eval.compile_pred layout pred) rows)
 
 (* ------------------------------------------------------------------ *)
 (* Projection helpers                                                  *)
@@ -174,8 +191,7 @@ let expand_items catalog (s : Sql_ast.select) =
       end)
     items
 
-let output_names catalog s =
-  List.map (function `Expr (_, n) -> n | `Agg (_, _, n) -> n) (expand_items catalog s)
+let item_name = function `Expr (_, n) | `Agg (_, _, n) -> n
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                         *)
@@ -226,14 +242,21 @@ let agg_result fn st =
 let has_agg items =
   List.exists (function `Agg _ -> true | `Expr _ -> false) items
 
-let run_grouped catalog s items rows =
-  let group_exprs = s.Sql_ast.group_by in
+(* Output rows to be ordered travel as (named tuple, values) pairs: the
+   tuple is the result, the values feed ORDER BY's compiled keys. *)
+let output_row names vals = (Tuple.of_arrays names vals, vals)
+
+let run_grouped (s : Sql_ast.select) items names layout rows =
+  let key_of =
+    let keys = List.map (Sql_eval.compile layout) s.Sql_ast.group_by in
+    fun row -> List.map (fun k -> k row) keys
+  in
   (* Group key: evaluated group-by expressions (one group when absent). *)
-  let groups : (Value.t list, Tuple.t list ref) Hashtbl.t = Hashtbl.create 16 in
+  let groups : (Value.t list, Value.t array list ref) Hashtbl.t = Hashtbl.create 16 in
   let order : Value.t list list ref = ref [] in
   List.iter
     (fun row ->
-      let key = List.map (fun e -> Sql_eval.eval row e) group_exprs in
+      let key = key_of row in
       match Hashtbl.find_opt groups key with
       | Some bucket -> bucket := row :: !bucket
       | None ->
@@ -241,8 +264,23 @@ let run_grouped catalog s items rows =
         order := key :: !order)
     rows;
   let keys = List.rev !order in
-  let keys = if keys = [] && group_exprs = [] then [ [] ] else keys in
-  ignore catalog;
+  let keys = if keys = [] && s.Sql_ast.group_by = [] then [ [] ] else keys in
+  (* Non-aggregate items read the group's first row, and HAVING reads the
+     output row extended with it.  A global aggregate over no rows has
+     no first row: there both read an empty layout. *)
+  let against rep_layout =
+    let cat_layout, cat, _ = joiner names rep_layout in
+    let cells =
+      List.map
+        (function
+          | `Expr (e, _) -> `Expr (Sql_eval.compile rep_layout e)
+          | `Agg (fn, arg, _) -> `Agg (fn, Option.map (Sql_eval.compile layout) arg))
+        items
+    in
+    let having = Option.map (Sql_eval.compile_pred cat_layout) s.Sql_ast.having in
+    (cells, cat, having)
+  in
+  let with_rows = lazy (against layout) and without_rows = lazy (against [||]) in
   List.filter_map
     (fun key ->
       let bucket =
@@ -250,40 +288,33 @@ let run_grouped catalog s items rows =
         | Some b -> List.rev !b
         | None -> []
       in
-      let representative =
+      let representative, (cells, cat, having) =
         match bucket with
-        | r :: _ -> r
-        | [] -> Tuple.empty
+        | r :: _ -> (r, Lazy.force with_rows)
+        | [] -> ([||], Lazy.force without_rows)
       in
-      (* HAVING can mention aggregates only through aliases of the select
-         list in this subset; we evaluate it over the output tuple. *)
-      let out_fields =
-        List.map
-          (function
-            | `Expr (e, name) ->
-              (* Must be a group-by expression (or constant over group). *)
-              (name, Sql_eval.eval representative e)
-            | `Agg (fn, arg, name) ->
-              let st = new_agg_state () in
-              List.iter
-                (fun row ->
-                  let v =
-                    match arg with
-                    | Some e -> Sql_eval.eval row e
-                    | None -> Value.Int 1
-                  in
-                  agg_feed st v)
-                bucket;
-              (name, agg_result fn st))
-          items
+      let vals =
+        Array.of_list
+          (List.map
+             (function
+               | `Expr c ->
+                 (* Must be a group-by expression (or constant over group). *)
+                 c representative
+               | `Agg (fn, arg) ->
+                 let st = new_agg_state () in
+                 List.iter
+                   (fun row ->
+                     agg_feed st (match arg with Some c -> c row | None -> Value.Int 1))
+                   bucket;
+                 agg_result fn st)
+             cells)
       in
-      let out = Tuple.make out_fields in
-      match s.Sql_ast.having with
+      let out = output_row names vals in
+      match having with
       | Some h ->
-        (* Try the output tuple first (aliases), fall back to the
-           representative row extended with outputs. *)
-        let env = Tuple.concat out representative in
-        if Sql_eval.eval_pred env h then Some out else None
+        (* HAVING sees the select list's aliases first, then the group's
+           first row. *)
+        if h (cat vals representative) then Some out else None
       | None -> Some out)
     keys
 
@@ -291,23 +322,21 @@ let run_grouped catalog s items rows =
 (* Ordering, distinct, limit                                           *)
 (* ------------------------------------------------------------------ *)
 
-let order_rows (s : Sql_ast.select) pre_rows out_rows =
+(* [pres] are the rows each output row was projected from, laid out as
+   [pre_layout].  A key is evaluated over the output row, and over the
+   output row extended with its source row when that fails. *)
+let order_rows (s : Sql_ast.select) names outs (pre_layout, pres) =
   match s.Sql_ast.order_by with
-  | [] -> out_rows
+  | [] -> List.map fst outs
   | specs ->
-    (* Order key may reference either output names or input columns: we
-       sort pairs of (pre, out) when arities match, else just outputs. *)
-    let paired =
-      match pre_rows with
-      | Some pres when List.length pres = List.length out_rows ->
-        List.combine pres out_rows
-      | _ -> List.map (fun o -> (o, o)) out_rows
-    in
-    let key_of (pre, out) =
+    let cat_layout, cat, _ = joiner names pre_layout in
+    let keys =
       List.map
         (fun { Sql_ast.order_expr; _ } ->
-          try Sql_eval.eval out order_expr
-          with Sql_eval.Eval_error _ -> Sql_eval.eval (Tuple.concat out pre) order_expr)
+          let on_out = Sql_eval.compile names order_expr in
+          let on_both = Sql_eval.compile cat_layout order_expr in
+          fun (pre, vals) ->
+            try on_out vals with Sql_eval.Eval_error _ -> on_both (cat vals pre))
         specs
     in
     let cmp (ka, _) (kb, _) =
@@ -320,9 +349,12 @@ let order_rows (s : Sql_ast.select) pre_rows out_rows =
       in
       go (List.combine ka kb) specs
     in
-    let keyed = List.map (fun pair -> (key_of pair, snd pair)) paired in
-    let sorted = List.stable_sort cmp keyed in
-    List.map snd sorted
+    let keyed =
+      List.map2
+        (fun pre ((_, vals) as out) -> (List.map (fun k -> k (pre, vals)) keys, out))
+        pres outs
+    in
+    List.map (fun (_, (out, _)) -> out) (List.stable_sort cmp keyed)
 
 let distinct_rows rows =
   (* Bucket by hash, compare with typed equality: rendered text would
@@ -356,28 +388,32 @@ let limit_rows n rows =
 
 let run_select catalog (s : Sql_ast.select) =
   let items = expand_items catalog s in
-  let base_rows =
+  let names = Array.of_list (List.map item_name items) in
+  let layout, base_rows =
     match Sql_plan.plan_select catalog s with
-    | None -> [ Tuple.empty ]
+    | None -> ([||], [ [||] ])
     | Some plan -> run_plan catalog plan
   in
-  if has_agg items || s.Sql_ast.group_by <> [] then begin
-    let outs = run_grouped catalog s items base_rows in
-    let outs = order_rows s None outs in
-    let outs = if s.Sql_ast.distinct then distinct_rows outs else outs in
-    limit_rows s.Sql_ast.limit outs
-  end
-  else begin
-    let project row =
-      Tuple.make
-        (List.map
-           (function
-             | `Expr (e, name) -> (name, Sql_eval.eval row e)
-             | `Agg _ -> assert false)
-           items)
-    in
-    let outs = List.map project base_rows in
-    let outs = order_rows s (Some base_rows) outs in
-    let outs = if s.Sql_ast.distinct then distinct_rows outs else outs in
-    limit_rows s.Sql_ast.limit outs
-  end
+  let outs =
+    if has_agg items || s.Sql_ast.group_by <> [] then
+      let outs = run_grouped s items names layout base_rows in
+      order_rows s names outs (names, List.map snd outs)
+    else begin
+      let cells =
+        Array.of_list
+          (List.map
+             (function
+               | `Expr (e, _) -> Sql_eval.compile layout e
+               | `Agg _ -> assert false)
+             items)
+      in
+      let project row = Array.map (fun c -> c row) cells in
+      if s.Sql_ast.order_by = [] then
+        List.map (fun row -> Tuple.of_arrays names (project row)) base_rows
+      else
+        let outs = List.map (fun row -> output_row names (project row)) base_rows in
+        order_rows s names outs (layout, base_rows)
+    end
+  in
+  let outs = if s.Sql_ast.distinct then distinct_rows outs else outs in
+  (Array.to_list names, limit_rows s.Sql_ast.limit outs)

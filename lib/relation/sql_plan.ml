@@ -31,18 +31,20 @@ type plan =
       residual : Sql_ast.expr option;
       est : float;
     }
+  | Filter of { input : plan; pred : Sql_ast.expr; est : float }
 
 exception Plan_error of string
 
 let fail fmt = Printf.ksprintf (fun m -> raise (Plan_error m)) fmt
 
 let estimated_rows = function
-  | Scan { est; _ } | Nl_join { est; _ } | Hash_join { est; _ } -> est
+  | Scan { est; _ } | Nl_join { est; _ } | Hash_join { est; _ } | Filter { est; _ } -> est
 
 let rec bindings_of_plan = function
   | Scan { binding; _ } -> [ binding ]
   | Nl_join { left; right; _ } | Hash_join { left; right; _ } ->
     bindings_of_plan left @ bindings_of_plan right
+  | Filter { input; _ } -> bindings_of_plan input
 
 (* ------------------------------------------------------------------ *)
 (* Selectivity heuristics                                              *)
@@ -117,9 +119,7 @@ let aliases_of_expr entries catalog e =
 (* Access-path selection                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Match a conjunct as [col op literal] over this alias, in either
-   orientation. *)
-let as_column_literal alias table e =
+let column_literal table ~alias e =
   let owns name = Dschema.find_column (Rel_table.schema table) name <> None in
   let col_of = function
     | Sql_ast.Col (Some q, n) when String.equal q alias && owns n -> Some n
@@ -127,6 +127,9 @@ let as_column_literal alias table e =
     | _ -> None
   in
   match e with
+  (* A comparison with NULL is UNKNOWN on every row, which no index key
+     lookup reproduces: it stays a filter. *)
+  | Sql_ast.Binop (_, _, Sql_ast.Lit Value.Null) | Sql_ast.Binop (_, Sql_ast.Lit Value.Null, _) -> None
   | Sql_ast.Binop (op, lhs, Sql_ast.Lit v) -> (
     match col_of lhs with
     | Some n -> Some (n, op, v)
@@ -151,7 +154,7 @@ let as_column_literal alias table e =
 let choose_access table alias conjuncts =
   (* Equality on an indexed column wins. *)
   let classified =
-    List.map (fun e -> (e, as_column_literal alias table e)) conjuncts
+    List.map (fun e -> (e, column_literal table ~alias e)) conjuncts
   in
   let eq_pick =
     List.find_opt
@@ -180,26 +183,21 @@ let choose_access table alias conjuncts =
     | [] -> (Seq_scan, conjuncts)
     | (_, (first_col, _, _)) :: _ ->
       let on_col = List.filter (fun (_, (n, _, _)) -> String.equal n first_col) range_cols in
-      let lo = ref None and hi = ref None and used = ref [] in
+      (* The last bound on each side serves the range; any other bound
+         on that side stays in the filter. *)
+      let lo = ref None and hi = ref None in
       List.iter
         (fun (e, (_, op, v)) ->
           match op with
-          | Sql_ast.Gt ->
-            lo := Some (v, false);
-            used := e :: !used
-          | Sql_ast.Ge ->
-            lo := Some (v, true);
-            used := e :: !used
-          | Sql_ast.Lt ->
-            hi := Some (v, false);
-            used := e :: !used
-          | Sql_ast.Le ->
-            hi := Some (v, true);
-            used := e :: !used
+          | Sql_ast.Gt -> lo := Some (e, (v, false))
+          | Sql_ast.Ge -> lo := Some (e, (v, true))
+          | Sql_ast.Lt -> hi := Some (e, (v, false))
+          | Sql_ast.Le -> hi := Some (e, (v, true))
           | _ -> ())
         on_col;
-      let rest = List.filter (fun e -> not (List.memq e !used)) conjuncts in
-      (Index_range (first_col, !lo, !hi), rest))
+      let used = List.filter_map (Option.map fst) [ !lo; !hi ] in
+      let rest = List.filter (fun e -> not (List.memq e used)) conjuncts in
+      (Index_range (first_col, Option.map snd !lo, Option.map snd !hi), rest))
 
 let access_est table access =
   let n = float_of_int (Rel_table.row_count table) in
@@ -316,36 +314,14 @@ let plan_select catalog (s : Sql_ast.select) =
             make_join entries catalog kind acc right cond)
           base rest
       in
+      (* The rest of WHERE filters the joined rows: as part of a join
+         condition it would pad rows it should drop. *)
       match Sql_ast.conjoin remaining with
       | None -> Some joined
-      | Some residual ->
-        (* Apply as a residual nested-loop filter via an Nl_join with a
-           single-sided condition: wrap in a filter-scan is not possible,
-           so reuse Nl_join with a constant right side is ugly — instead
-           attach to the top join when present. *)
+      | Some pred ->
         Some
-          (match joined with
-          | Nl_join j ->
-            let cond =
-              match j.cond with
-              | Some c -> Some Sql_ast.(c &&& residual)
-              | None -> Some residual
-            in
-            Nl_join { j with cond }
-          | Hash_join j ->
-            let residual' =
-              match j.residual with
-              | Some c -> Some Sql_ast.(c &&& residual)
-              | None -> Some residual
-            in
-            Hash_join { j with residual = residual' }
-          | Scan sc ->
-            let filter =
-              match sc.filter with
-              | Some f -> Some Sql_ast.(f &&& residual)
-              | None -> Some residual
-            in
-            Scan { sc with filter })
+          (Filter
+             { input = joined; pred; est = max 1.0 (estimated_rows joined *. selectivity pred) })
     end
     else begin
       (* Inner joins only: pool all conjuncts (ON + WHERE) and reorder. *)
@@ -451,7 +427,8 @@ let plan_select catalog (s : Sql_ast.select) =
               | Some c -> Some Sql_ast.(c &&& residual)
               | None -> Some residual
             in
-            Hash_join { j with residual = residual' })
+            Hash_join { j with residual = residual' }
+          | Filter f -> Filter { f with pred = Sql_ast.(f.pred &&& residual) })
     end
 
 (* ------------------------------------------------------------------ *)
@@ -504,6 +481,10 @@ let explain plan =
            est);
       go (indent + 1) left;
       go (indent + 1) right
+    | Filter { input; pred; est } ->
+      Buffer.add_string buf
+        (Printf.sprintf "%sFILTER %s (est %.0f)\n" pad (Sql_print.expr_to_string pred) est);
+      go (indent + 1) input
   in
   go 0 plan;
   Buffer.contents buf

@@ -4,7 +4,9 @@
     plan: access paths per table (sequential scan, index equality, index
     range) and a join tree (hash join for equi-joins, nested loop
     otherwise).  Inner-join-only queries are reordered greedily by
-    estimated cardinality; any outer join freezes the syntactic order.
+    estimated cardinality; any outer join freezes the syntactic order,
+    and the WHERE conjuncts that do not belong to the leftmost table
+    filter the joined rows.
 
     Grouping, projection, ordering and limits are applied by
     {!Sql_exec} above the plan. *)
@@ -44,6 +46,9 @@ type plan =
       residual : Sql_ast.expr option;
       est : float;
     }
+  | Filter of { input : plan; pred : Sql_ast.expr; est : float }
+      (** WHERE conjuncts applied above a LEFT OUTER join tree, where
+          they must drop rows rather than pad them *)
 
 exception Plan_error of string
 
@@ -58,6 +63,14 @@ val bindings_of_plan : plan -> string list
 val explain : plan -> string
 (** Indented operator tree with access paths and estimates — the
     EXPLAIN output. *)
+
+val column_literal :
+  Rel_table.t -> alias:string -> Sql_ast.expr -> (string * Sql_ast.binop * Value.t) option
+(** Match a conjunct as [column op literal], the literal not NULL,
+    over the table bound to [alias], in either orientation (a literal on the left flips the
+    comparison).  The column is named bare or qualified by [alias], and
+    must belong to the table.  This is the test index selection applies
+    to every conjunct. *)
 
 val selectivity : Sql_ast.expr -> float
 (** Heuristic selectivity of a predicate (used for estimates). *)

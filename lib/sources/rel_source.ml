@@ -7,10 +7,9 @@ let count_tables_in_select select =
   | None -> 0
   | Some f -> count_from f
 
-let check_capability (cap : Source.capability) sql_text =
-  match Sql_parser.parse sql_text with
-  | Error m -> raise (Source.Query_rejected m)
-  | Ok (Sql_ast.Select s) ->
+let check_capability (cap : Source.capability) stmt =
+  match stmt with
+  | Sql_ast.Select s ->
     if (not cap.Source.can_select) && s.Sql_ast.where <> None then
       raise (Source.Query_rejected "source cannot evaluate WHERE");
     if (not cap.Source.can_join) && count_tables_in_select s > 1 then
@@ -29,7 +28,7 @@ let check_capability (cap : Source.capability) sql_text =
               (function Sql_ast.Star | Sql_ast.Qualified_star _ -> true | _ -> false)
               s.Sql_ast.items)
     then raise (Source.Query_rejected "source cannot project")
-  | Ok _ -> () (* DML/DDL pass through; the engine enforces the rest *)
+  | _ -> () (* DML/DDL pass through; the engine enforces the rest *)
 
 let make_limited cap db =
   let relations () =
@@ -52,9 +51,14 @@ let make_limited cap db =
         raise (Source.Query_rejected "nested batches are not accepted");
       Source.R_batch (List.map execute members)
     | Source.Q_sql text ->
-      check_capability cap text;
+      let stmt =
+        match Sql_parser.parse text with
+        | Ok stmt -> stmt
+        | Error m -> raise (Source.Query_rejected m)
+      in
+      check_capability cap stmt;
       (try
-         match Rel_db.exec db text with
+         match Rel_db.exec_statement db stmt with
          | Rel_db.Rows (names, rows) -> Source.R_rows (names, rows)
          | Rel_db.Affected n -> Source.R_rows ([ "affected" ], [ Tuple.make [ ("affected", Value.Int n) ] ])
          | Rel_db.Created -> Source.R_rows ([], [])

@@ -122,13 +122,14 @@ let test_table_pk_violation () =
 
 let test_table_delete_update () =
   let t = mk_people () in
-  let n = Rel_table.delete_where t (fun tup -> Tuple.get_exn tup "id" = Value.Int 2) in
+  let n = Rel_table.delete_rows t (fun row -> row.(0) = Value.Int 2) in
   check int_t "one deleted" 1 n;
   check int_t "two left" 2 (Rel_table.row_count t);
   let n =
-    Rel_table.update_where t
-      (fun tup -> Tuple.get_exn tup "name" = Value.String "Ann")
-      (fun tup -> Tuple.set tup "age" (Value.Int 35))
+    Rel_table.update_rows t
+      (fun row -> row.(1) = Value.String "Ann")
+      (fun row ->
+        Tuple.make [ ("id", row.(0)); ("name", row.(1)); ("age", Value.Int 35) ])
   in
   check int_t "one updated" 1 n
 
@@ -147,13 +148,13 @@ let test_table_index_lookup () =
 let test_table_index_maintained_on_mutation () =
   let t = mk_people () in
   Rel_table.create_index t ~kind:Rel_table.Btree_index "id";
-  ignore (Rel_table.delete_where t (fun tup -> Tuple.get_exn tup "id" = Value.Int 2));
+  ignore (Rel_table.delete_rows t (fun row -> row.(0) = Value.Int 2));
   check int_t "index misses deleted" 0
     (List.length (Rel_table.lookup_eq t "id" (Value.Int 2)));
   ignore
-    (Rel_table.update_where t
-       (fun tup -> Tuple.get_exn tup "id" = Value.Int 3)
-       (fun tup -> Tuple.set tup "id" (Value.Int 30)));
+    (Rel_table.update_rows t
+       (fun row -> row.(0) = Value.Int 3)
+       (fun row -> Tuple.make [ ("id", Value.Int 30); ("name", row.(1)); ("age", row.(2)) ]));
   check int_t "index follows update" 1
     (List.length (Rel_table.lookup_eq t "id" (Value.Int 30)))
 
@@ -508,9 +509,382 @@ let prop_plan_equals_reference =
       let sort rows = List.sort Tuple.compare rows in
       sort joined = sort !reference)
 
+let sql_error db s =
+  match Rel_db.exec db s with
+  | _ -> Alcotest.failf "expected Sql_error for %S" s
+  | exception Rel_db.Sql_error m -> m
+
+let test_db_lazy_resolution () =
+  let db = mk_db () in
+  ignore (Rel_db.exec db "CREATE TABLE none (id INT, tag TEXT)");
+  (* Columns resolve when a row needs them: over no rows nothing fails. *)
+  check int_t "unknown column in WHERE over an empty table" 0
+    (List.length (q db "SELECT * FROM none WHERE nosuch = 1"));
+  check (Alcotest.list string_t) "unknown projected column over an empty table" [ "nosuch" ]
+    (fst (Rel_db.query_names db "SELECT nosuch FROM none"));
+  check string_t "unknown column" "unknown column nosuch"
+    (sql_error db "SELECT nosuch FROM emp");
+  check string_t "unknown qualified column" "unknown column e.nosuch"
+    (sql_error db "SELECT e.nosuch FROM emp e");
+  check string_t "ambiguous column" "ambiguous column id"
+    (sql_error db "SELECT id FROM emp e JOIN dept d ON e.dept_id = d.id");
+  (* Comparisons read their right operand first, as the tuple
+     interpreter did; BETWEEN reads left to right. *)
+  check string_t "right operand reported first" "unknown column nosuch2"
+    (sql_error db "SELECT * FROM emp WHERE nosuch1 = nosuch2");
+  check string_t "arithmetic likewise" "unknown column nosuch2"
+    (sql_error db "SELECT * FROM emp WHERE nosuch1 + nosuch2 = 1");
+  check string_t "between left to right" "unknown column nosuch1"
+    (sql_error db "SELECT * FROM emp WHERE nosuch1 BETWEEN nosuch2 AND nosuch3");
+  check string_t "DML reports too" "unknown column nosuch"
+    (sql_error db "UPDATE emp SET salary = 1 WHERE id = 1 AND nosuch = 2")
+
+let test_db_left_join_padding () =
+  let db = mk_db () in
+  let names, rows =
+    Rel_db.query_names db "SELECT * FROM dept d LEFT JOIN emp e ON e.dept_id = d.id ORDER BY d.id, e.id"
+  in
+  check (Alcotest.list string_t) "names"
+    [ "d.id"; "dname"; "e.id"; "name"; "dept_id"; "salary" ] names;
+  check string_t "unmatched row padded with a NULL tail"
+    "{d.id=3, dname=empty, e.id=NULL, name=NULL, dept_id=NULL, salary=NULL}"
+    (Tuple.to_string (List.nth rows 3));
+  (* WHERE over the padded side drops rows instead of padding them. *)
+  check int_t "WHERE filters the joined rows" 2
+    (List.length (q db "SELECT d.dname FROM dept d LEFT JOIN emp e ON e.dept_id = d.id WHERE e.salary > 85"));
+  check int_t "IS NULL finds the padding" 1
+    (List.length (q db "SELECT d.dname FROM dept d LEFT JOIN emp e ON e.dept_id = d.id WHERE e.id IS NULL"))
+
+let test_db_index_access_semantics () =
+  let db = mk_db () in
+  ignore (Rel_db.exec db "CREATE INDEX ON emp (dept_id) USING BTREE");
+  check int_t "= NULL through an indexed column" 0
+    (List.length (q db "SELECT * FROM emp WHERE dept_id = NULL"));
+  check int_t "a range holds no NULL key" 2
+    (List.length (q db "SELECT * FROM emp WHERE dept_id < 2"));
+  ignore (Rel_db.exec db "CREATE INDEX ON emp (salary) USING BTREE");
+  check int_t "every bound on one side still filters" 2
+    (List.length (q db "SELECT * FROM emp WHERE salary < 85 AND salary <= 95"))
+
+(* Every live row is found through each index under its own key. *)
+let index_consistent tbl =
+  let cols = Rel_table.columns tbl in
+  Array.to_list cols
+  |> List.filter (fun c -> Rel_table.has_index tbl c <> None)
+  |> List.for_all (fun c ->
+         let pos = ref 0 in
+         Array.iteri (fun i c' -> if c' = c then pos := i) cols;
+         List.for_all
+           (fun row ->
+             let v = row.(!pos) in
+             let by_scan = List.filter (fun r -> Value.equal r.(!pos) v) (Rel_table.rows tbl) in
+             Rel_table.lookup_eq_rows tbl c v = by_scan)
+           (Rel_table.rows tbl))
+
+let test_db_dml_through_index () =
+  let setup index =
+    let db = Rel_db.create () in
+    ignore (Rel_db.exec db "CREATE TABLE t (id INT, code TEXT, n INT)");
+    for i = 1 to 40 do
+      ignore
+        (Rel_db.exec db
+           (Printf.sprintf "INSERT INTO t VALUES (%d, 'c%d', %d)" i (i mod 7) (i mod 3)))
+    done;
+    Option.iter (fun s -> ignore (Rel_db.exec db s)) index;
+    db
+  in
+  let stmts =
+    [ "UPDATE t SET n = n + 10 WHERE code = 'c3'";
+      "UPDATE t SET code = 'c9' WHERE code = 'c1' AND n > 0";
+      "DELETE FROM t WHERE 'c2' = code OR id = 5";
+      "DELETE FROM t WHERE id = 7.0";
+      "UPDATE t SET id = id * 100 WHERE id = 12";
+      "UPDATE t SET n = NULL WHERE code = 'c4' AND id >= 20";
+      "DELETE FROM t WHERE code = 'c9' AND n = 11";
+      "UPDATE t SET code = 'c0' WHERE code = 'nope'" ]
+  in
+  let run db = List.map (fun s -> Rel_db.exec db s) stmts in
+  let all db = q db "SELECT * FROM t ORDER BY id" in
+  let plain = setup None in
+  let counts = run plain in
+  List.iter
+    (fun index ->
+      let db = setup (Some index) in
+      check bool_t (index ^ ": same counts") true (run db = counts);
+      check bool_t (index ^ ": same rows") true (List.equal Tuple.equal (all db) (all plain));
+      check bool_t (index ^ ": indexes consistent") true (index_consistent (Rel_db.table_exn db "t")))
+    [ "CREATE INDEX ON t (code) USING HASH";
+      "CREATE INDEX ON t (code) USING BTREE";
+      "CREATE INDEX ON t (id) USING HASH" ]
+
+(* ------------------------------------------------------------------ *)
+(* Positional execution against a naive reference                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Random tables with NULLs, random indexes and random SELECTs; the
+   reference prefixes each table's [to_list] rows, takes the cross
+   product join by join (padding LEFT JOIN misses with NULLs), filters
+   it row by row and projects, groups, orders and limits it directly. *)
+
+let ref_tables =
+  [ ("a", [ ("k", `I); ("v", `I); ("s", `T) ]);
+    ("b", [ ("k", `I); ("w", `I); ("s", `T) ]);
+    ("c", [ ("k", `I); ("x", `T) ]) ]
+
+type ref_case = {
+  setup : string list;  (* DDL, inserts and indexes *)
+  sql : string;
+  total_order : bool;  (* ORDER BY determines the output order *)
+}
+
+let gen_case seed =
+  let g = Prng.create seed in
+  let chance p = Prng.bernoulli g p in
+  let pick l = Prng.pick_list g l in
+  let int_lit () = if chance 0.15 then "NULL" else string_of_int (Prng.int g 6) in
+  let text_lit () = if chance 0.15 then "NULL" else Printf.sprintf "'%s'" (pick [ "ab"; "ba"; "abc"; "b" ]) in
+  let setup =
+    List.concat_map
+      (fun (t, cols) ->
+        let ddl =
+          Printf.sprintf "CREATE TABLE %s (%s)" t
+            (String.concat ", "
+               (List.map (fun (c, ty) -> c ^ match ty with `I -> " INT" | `T -> " TEXT") cols))
+        in
+        let rows =
+          List.init (Prng.int g 9) (fun _ ->
+              Printf.sprintf "INSERT INTO %s VALUES (%s)" t
+                (String.concat ", "
+                   (List.map
+                      (fun (c, ty) ->
+                        match ty with
+                        | `I when c = "k" -> if chance 0.1 then "NULL" else string_of_int (Prng.int g 4)
+                        | `I -> int_lit ()
+                        | `T -> text_lit ())
+                      cols)))
+        in
+        let indexes =
+          List.filter_map
+            (fun (c, _) ->
+              match Prng.int g 3 with
+              | 0 -> Some (Printf.sprintf "CREATE INDEX ON %s (%s) USING HASH" t c)
+              | 1 -> Some (Printf.sprintf "CREATE INDEX ON %s (%s) USING BTREE" t c)
+              | _ -> None)
+            cols
+        in
+        (* Index some tables before loading them, some after. *)
+        if chance 0.5 then (ddl :: indexes) @ rows else (ddl :: rows) @ indexes)
+      ref_tables
+  in
+  let from, aliases =
+    pick
+      [ ("a", [ "a" ]);
+        ("a JOIN b ON a.k = b.k", [ "a"; "b" ]);
+        ("a LEFT JOIN b ON a.k = b.k", [ "a"; "b" ]);
+        ("a JOIN b ON a.v < b.w", [ "a"; "b" ]);
+        ("a LEFT JOIN b ON a.k = b.k AND b.w > 2", [ "a"; "b" ]);
+        ("a JOIN b ON a.k = b.k JOIN c ON b.k = c.k", [ "a"; "b"; "c" ]);
+        ("a LEFT JOIN b ON a.k = b.k LEFT JOIN c ON a.k = c.k", [ "a"; "b"; "c" ]);
+        ("a JOIN b ON a.k = b.k LEFT JOIN c ON b.w = c.k", [ "a"; "b"; "c" ]);
+        ("a, c", [ "a"; "c" ]) ]
+  in
+  let cols = List.concat_map (fun a -> List.map (fun (c, ty) -> (a, c, ty)) (List.assoc a ref_tables)) aliases in
+  let ref_of (a, c, _) =
+    (* Unqualified when the bare name is unique in FROM. *)
+    if List.length (List.filter (fun (_, c', _) -> c' = c) cols) = 1 && chance 0.5 then c
+    else a ^ "." ^ c
+  in
+  let rec pred depth =
+    if depth > 0 && chance 0.4 then
+      match Prng.int g 3 with
+      | 0 -> Printf.sprintf "(%s AND %s)" (pred (depth - 1)) (pred (depth - 1))
+      | 1 -> Printf.sprintf "(%s OR %s)" (pred (depth - 1)) (pred (depth - 1))
+      | _ -> Printf.sprintf "NOT (%s)" (pred (depth - 1))
+    else
+      let ((_, _, ty) as col) = pick cols in
+      let r = ref_of col in
+      match ty, Prng.int g 6 with
+      | `I, 0 -> Printf.sprintf "%s = %s" r (int_lit ())
+      | `I, 1 -> Printf.sprintf "%s %s %d" r (pick [ "<"; "<="; ">"; ">="; "<>" ]) (Prng.int g 6)
+      | `I, 2 -> Printf.sprintf "%s IN (%s, %s)" r (int_lit ()) (int_lit ())
+      | `I, 3 -> Printf.sprintf "%s BETWEEN %d AND %d" r (Prng.int g 3) (2 + Prng.int g 4)
+      | `I, _ -> Printf.sprintf "%d = %s" (Prng.int g 6) r
+      | `T, 0 -> Printf.sprintf "%s = %s" r (text_lit ())
+      | `T, 1 -> Printf.sprintf "%s LIKE '%s'" r (pick [ "a%"; "%b"; "_b%"; "%" ])
+      | `T, 2 -> Printf.sprintf "%s IN (%s, %s)" r (text_lit ()) (text_lit ())
+      | `T, 3 -> Printf.sprintf "%s IS NULL" r
+      | `T, _ -> Printf.sprintf "%s IS NOT NULL" r
+  in
+  let where = if chance 0.7 then " WHERE " ^ pred 2 else "" in
+  let qual (a, c, _) = a ^ "." ^ c in
+  let sql, total_order =
+    match Prng.int g 4 with
+    | 0 ->
+      let key = pick cols in
+      let int_col = pick (List.filter (fun (_, _, ty) -> ty = `I) cols) in
+      let having = if chance 0.3 then " HAVING n > 1" else "" in
+      let ordered = chance 0.5 in
+      ( Printf.sprintf
+          "SELECT %s, COUNT(*) AS n, SUM(%s) AS t, MIN(%s) AS lo, COUNT(%s) AS nn FROM %s%s GROUP BY %s%s%s"
+          (qual key) (qual int_col) (qual (pick cols)) (qual (pick cols)) from where (qual key) having
+          (if ordered then " ORDER BY " ^ qual key else ""),
+        ordered )
+    | 1 ->
+      ( Printf.sprintf "SELECT COUNT(*) AS n, MAX(%s) AS hi FROM %s%s" (qual (pick cols)) from where,
+        true )
+    | _ ->
+      let projected = List.sort_uniq compare (List.init (1 + Prng.int g 3) (fun _ -> pick cols)) in
+      let keys = if chance 0.6 then List.init (1 + Prng.int g 2) (fun _ -> pick cols) else [] in
+      let total = keys <> [] && chance 0.6 in
+      let keys = if total then keys @ projected else keys in
+      let order =
+        if keys = [] then ""
+        else
+          " ORDER BY "
+          ^ String.concat ", "
+              (List.map (fun k -> qual k ^ if chance 0.5 then " DESC" else "") keys)
+      in
+      let limit = if total && chance 0.5 then Printf.sprintf " LIMIT %d" (Prng.int g 6) else "" in
+      ( Printf.sprintf "SELECT %s%s FROM %s%s%s%s"
+          (if chance 0.3 then "DISTINCT " else "")
+          (String.concat ", " (List.map qual projected))
+          from where order limit,
+        total )
+  in
+  { setup; sql; total_order }
+
+let print_case seed =
+  let c = gen_case seed in
+  String.concat ";\n" (c.setup @ [ c.sql ])
+
+let rec take n = function
+  | x :: rest when n > 0 -> x :: take (n - 1) rest
+  | _ -> []
+
+let reference_select db (s : Sql_ast.select) =
+  let prefixed (t : Sql_ast.table_ref) =
+    let alias = Option.value ~default:t.table t.alias in
+    let tbl = Rel_db.table_exn db t.table in
+    ( List.map (Tuple.prefix alias) (Rel_table.to_list tbl),
+      Tuple.make (List.map (fun c -> (alias ^ "." ^ c, Value.Null)) (Dschema.column_names (Rel_table.schema tbl))) )
+  in
+  let rec from_rows = function
+    | Sql_ast.From_table t -> fst (prefixed t)
+    | Sql_ast.From_join (lhs, kind, t, cond) ->
+      let rrows, nulls = prefixed t in
+      List.concat_map
+        (fun l ->
+          let cross = List.map (Tuple.concat l) rrows in
+          match List.filter (fun j -> Sql_eval.eval_pred j cond) cross, kind with
+          | [], Sql_ast.Left_outer -> [ Tuple.concat l nulls ]
+          | matches, _ -> matches)
+        (from_rows lhs)
+  in
+  let rows = from_rows (Option.get s.Sql_ast.from) in
+  let rows =
+    match s.Sql_ast.where with
+    | Some w -> List.filter (fun r -> Sql_eval.eval_pred r w) rows
+    | None -> rows
+  in
+  let col_name = function Sql_ast.Col (_, n) -> n | _ -> assert false in
+  let is_agg = function Sql_ast.Agg_item _ -> true | _ -> false in
+  let outs =
+    if List.exists is_agg s.Sql_ast.items then begin
+      let groups = ref [] in
+      List.iter
+        (fun r ->
+          let key = List.map (Sql_eval.eval r) s.Sql_ast.group_by in
+          match List.assoc_opt key !groups with
+          | Some bucket -> bucket := r :: !bucket
+          | None -> groups := (key, ref [ r ]) :: !groups)
+        rows;
+      let groups = if !groups = [] && s.Sql_ast.group_by = [] then [ ([], ref []) ] else List.rev !groups in
+      List.filter_map
+        (fun (_, bucket) ->
+          let bucket = List.rev !bucket in
+          let non_null e = List.filter (fun v -> v <> Value.Null) (List.map (fun r -> Sql_eval.eval r e) bucket) in
+          let extreme pick = function
+            | [] -> Value.Null
+            | v :: vs -> List.fold_left (fun a b -> if pick (Value.compare b a) then b else a) v vs
+          in
+          let out =
+            Tuple.make
+              (List.map
+                 (function
+                   | Sql_ast.Expr_item (e, _) -> (col_name e, Sql_eval.eval (List.hd bucket) e)
+                   | Sql_ast.Agg_item (fn, arg, Some alias) ->
+                     ( alias,
+                       match fn, arg with
+                       | Sql_ast.Count_star, _ -> Value.Int (List.length bucket)
+                       | Sql_ast.Count, Some e -> Value.Int (List.length (non_null e))
+                       | Sql_ast.Sum, Some e -> (
+                         match non_null e with
+                         | [] -> Value.Null
+                         | vs -> List.fold_left Value.add (Value.Int 0) vs)
+                       | Sql_ast.Min, Some e -> extreme (fun c -> c < 0) (non_null e)
+                       | Sql_ast.Max, Some e -> extreme (fun c -> c > 0) (non_null e)
+                       | _ -> assert false )
+                   | _ -> assert false)
+                 s.Sql_ast.items)
+          in
+          match s.Sql_ast.having with
+          | Some h when not (Sql_eval.eval_pred out h) -> None
+          | _ -> Some (out, out))
+        groups
+    end
+    else
+      let exprs = List.map (function Sql_ast.Expr_item (e, None) -> e | _ -> assert false) s.Sql_ast.items in
+      let name e =
+        let n = col_name e in
+        if List.length (List.filter (fun e' -> col_name e' = n) exprs) = 1 then n
+        else match e with Sql_ast.Col (Some q, n) -> q ^ "." ^ n | _ -> assert false
+      in
+      List.map (fun r -> (r, Tuple.make (List.map (fun e -> (name e, Sql_eval.eval r e)) exprs))) rows
+  in
+  let key (src, out) =
+    List.map
+      (fun { Sql_ast.order_expr; ascending } ->
+        ( (try Sql_eval.eval out order_expr
+           with Sql_eval.Eval_error _ -> Sql_eval.eval (Tuple.concat out src) order_expr),
+          ascending ))
+      s.Sql_ast.order_by
+  in
+  let cmp ka kb =
+    List.fold_left2
+      (fun acc (a, asc) (b, _) -> if acc <> 0 then acc else if asc then Value.compare a b else Value.compare b a)
+      0 ka kb
+  in
+  let sorted =
+    List.map snd (List.stable_sort (fun (ka, _) (kb, _) -> cmp ka kb) (List.map (fun p -> (key p, snd p)) outs))
+  in
+  let distinct =
+    if s.Sql_ast.distinct then
+      List.rev
+        (List.fold_left (fun acc r -> if List.exists (Tuple.equal r) acc then acc else r :: acc) [] sorted)
+    else sorted
+  in
+  match s.Sql_ast.limit with Some n -> take n distinct | None -> distinct
+
+let prop_positional_equals_reference =
+  QCheck2.Test.make ~name:"select = cross-product reference" ~count:400
+    ~print:print_case QCheck2.Gen.(int_bound 1_000_000)
+    (fun seed ->
+      let c = gen_case seed in
+      let db = Rel_db.create () in
+      List.iter (fun stmt -> ignore (Rel_db.exec db stmt)) c.setup;
+      let names, rows = Rel_db.query_names db c.sql in
+      let s = Sql_parser.parse_select_exn c.sql in
+      let expected = reference_select db s in
+      let expected_names = match expected with r :: _ -> Tuple.field_names r | [] -> names in
+      let same a b = List.length a = List.length b && List.for_all2 Tuple.equal a b in
+      let sort = List.sort Tuple.compare in
+      names = expected_names
+      && List.for_all (fun r -> Tuple.field_names r = names) rows
+      && if c.total_order then same rows expected else same (sort rows) (sort expected))
+
 let () =
   let props =
-    List.map QCheck_alcotest.to_alcotest [ prop_btree_matches_model; prop_plan_equals_reference ]
+    List.map QCheck_alcotest.to_alcotest [ prop_btree_matches_model; prop_plan_equals_reference; prop_positional_equals_reference ]
   in
   Alcotest.run "relation"
     [
@@ -566,6 +940,10 @@ let () =
           Alcotest.test_case "update expression" `Quick test_db_update_with_expression_referencing_row;
           Alcotest.test_case "distinct expressions" `Quick test_db_distinct_on_expressions;
           Alcotest.test_case "btree string keys" `Quick test_btree_string_keys;
+          Alcotest.test_case "lazy column resolution" `Quick test_db_lazy_resolution;
+          Alcotest.test_case "left join padding" `Quick test_db_left_join_padding;
+          Alcotest.test_case "index access semantics" `Quick test_db_index_access_semantics;
+          Alcotest.test_case "DML through an index" `Quick test_db_dml_through_index;
         ]
         @ props );
     ]
