@@ -90,9 +90,32 @@ let star_db () =
              ("revenue", Value.Int (10 + Prng.int g 2000)) ]));
   db
 
+(* Two composed views over 2,000 customers and 8,000 orders, joined on
+   the customer key, with one customer selected: the orders view is a
+   bind join on that one key. *)
+let view_join_fixture db =
+  let cat = Med_catalog.create () in
+  Med_catalog.register_source cat (Rel_source.make db);
+  Med_catalog.register_source cat
+    (Rel_source.make (Workloads.orders_db (Prng.create 7) ~name:"sales" ~rows:8000 ~customers:2000));
+  Med_catalog.define_view_text cat "cv"
+    {|WHERE <row><id>$i</id><name>$n</name><tier>$t</tier></row> IN "crm.customers"
+      CONSTRUCT <cu><cid>$i</cid><name>$n</name><tier>$t</tier></cu>|};
+  Med_catalog.define_view_text cat "ov"
+    {|WHERE <row><oid>$o</oid><cust_id>$c</cust_id><amount>$a</amount></row> IN "sales.orders"
+      CONSTRUCT <ob><oid>$o</oid><cid>$c</cid><amount>$a</amount></ob>|};
+  let query =
+    Xq_parser.parse_exn
+      {|WHERE <cu><cid>$c</cid><name>$n</name></cu> IN "cv", $c = 999,
+              <ob><oid>$o</oid><cid>$c</cid><amount>$a</amount></ob> IN "ov"
+        CONSTRUCT <r><n>$n</n><o>$o</o><a>$a</a></r>|}
+  in
+  (cat, query)
+
 let micro_tests () =
   let xml_text, doc, db, cat, query_text, parsed, dirty = micro_fixtures () in
   let dw = star_db () in
+  let vcat, view_join = view_join_fixture db in
   let open Bechamel in
   [
     Test.make ~name:"xml_parse_2k_nodes" (Staged.stage (fun () ->
@@ -117,6 +140,8 @@ let micro_tests () =
         ignore (Med_planner.compile cat parsed)));
     Test.make ~name:"mediator_run_pushdown" (Staged.stage (fun () ->
         ignore (Med_exec.run cat parsed)));
+    Test.make ~name:"mediator_view_bind_join" (Staged.stage (fun () ->
+        ignore (Med_exec.run vcat view_join)));
     Test.make ~name:"jaro_winkler" (Staged.stage (fun () ->
         ignore (Cl_similarity.jaro_winkler "acme corporation" "acme corp")));
     Test.make ~name:"snm_dedupe_300" (Staged.stage (fun () ->

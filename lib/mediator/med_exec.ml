@@ -63,38 +63,155 @@ let access_push = function
 let capability_fallbacks = Obs_metrics.counter "mediator.capability_fallbacks"
 let batch_fallbacks = Obs_metrics.counter "fetch.batch_fallbacks"
 
+module Key_set = Hashtbl.Make (struct
+  type t = Value.t
+
+  let equal = Value.equal
+  let hash = Value.hash
+end)
+
 (* Distinct non-NULL key values of [var] across the driver's rows, in
-   first-seen order (deterministic SQL text).  NULL keys are dropped:
-   the equi-join above the bound scan never matches them anyway. *)
+   first-seen order (deterministic SQL text), one per [Value.equal]
+   class; [None] as soon as a key past [Med_planner.max_bind_keys]
+   turns up.  NULL keys are dropped: the equi-join above the bound
+   access never matches them anyway. *)
 let bind_key_values envs var =
-  List.rev
-    (List.fold_left
-       (fun acc env ->
-         let v = Alg_env.value_of env var in
-         if v = Value.Null || List.exists (Value.equal v) acc then acc
-         else v :: acc)
-       [] envs)
-
-(* Keys beyond this cap ship the unbound fragment instead — a mile-long
-   IN-list costs more to ship and parse than the rows it would save. *)
-let max_bind_keys = 1024
-
-let bound_fragment (fragment : Med_sqlgen.fragment) ~bind_col keys =
-  let in_list =
-    Sql_ast.In_list
-      (Sql_ast.Col (None, bind_col), List.map (fun v -> Sql_ast.Lit v) keys)
+  let seen = Key_set.create 16 in
+  let rec go acc n = function
+    | [] -> Some (List.rev acc)
+    | env :: rest ->
+      let v = Alg_env.value_of env var in
+      if v = Value.Null || Key_set.mem seen v then go acc n rest
+      else if n = Med_planner.max_bind_keys then None
+      else begin
+        Key_set.add seen v ();
+        go (v :: acc) (n + 1) rest
+      end
   in
+  go [] 0 envs
+
+(* The keys as literals of a column's type, when each key's text is
+   canonical for it ([Med_planner.canonical_literal]): then the source
+   comparing the column with the literal agrees with the mediator
+   comparing values.  ["014"] never ships to an INT column. *)
+let typed_keys ty keys =
+  let rec go ty acc = function
+    | [] -> Some (List.rev acc)
+    | k :: rest -> (
+      match Med_planner.canonical_literal ty (Value.to_string k) with
+      | Some v -> go ty (v :: acc) rest
+      | None -> None)
+  in
+  Option.bind ty (fun ty -> go ty [] keys)
+
+let column_type catalog ~source ~table col =
+  match Src_registry.find (Med_catalog.registry catalog) source with
+  | None -> None
+  | Some src ->
+    Option.bind
+      (List.find_opt (fun r -> String.equal r.Dschema.rel_name table) (src.Source.relations ()))
+      (fun schema -> Option.map (fun c -> c.Dschema.col_ty) (Dschema.find_column schema col))
+
+let narrow_select (select : Sql_ast.select) col keys =
+  let in_list = Sql_ast.In_list (col, List.map (fun v -> Sql_ast.Lit v) keys) in
   let where =
-    match fragment.Med_sqlgen.sql.Sql_ast.where with
+    match select.Sql_ast.where with
     | None -> Some in_list
     | Some w -> Some (Sql_ast.Binop (Sql_ast.And, w, in_list))
   in
-  let select = { fragment.Med_sqlgen.sql with Sql_ast.where } in
-  {
-    fragment with
-    Med_sqlgen.sql = select;
-    sql_text = Sql_print.select_to_string select;
-  }
+  { select with Sql_ast.where }
+
+(* An IN-list over no keys matches nothing: such a fragment never ships
+   (see [fetch_sql]). *)
+let matches_nothing (select : Sql_ast.select) =
+  match select.Sql_ast.where with
+  | None -> false
+  | Some w ->
+    List.exists (function Sql_ast.In_list (_, []) -> true | _ -> false) (Sql_ast.conjuncts w)
+
+let narrow_fragment (fragment : Med_sqlgen.fragment) col keys =
+  let select = narrow_select fragment.Med_sqlgen.sql (Sql_ast.Col (None, col)) keys in
+  { fragment with Med_sqlgen.sql = select; sql_text = Sql_print.select_to_string select }
+
+(* The source column behind a join fragment's output alias. *)
+let join_column (fragment : Med_sqlgen.join_fragment) out =
+  let rec tables = function
+    | Sql_ast.From_table t -> [ t ]
+    | Sql_ast.From_join (f, _, t, _) -> tables f @ [ t ]
+  in
+  let select = fragment.Med_sqlgen.jf_sql in
+  match
+    List.find_map
+      (function Sql_ast.Expr_item (e, Some a) when a = out -> Some e | _ -> None)
+      select.Sql_ast.items
+  with
+  | Some (Sql_ast.Col (Some alias, col) as e) ->
+    Option.map
+      (fun (t : Sql_ast.table_ref) -> (e, t.Sql_ast.table, col))
+      (List.find_opt
+         (fun (t : Sql_ast.table_ref) -> t.Sql_ast.alias = Some alias)
+         (match select.Sql_ast.from with Some f -> tables f | None -> []))
+  | Some _ | None -> None
+
+let all_some xs = if List.for_all Option.is_some xs then Some (List.map Option.get xs) else None
+
+(* A copy of [access] that fetches only the rows whose [v] is among
+   [keys], without recompiling: every fragment reading [v] from a column
+   gains [col IN (keys)], and a composed view narrows each definition
+   that binds [v] to an atom, recursively.  Accesses that do not narrow
+   on [v] come back unchanged.  [None] when a key is not canonical for a
+   narrowed column. *)
+let rec narrow_access catalog v keys (access : Med_planner.access) =
+  let ( let* ) = Option.bind in
+  let narrowed_fragment source_name export (fragment : Med_sqlgen.fragment) =
+    let col = List.assoc v fragment.Med_sqlgen.binds in
+    let* typed = typed_keys (column_type catalog ~source:source_name ~table:export col) keys in
+    Some (narrow_fragment fragment col typed)
+  in
+  if not (Med_planner.narrows_on access v) then Some access
+  else
+    match access with
+    | Med_planner.A_sql r ->
+      let* fragment = narrowed_fragment r.source_name r.export r.fragment in
+      Some (Med_planner.A_sql { r with fragment })
+    | Med_planner.A_sql_bind r ->
+      let* fragment = narrowed_fragment r.source_name r.export r.fragment in
+      Some (Med_planner.A_sql_bind { r with fragment })
+    | Med_planner.A_sql_join r ->
+      let* col, table, name =
+        join_column r.fragment (List.assoc v r.fragment.Med_sqlgen.jf_binds)
+      in
+      let* typed = typed_keys (column_type catalog ~source:r.source_name ~table name) keys in
+      let jf_sql = narrow_select r.fragment.Med_sqlgen.jf_sql col typed in
+      Some
+        (Med_planner.A_sql_join
+           { r with
+             fragment =
+               { r.fragment with
+                 Med_sqlgen.jf_sql;
+                 jf_sql_text = Sql_print.select_to_string jf_sql } })
+    | Med_planner.A_view ({ composed = Some c; _ } as r) ->
+      let* c = narrow_composed catalog v keys c in
+      Some (Med_planner.A_view { r with composed = Some c })
+    | Med_planner.A_view { composed = None; _ } | Med_planner.A_path _ | Med_planner.A_match _ ->
+      Some access
+
+and narrow_composed catalog v keys (c : Med_planner.composed) =
+  let defs =
+    List.map
+      (fun (d : Med_planner.composed_def) ->
+        match Med_planner.def_var d v with
+        | None -> Some d
+        | Some v' ->
+          Option.map
+            (fun accesses -> { d with Med_planner.sub = { d.Med_planner.sub with accesses } })
+            (all_some
+               (List.map
+                  (fun (aid, a) -> Option.map (fun a -> (aid, a)) (narrow_access catalog v' keys a))
+                  d.Med_planner.sub.Med_planner.accesses)))
+      c.Med_planner.defs
+  in
+  Option.map (fun defs -> { c with Med_planner.defs }) (all_some defs)
 
 (* ------------------------------------------------------------------ *)
 (* Fragment cache plumbing                                             *)
@@ -184,7 +301,15 @@ let sem_plan catalog (src : Source.t) access =
       Some (mk fragment.Med_sqlgen.jf_sql fragment.Med_sqlgen.jf_sql_text exports)
     | _ -> None
 
-(* Fetch one SQL access's raw result through both cache layers. *)
+let access_select = function
+  | Med_planner.A_sql { fragment; _ } -> Some fragment.Med_sqlgen.sql
+  | Med_planner.A_sql_join { fragment; _ } -> Some fragment.Med_sqlgen.jf_sql
+  | _ -> None
+
+(* Fetch one SQL access's raw result through both cache layers.  A
+   fragment narrowed by no keys matches nothing: it checks the source's
+   availability without a call, so strict and partial outcomes do not
+   depend on whether a bind join narrowed it. *)
 let fetch_sql catalog (src : Source.t) access =
   let select, sql_text =
     match access with
@@ -194,14 +319,21 @@ let fetch_sql catalog (src : Source.t) access =
       (fragment.Med_sqlgen.jf_sql, fragment.Med_sqlgen.jf_sql_text)
     | _ -> fail "internal: not a SQL access"
   in
-  match sem_plan catalog src access with
-  | Some (Sem_rewrite.P_local r) -> r
-  | Some (Sem_rewrite.P_ship { ship_sql; finish }) ->
-    (* Remainder queries key the exact cache by their own text; the
-       original fragment keeps its canonical key. *)
-    let key = if ship_sql = sql_text then frag_key_sql select else ship_sql in
-    finish (frag_fetch catalog src ~fragment:key (Source.Q_sql ship_sql))
-  | None -> frag_fetch catalog src ~fragment:(frag_key_sql select) (Source.Q_sql sql_text)
+  if matches_nothing select then
+    if
+      Src_retry.call_available (Med_catalog.retry catalog) ~source:src.Source.name
+        src.Source.is_available
+    then Source.R_rows ([], [])
+    else raise (Source.Unavailable src.Source.name)
+  else
+    match sem_plan catalog src access with
+    | Some (Sem_rewrite.P_local r) -> r
+    | Some (Sem_rewrite.P_ship { ship_sql; finish }) ->
+      (* Remainder queries key the exact cache by their own text; the
+         original fragment keeps its canonical key. *)
+      let key = if ship_sql = sql_text then frag_key_sql select else ship_sql in
+      finish (frag_fetch catalog src ~fragment:key (Source.Q_sql ship_sql))
+    | None -> frag_fetch catalog src ~fragment:(frag_key_sql select) (Source.Q_sql sql_text)
 
 let frag_documents catalog (src : Source.t) doc =
   let frag = Med_catalog.frag_cache catalog in
@@ -252,16 +384,34 @@ let envs_of_sql_access access r =
 (* Scatter-gather prefetch                                             *)
 (* ------------------------------------------------------------------ *)
 
+type bind_outcome =
+  | Narrowed of int
+  | Unbound of string
+
 type fetch_info = {
   fi_round : int;
   fi_shared : bool;
   fi_cache_hits : int;
+  fi_bind : bind_outcome option;
 }
 
 type prefetched = {
   pf_result : (Alg_env.t list, exn) Stdlib.result;
   pf_info : fetch_info;
 }
+
+let bind_of = function
+  | Med_planner.A_sql_bind { bind; _ } -> Some bind
+  | Med_planner.A_view { bind; _ } -> bind
+  | Med_planner.A_sql _ | Med_planner.A_sql_join _ | Med_planner.A_path _
+  | Med_planner.A_match _ -> None
+
+(* A bound access as the plain access it narrows. *)
+let unbound = function
+  | Med_planner.A_sql_bind { source_name; export; fragment; pattern; _ } ->
+    Med_planner.A_sql { source_name; export; fragment; pattern }
+  | Med_planner.A_view r -> Med_planner.A_view { r with bind = None }
+  | access -> access
 
 (* Execute one access; may recurse through the compiler for views. *)
 let rec run_access catalog ~opts ~view_lookup access : Alg_env.t list =
@@ -313,13 +463,13 @@ let rec run_access catalog ~opts ~view_lookup access : Alg_env.t list =
   | Med_planner.A_match { source_name; export; pattern } ->
     let src = Src_registry.find_exn (Med_catalog.registry catalog) source_name in
     match_documents pattern (export_documents catalog src export)
-  | Med_planner.A_sql_bind { source_name; export; fragment; pattern; _ } ->
+  | Med_planner.A_sql_bind _ ->
     (* Reached only without a resolved driver (e.g. a live re-pull after
        the prefetch buffer missed): ship the unbound fragment — always a
-       correct superset of the bound fetch. *)
-    run_access catalog ~opts ~view_lookup
-      (Med_planner.A_sql { source_name; export; fragment; pattern })
-  | Med_planner.A_view { view; pattern; composed } -> (
+       correct superset of the bound fetch.  Likewise for a bound view
+       below. *)
+    run_access catalog ~opts ~view_lookup (unbound access)
+  | Med_planner.A_view { view; pattern; composed; bind = _ } -> (
     match view_lookup view with
     | Some trees ->
       (* A materialized copy serves the view; conditions a composed
@@ -493,8 +643,11 @@ and prefetch catalog ~opts ~view_lookup (compiled : Med_planner.compiled) =
           match access with
           (* Views stay lazy; bind joins resolve after their driver, in
              [resolve_binds] — prefetching one here would ship the
-             unbound fragment and defeat the optimizer's choice. *)
+             unbound fragment and defeat the optimizer's choice.  A
+             fragment narrowed by no keys never ships: it resolves at
+             pull time, through [fetch_sql]. *)
           | Med_planner.A_view _ | Med_planner.A_sql_bind _ -> None
+          | a when Option.fold ~none:false ~some:matches_nothing (access_select a) -> None
           | a -> Some a)
         compiled.Med_planner.accesses
     in
@@ -591,6 +744,7 @@ and prefetch catalog ~opts ~view_lookup (compiled : Med_planner.compiled) =
                         fi_round = o.Fetch_sched.round;
                         fi_shared = o.Fetch_sched.shared;
                         fi_cache_hits = cache_hits;
+                        fi_bind = None;
                       };
                   })
             entries
@@ -605,109 +759,72 @@ and prefetch catalog ~opts ~view_lookup (compiled : Med_planner.compiled) =
 (* Bind-join resolution                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Resolve every bind-join access: fetch (or reuse) its driver, build
-   the IN-list, ship the narrowed fragment, and land both results in
-   the prefetch buffer so scans pull them without touching the wire.
-   Runs under both fetch modes — sequential execution creates a buffer
-   here just for the bound accesses and their drivers. *)
+(* Resolve every bind-join access, SQL or view, along one path: fetch
+   (or reuse) its driver, take the driver's distinct keys, narrow a copy
+   of the access to them, and land both results in the prefetch buffer
+   so scans pull them without touching the wire.  The access runs
+   unbound instead when the driver failed (strict errors and partial
+   skips stay those of the unbound plan), when the keys exceed the cap,
+   when a key is not canonical for a narrowed column, or when a
+   materialized copy serves the view.  Bound accesses resolve in join
+   order, and drivers come earlier, so a bound access can drive a later
+   one.  Runs under both fetch modes — sequential execution creates a
+   buffer here just for the bound accesses and their drivers. *)
 and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
     buffer =
-  let binds =
-    List.filter
-      (fun (_, a) -> match a with Med_planner.A_sql_bind _ -> true | _ -> false)
-      compiled.Med_planner.accesses
-  in
-  if binds = [] then buffer
+  let accesses = compiled.Med_planner.accesses in
+  if not (List.exists (fun (_, a) -> bind_of a <> None) accesses) then buffer
   else begin
-    let buf =
-      match buffer with Some b -> b | None -> Hashtbl.create (List.length binds * 2)
+    let buf = match buffer with Some b -> b | None -> Hashtbl.create 8 in
+    let no_fetch = { fi_round = 0; fi_shared = false; fi_cache_hits = 0; fi_bind = None } in
+    let run access = try Ok (run_access catalog ~opts ~view_lookup access) with e -> Error e in
+    let narrow access v keys =
+      match access with
+      | Med_planner.A_view { view; _ } when view_lookup view <> None -> Error "materialized"
+      | _ -> Option.to_result ~none:"non-canonical" (narrow_access catalog v keys (unbound access))
     in
-    let no_fetch = { fi_round = 0; fi_shared = false; fi_cache_hits = 0 } in
-    let driver_result driver_aid =
-      match List.assoc_opt driver_aid compiled.Med_planner.accesses with
-      | None -> Error (Exec_error ("unknown bind driver " ^ driver_aid))
-      | Some driver ->
-        let key = Med_planner.access_key driver in
-        (match Hashtbl.find_opt buf key with
+    let rec result aid =
+      match List.assoc_opt aid accesses with
+      | None -> Error (Exec_error ("unknown bind driver " ^ aid))
+      | Some access -> (
+        let key = Med_planner.access_key access in
+        match Hashtbl.find_opt buf key with
         | Some p -> p.pf_result
         | None ->
-          let r =
-            try Ok (run_access catalog ~opts ~view_lookup driver)
-            with e -> Error e
+          let r, info =
+            match bind_of access with
+            | None -> (run access, no_fetch)
+            | Some { Med_planner.bind_driver; bind_var } ->
+              let st = Frag_cache.stats (Med_catalog.frag_cache catalog) in
+              let h0 = st.Frag_cache.frag_hits in
+              let narrowed =
+                match result bind_driver with
+                | Error _ -> Error "driver-failed"
+                | Ok envs -> (
+                  match bind_key_values envs bind_var with
+                  | None -> Error (Printf.sprintf "keys>%d" Med_planner.max_bind_keys)
+                  | Some keys ->
+                    Result.map (fun a -> (a, List.length keys)) (narrow access bind_var keys))
+              in
+              let r, outcome =
+                match narrowed with
+                | Ok (a, n) -> (run a, Narrowed n)
+                | Error why -> (run (unbound access), Unbound why)
+              in
+              ( r,
+                { no_fetch with
+                  fi_cache_hits = st.Frag_cache.frag_hits - h0;
+                  fi_bind = Some outcome } )
           in
-          (* Land the driver too: its own scan reuses this fetch. *)
-          Hashtbl.replace buf key { pf_result = r; pf_info = no_fetch };
+          Hashtbl.replace buf key { pf_result = r; pf_info = info };
           r)
     in
     List.iter
-      (fun (_aid, access) ->
-        match access with
-        | Med_planner.A_sql_bind
-            { source_name; export; fragment; pattern; bind_driver; bind_var;
-              bind_col } ->
-          let unbound () =
-            run_access catalog ~opts ~view_lookup
-              (Med_planner.A_sql { source_name; export; fragment; pattern })
-          in
-          let st = Frag_cache.stats (Med_catalog.frag_cache catalog) in
-          let h0 = st.Frag_cache.frag_hits in
-          let result =
-            match driver_result bind_driver with
-            | Error e ->
-              (* Mirror the driver's failure: strict execution raises the
-                 same error it would have, partial skips the same
-                 source.  Shipping the unbound fragment instead would
-                 waste the wire on rows the dead join can never keep. *)
-              Error e
-            | Ok driver_envs -> (
-              match bind_key_values driver_envs bind_var with
-              | [] ->
-                (* The equi-join above has an empty build side: nothing
-                   the bound fetch returns can survive it.  Availability
-                   must still mirror the unbound scan, or strict/partial
-                   outcomes would depend on the optimizer's plan
-                   choice. *)
-                let src =
-                  Src_registry.find_exn (Med_catalog.registry catalog)
-                    source_name
-                in
-                if
-                  Src_retry.call_available (Med_catalog.retry catalog)
-                    ~source:source_name src.Source.is_available
-                then Ok []
-                else Error (Source.Unavailable source_name)
-              | keys when List.length keys > max_bind_keys ->
-                (try Ok (unbound ()) with e -> Error e)
-              | keys -> (
-                let bound = bound_fragment fragment ~bind_col keys in
-                let src =
-                  Src_registry.find_exn (Med_catalog.registry catalog) source_name
-                in
-                try
-                  match
-                    frag_fetch catalog src
-                      ~fragment:(frag_key_sql bound.Med_sqlgen.sql)
-                      (Source.Q_sql bound.Med_sqlgen.sql_text)
-                  with
-                  | Source.R_rows (_, rows) -> Ok (envs_of_sql_rows fragment rows)
-                  | Source.R_trees trees -> Ok (match_documents pattern trees)
-                  | Source.R_batch _ -> Error (Exec_error "unexpected batch result")
-                with
-                | Source.Query_rejected _ -> (
-                  (* The source cannot evaluate the IN-list: fall back to
-                     the plain fragment (and its own capability ladder). *)
-                  Obs_metrics.inc capability_fallbacks;
-                  try Ok (unbound ()) with e -> Error e)
-                | e -> Error e))
-          in
-          Hashtbl.replace buf
-            (Med_planner.access_key access)
-            {
-              pf_result = result;
-              pf_info = { no_fetch with fi_cache_hits = st.Frag_cache.frag_hits - h0 };
-            }
-        | _ -> ())
-      binds;
+      (fun aid ->
+        match List.assoc_opt aid accesses with
+        | Some a when bind_of a <> None -> ignore (result aid)
+        | Some _ | None -> ())
+      (Alg_plan.free_sources compiled.Med_planner.plan);
     Some buf
   end
 
@@ -1077,6 +1194,12 @@ let analysis_to_string a =
           Obs_report.fetch_cells ~round:fi.fi_round ~shared:fi.fi_shared
             ~cache_hits:fi.fi_cache_hits
       in
+      let bind =
+        match Option.bind st.stat_fetch (fun fi -> fi.fi_bind) with
+        | None -> []
+        | Some (Narrowed n) -> [ Obs_report.int_cell "keys" n ]
+        | Some (Unbound why) -> [ ("unbound", why) ]
+      in
       let sem =
         match st.stat_sem with
         | None -> []
@@ -1106,7 +1229,7 @@ let analysis_to_string a =
                  Obs_report.int_cell "rows" st.stat_rows;
                  ("time", Printf.sprintf "%.2fms" st.stat_ms);
                ]
-              @ fetch @ sem @ idx @ retry)))
+              @ fetch @ bind @ sem @ idx @ retry)))
       )
     a.analyzed_accesses;
   let exec_note =

@@ -68,14 +68,27 @@ val explain_text : Med_catalog.t -> string -> string
     source fragment, and recording observed cardinalities into the
     catalog's feedback store for the next compilation. *)
 
+type bind_outcome =
+  | Narrowed of int
+      (** the access shipped narrowed to this many distinct driver keys *)
+  | Unbound of string
+      (** the access ran unbound, and why: ["driver-failed"],
+          ["keys>1024"] (the {!Med_planner.max_bind_keys} cap),
+          ["non-canonical"] (a key is not {!Med_planner.canonical_literal}
+          for a narrowed column) or ["materialized"] (a local copy served
+          the view) *)
+(** What a bind join ([A_sql_bind] or a bound [A_view]) did at fetch
+    time. *)
+
 type fetch_info = {
   fi_round : int;      (** scatter-gather round the fetch rode in *)
   fi_shared : bool;    (** served by another access's execution (dedup) *)
   fi_cache_hits : int; (** fragment-cache hits while fetching it *)
+  fi_bind : bind_outcome option;  (** [Some] exactly on bound accesses *)
 }
 (** How an access was fetched when the catalog's {!Fetch_sched.options}
-    select gather mode; surfaces in span attributes and EXPLAIN
-    ANALYZE. *)
+    select gather mode, or when it was a bind join or a bind join's
+    driver; surfaces in span attributes and EXPLAIN ANALYZE. *)
 
 type access_stat = {
   stat_id : string;                  (** Scan-leaf access id *)

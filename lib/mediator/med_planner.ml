@@ -25,16 +25,20 @@ type access =
       view : string;
       pattern : Xq_ast.pattern;
       composed : composed option;
+      bind : bind option;
     }
   | A_sql_bind of {
       source_name : string;
       export : string;
       fragment : Med_sqlgen.fragment;
       pattern : Xq_ast.pattern;
-      bind_driver : string;  (* access id whose rows supply the key values *)
-      bind_var : string;     (* join variable shared with the driver *)
-      bind_col : string;     (* column of [fragment] the IN-list filters *)
+      bind : bind;
     }
+
+and bind = {
+  bind_driver : string;  (* access id whose rows supply the key values *)
+  bind_var : string;     (* join variable shared with the driver *)
+}
 
 and composed = {
   absorbed : Alg_expr.t list;
@@ -87,17 +91,23 @@ let access_key = function
   | A_match { source_name; export; pattern } ->
     Printf.sprintf "match|%s.%s|%s" source_name export
       (Xq_pretty.pattern_to_string pattern)
-  | A_view { view; pattern; composed } ->
+  | A_view { view; pattern; composed; bind } ->
     (* Conditions absorbed into a composed view change what it returns,
-       so two specializations of one pattern never share feedback. *)
+       so two specializations of one pattern never share feedback; nor
+       does a bound access share the unbound view's. *)
     let absorbed =
       match composed with
       | Some { absorbed = _ :: _ as conds; _ } ->
         "|" ^ String.concat " AND " (List.map Alg_expr.to_string conds)
       | Some { absorbed = []; _ } | None -> ""
     in
-    Printf.sprintf "view|%s|%s%s" view (Xq_pretty.pattern_to_string pattern) absorbed
-  | A_sql_bind { source_name; fragment; bind_driver; bind_var; _ } ->
+    let bound =
+      match bind with
+      | Some { bind_driver; bind_var } -> Printf.sprintf "|%s<-%s" bind_var bind_driver
+      | None -> ""
+    in
+    Printf.sprintf "view|%s|%s%s%s" view (Xq_pretty.pattern_to_string pattern) absorbed bound
+  | A_sql_bind { source_name; fragment; bind = { bind_driver; bind_var }; _ } ->
     (* A bound fetch ships different SQL per driver extent, so its
        feedback must not pollute the plain fragment's estimates. *)
     Printf.sprintf "sqlbind|%s|%s|%s<-%s" source_name
@@ -290,7 +300,7 @@ let access_profile access =
     Option.value ~default:local_profile (Net_sim.profile_of (access_target access))
 
 (* The column a variable reads from, for accesses whose binds map to
-   real source columns (the join-selectivity and bind-join paths). *)
+   real source columns (the join-selectivity path). *)
 let var_column access v =
   match access with
   | A_sql { source_name; export; fragment; _ }
@@ -300,15 +310,40 @@ let var_column access v =
       (List.assoc_opt v fragment.Med_sqlgen.binds)
   | A_sql_join _ | A_path _ | A_match _ | A_view _ -> None
 
-(* Bind-join conversion: after the optimizer fixes an order, a large
-   relational fragment joined to a small driver on a variable the
+let max_bind_keys = 1024
+
+let def_var (d : composed_def) v =
+  match List.assoc_opt v d.binds with
+  | Some (B_var v') when not (List.mem v' d.element_vars) -> Some v'
+  | Some (B_var _) | Some (B_const _) | None -> None
+
+(* The one eligibility test behind every bind join: a SQL fragment
+   narrows on a variable it reads from a column (an IN-list filters that
+   column), a composed view on a variable some definition binds to an
+   atom that one of the definition's own accesses narrows on. *)
+let rec narrows_on access v =
+  match access with
+  | A_sql { fragment; _ } | A_sql_bind { fragment; _ } ->
+    (* A LIMIT applies before the IN-list would: filtering after it is
+       not the same query. *)
+    fragment.Med_sqlgen.sql.Sql_ast.limit = None
+    && List.mem_assoc v fragment.Med_sqlgen.binds
+  | A_sql_join { fragment; _ } -> List.mem_assoc v fragment.Med_sqlgen.jf_binds
+  | A_view { composed = Some c; _ } ->
+    List.exists
+      (fun d ->
+        match def_var d v with
+        | Some v' -> List.exists (fun (_, a) -> narrows_on a v') d.sub.accesses
+        | None -> false)
+      c.defs
+  | A_view { composed = None; _ } | A_path _ | A_match _ -> false
+
+(* Bind-join conversion under the DP optimizer: after it fixes an order,
+   a large relational fragment joined to a small driver on a variable the
    fragment exposes as a column can ship [col IN (driver keys)] instead
    of the whole table.  The IN-list is a superset filter of the
    equi-join above it (NULL keys never join, SQL and engine agree), so
-   answers are untouched — only shipped rows shrink.  [bind_cap] bounds
-   the keys we are willing to expand into SQL text. *)
-let bind_cap = 1024.0
-
+   answers are untouched — only shipped rows shrink. *)
 let choose_binds opts rels vars ests =
   let n = Array.length rels in
   if not opts.Med_sqlgen.pushdown_select then []
@@ -329,15 +364,14 @@ let choose_binds opts rels vars ests =
             List.filter_map
               (fun i ->
                 if i = j || converted.(i) || not (is_driver i)
-                   || ests.(i) > bind_cap
+                   || ests.(i) > float_of_int max_bind_keys
                    || ests.(i) *. 2.0 > ests.(j)
                 then None
                 else
                   (* first bound column shared with the driver *)
                   List.find_map
                     (fun (v, _) ->
-                      if List.mem v vars.(i)
-                         && var_column (snd rels.(j)) v <> None
+                      if List.mem v vars.(i) && narrows_on (snd rels.(j)) v
                       then Some (i, v)
                       else None)
                     fragment.Med_sqlgen.binds)
@@ -370,17 +404,55 @@ let apply_binds rels binds accesses =
         match entry with
         | aid, A_sql { source_name; export; fragment; pattern } ->
           Obs_metrics.inc m_bind_joins;
-          let bind_col =
-            match List.assoc_opt v fragment.Med_sqlgen.binds with
-            | Some col -> col
-            | None -> assert false (* choose_binds only picks bound vars *)
-          in
           ( aid,
             A_sql_bind
               { source_name; export; fragment; pattern;
-                bind_driver = fst rels.(i); bind_var = v; bind_col } )
+                bind = { bind_driver = fst rels.(i); bind_var = v } } )
         | _ -> entry))
     accesses
+
+(* View bind joins, under either optimizer: once the join order is
+   fixed, a composed view access ships only the rows whose join key the
+   earliest earlier access sharing a variable the view narrows on
+   produced.  Drivers always come earlier in [order], so resolving binds
+   in that order lets a bound access drive a later one.  Returns the
+   accesses and (bound id, driver id) pairs. *)
+let bind_views opts order accesses =
+  if not opts.Med_sqlgen.pushdown_select then (accesses, [])
+  else begin
+    let binds =
+      List.concat
+        (List.mapi
+           (fun k aid ->
+             match List.assoc aid accesses with
+             | A_view { composed = Some _; bind = None; _ } as view ->
+               let vars = access_vars view in
+               Option.to_list
+                 (List.find_map
+                    (fun did ->
+                      let dvars = access_vars (List.assoc did accesses) in
+                      List.find_map
+                        (fun v ->
+                          if List.mem v dvars && narrows_on view v then
+                            Some (aid, { bind_driver = did; bind_var = v })
+                          else None)
+                        vars)
+                    (List.filteri (fun i _ -> i < k) order))
+             | _ -> [])
+           order)
+    in
+    let accesses =
+      List.map
+        (fun (aid, access) ->
+          match (access, List.assoc_opt aid binds) with
+          | A_view r, Some b ->
+            Obs_metrics.inc m_bind_joins;
+            (aid, A_view { r with bind = Some b })
+          | _ -> (aid, access))
+        accesses
+    in
+    (accesses, List.map (fun (aid, b) -> (aid, b.bind_driver)) binds)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* View composition                                                    *)
@@ -698,8 +770,9 @@ and clause_access ?feedback opts catalog (clause : Xq_ast.clause) candidates =
   | Some view -> (
     let pattern = clause.Xq_ast.clause_pattern in
     match compose_view ?feedback opts catalog view pattern candidates with
-    | Some (composed, absorbed) -> (A_view { view = name; pattern; composed = Some composed }, absorbed)
-    | None -> (A_view { view = name; pattern; composed = None }, []))
+    | Some (composed, absorbed) ->
+      (A_view { view = name; pattern; composed = Some composed; bind = None }, absorbed)
+    | None -> (A_view { view = name; pattern; composed = None; bind = None }, []))
   | None -> (
     match Src_registry.resolve_export (Med_catalog.registry catalog) name with
     | None -> fail "unknown source or view %S" name
@@ -809,6 +882,7 @@ and compile ?(opts = Med_sqlgen.default_options) ?feedback catalog (q : Xq_ast.q
       let pending = ref (remove_once first accesses) in
       let current = ref (scan first) in
       let current_vars = ref (access_vars (snd first)) in
+      let order = ref [ fst first ] in
       while !pending <> [] do
         let connected, disconnected =
           List.partition
@@ -832,15 +906,24 @@ and compile ?(opts = Med_sqlgen.default_options) ?feedback catalog (q : Xq_ast.q
         in
         current := joined;
         current_vars := vars;
+        order := fst next :: !order;
         pending := remaining
       done;
-      !current
+      (!current, List.rev !order)
+  in
+  let greedy () =
+    let plan, order = greedy_walk () in
+    let accesses, _ = bind_views opts order accesses in
+    (plan, accesses)
   in
   let plan, accesses, opt_info =
     match Med_catalog.optimizer catalog with
-    | Med_optimize.Greedy -> (greedy_walk (), accesses, None)
+    | Med_optimize.Greedy -> 
+      let plan, accesses = greedy () in
+      (plan, accesses, None)
     | Med_optimize.Dp _ when List.length accesses < 2 ->
-      (greedy_walk (), accesses, None)
+      let plan, accesses = greedy () in
+      (plan, accesses, None)
     | Med_optimize.Dp { max_relations } -> (
       let rels = Array.of_list accesses in
       let vars = Array.map (fun (_, a) -> access_vars a) rels in
@@ -885,7 +968,8 @@ and compile ?(opts = Med_sqlgen.default_options) ?feedback catalog (q : Xq_ast.q
       with
       | None ->
         Obs_metrics.inc m_dp_fallbacks;
-        ( greedy_walk (), accesses,
+        let plan, accesses = greedy () in
+        ( plan, accesses,
           Some
             {
               oi_mode = "dp-fallback:greedy";
@@ -906,6 +990,10 @@ and compile ?(opts = Med_sqlgen.default_options) ?feedback catalog (q : Xq_ast.q
         let plan, _ = build chosen.Med_optimize.p_tree in
         let binds = choose_binds opts rels vars ests in
         let accesses = apply_binds rels binds accesses in
+        let order =
+          List.map (fun i -> fst rels.(i)) (Med_optimize.leaves chosen.Med_optimize.p_tree)
+        in
+        let accesses, view_binds = bind_views opts order accesses in
         ( plan, accesses,
           Some
             {
@@ -914,7 +1002,7 @@ and compile ?(opts = Med_sqlgen.default_options) ?feedback catalog (q : Xq_ast.q
               oi_est_rows = chosen.Med_optimize.p_rows;
               oi_est_cost_ms = chosen.Med_optimize.p_cost;
               oi_binds =
-                List.map (fun (j, i, _) -> (fst rels.(j), fst rels.(i))) binds;
+                List.map (fun (j, i, _) -> (fst rels.(j), fst rels.(i))) binds @ view_binds;
             } ))
   in
   (* Residual conditions filter on top. *)
@@ -999,17 +1087,23 @@ let access_to_string (aid, access) =
   | A_match { source_name; export; pattern } ->
     Printf.sprintf "  %s -> MATCH @%s.%s: %s" aid source_name export
       (Xq_pretty.pattern_to_string pattern)
-  | A_view { view; pattern; composed = None } ->
+  | A_view { view; pattern; composed = None; _ } ->
     Printf.sprintf "  %s -> VIEW %s: %s" aid view (Xq_pretty.pattern_to_string pattern)
-  | A_view { view; pattern; composed = Some { absorbed; _ } } ->
-    Printf.sprintf "  %s -> VIEW %s (composed): %s%s" aid view
+  | A_view { view; pattern; composed = Some { absorbed; _ }; bind } ->
+    Printf.sprintf "  %s -> VIEW %s (composed): %s%s%s" aid view
       (Xq_pretty.pattern_to_string pattern)
       (match absorbed with
       | [] -> ""
       | conds -> " absorbing " ^ String.concat ", " (List.map Alg_expr.to_string conds))
-  | A_sql_bind { source_name; fragment; bind_driver; bind_var; bind_col; _ } ->
+      (match bind with
+      | Some { bind_driver; bind_var } ->
+        Printf.sprintf " [narrowed by keys of %s.$%s]" bind_driver bind_var
+      | None -> "")
+  | A_sql_bind { source_name; fragment; bind = { bind_driver; bind_var }; _ } ->
     Printf.sprintf "  %s -> SQL-BIND @%s: %s [%s IN keys of %s.$%s]" aid
-      source_name fragment.Med_sqlgen.sql_text bind_col bind_driver bind_var
+      source_name fragment.Med_sqlgen.sql_text
+      (List.assoc bind_var fragment.Med_sqlgen.binds)
+      bind_driver bind_var
 
 (* One line per access, and under a composed view the accesses of each
    specialized definition, two spaces deeper per level ([UNION] between

@@ -59,23 +59,36 @@ type access =
           (** the view's definitions specialized for this clause; [None]
               when the view cannot be composed exactly and runs the tree
               path (instantiate every tree, then match [pattern]) *)
+      bind : bind option;
+          (** a bind join into the composed view (never on the tree
+              path): each definition that binds [bind_var] to an atom
+              runs on a copy of its sub-plan whose fragments reading
+              that atom carry [col IN (driver keys)]; the other
+              definitions run unnarrowed *)
     }
   | A_sql_bind of {
       source_name : string;
       export : string;
       fragment : Med_sqlgen.fragment;
       pattern : Xq_ast.pattern;
-      bind_driver : string;  (** access id whose rows supply the keys *)
-      bind_var : string;     (** join variable shared with the driver *)
-      bind_col : string;     (** column the fetch-time IN-list filters *)
+      bind : bind;
     }
       (** A bind join chosen by the cost-based optimizer: the fragment
-          ships with an extra [bind_col IN (...)] filter built from the
-          driver access's distinct key values at fetch time.  A strict
-          superset of the equi-join above it (NULL keys never join), so
-          answers are untouched — only shipped rows shrink.  When the
-          driver fails or exceeds the key cap, the executor ships the
-          unbound fragment instead. *)
+          ships with an extra [col IN (...)] filter on the column it
+          reads [bind_var] from, built from the driver access's distinct
+          key values at fetch time. *)
+
+(** The driver half of a bind join, shared by [A_sql_bind] and a bound
+    [A_view].  The IN-list is a superset filter of the equi-join above
+    the bound access (NULL keys never join), so answers are untouched —
+    only shipped rows shrink.  When the driver fails, has more than
+    {!max_bind_keys} distinct keys, or has a key that is not canonical
+    for a narrowed column ({!canonical_literal}), the executor runs the
+    access unbound instead. *)
+and bind = {
+  bind_driver : string;  (** access id whose rows supply the keys *)
+  bind_var : string;     (** join variable shared with the driver *)
+}
 
 (** A clause over a view, composed with the view's definitions at
     compile time.  The clause's literals and the candidate conditions
@@ -116,7 +129,9 @@ and opt_info = {
   oi_order : string;  (** chosen join tree, e.g. [((a1 ⋈ a0) ⋈ a2)] *)
   oi_est_rows : float;
   oi_est_cost_ms : float;
-  oi_binds : (string * string) list;  (** bound access id -> driver id *)
+  oi_binds : (string * string) list;
+      (** bound access id -> driver id, SQL binds first, then view
+          binds *)
 }
 
 and compiled = {
@@ -148,7 +163,9 @@ val compile :
     tree costed with the network simulator's per-source parameters, and
     large relational fragments may be converted to bind joins
     ([A_sql_bind]); past the relation cap the plan falls back to the
-    greedy walk.
+    greedy walk.  Under either mode, once the join order is fixed, a
+    composed view access becomes a bind join on the earliest earlier
+    access sharing a variable it {!narrows_on}.
 
     Estimates come from {!estimated_rows}: execution [feedback] first,
     the catalog's statistics ({!Med_stats}) second,
@@ -164,6 +181,25 @@ val canonical_literal : Value.ty -> string -> Value.t option
     lossily and never qualify; nor do literals such as ["014"] at
     [TInt]. *)
 
+val max_bind_keys : int
+(** Distinct driver keys a bind join expands into an IN-list.  Past the
+    cap the bound access ships unbound — a mile-long IN-list costs more
+    to ship and parse than the rows it would save — and the DP optimizer
+    never picks a driver estimated above it. *)
+
+val def_var : composed_def -> string -> string option
+(** The definition variable a caller variable maps to when the
+    definition binds it to an atom ([B_var] outside [element_vars]) —
+    the variable a bind join narrows that definition on. *)
+
+val narrows_on : access -> string -> bool
+(** Whether a fetch of the access can be narrowed to the rows whose
+    variable is among a set of keys: a SQL fragment (without a LIMIT)
+    or a join fragment reading the variable from a column, or a composed
+    view some definition of which maps the variable through {!def_var}
+    to a variable one of its sub-plan accesses narrows on.  The one
+    eligibility test behind every bind join. *)
+
 val estimated_rows :
   ?feedback:Obs_feedback.t -> ?stats:Med_stats.t -> access -> float
 (** The unified cardinality estimate for one access — the single entry
@@ -173,9 +209,10 @@ val access_key : access -> string
 (** Stable identity of an access across compilations — the key under
     which {!Obs_feedback} stores observed cardinalities.  Built from the
     shipped artifact (SQL text, path + pattern, view name + pattern +
-    the conditions a composed view absorbed), so
-    the same logical access in a recompiled query maps to the same
-    observations. *)
+    the conditions a composed view absorbed), plus a bind join's
+    variable and driver, so the same logical access in a recompiled
+    query maps to the same observations, and a narrowed fetch never
+    records under the unbound access's key. *)
 
 val access_target : access -> string
 (** The source (or view) name an access ships work to — the name under
@@ -191,7 +228,8 @@ val explain : compiled -> string
 (** Operator tree plus, per SQL access, the fragment shipped to the
     source; under the DP optimizer also the chosen order and its
     estimates.  A composed view's line is followed by its definitions'
-    accesses, indented one level deeper. *)
+    accesses, indented one level deeper; a bound view's line ends in
+    [[narrowed by keys of <driver>.$<var>]]. *)
 
 val opt_info_to_string : opt_info -> string
 (** The one-line optimizer cell EXPLAIN and EXPLAIN ANALYZE print. *)

@@ -291,15 +291,17 @@ let rec map_access sb (id, (a : Med_planner.access)) =
       A_path { source_name; export; path; pattern = map_pattern sb pattern }
     | A_match { source_name; export; pattern } ->
       A_match { source_name; export; pattern = map_pattern sb pattern }
-    | A_view { view; pattern; composed } ->
+    | A_view { view; pattern; composed; bind } ->
+      (* A bound view's keys come from its driver at fetch time: the
+         bind passes through, the sub-plans map as unbound ones do. *)
       A_view
         {
           view;
           pattern = map_pattern sb pattern;
           composed = Option.map (map_composed sb) composed;
+          bind;
         }
-    | A_sql_bind { source_name; export; fragment; pattern; bind_driver;
-                   bind_var; bind_col } ->
+    | A_sql_bind { source_name; export; fragment; pattern; bind } ->
       (* The IN-list is computed at fetch time from the driver's rows,
          so only the underlying fragment carries parameter sentinels. *)
       A_sql_bind
@@ -308,9 +310,7 @@ let rec map_access sb (id, (a : Med_planner.access)) =
           export;
           fragment = map_fragment sb fragment;
           pattern = map_pattern sb pattern;
-          bind_driver;
-          bind_var;
-          bind_col;
+          bind;
         } )
 
 (* A composed view maps through its absorbed conditions and its

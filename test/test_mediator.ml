@@ -851,6 +851,356 @@ let test_compose_materialized () =
     (List.map Dtree.to_string (Med_exec.run cat query))
     (List.map Dtree.to_string served)
 
+(* ------------------------------------------------------------------ *)
+(* View bind joins                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Two relational sources behind the network simulator: [crm] holds
+   customers (a TEXT [code] like "007" next to the INT id) and regional
+   managers, [sales] holds orders, some with NULL or dangling customer
+   keys.  Views rename each table, and [cust_mgr] joins two of them, as
+   the benchmark's schema does. *)
+let order_rows =
+  List.init 90 (fun o ->
+      let cust = if o mod 9 = 0 then None else Some (1 + (o * 7 mod 33)) in
+      (1000 + o, cust, o * 37 mod 500))
+
+let bind_fixture ?(ncust = 30) ?(crm_up = true) ?(sales_up = true) () =
+  let crm = Rel_db.create ~name:"crm" () in
+  let sales = Rel_db.create ~name:"sales" () in
+  let exec db s = ignore (Rel_db.exec db s) in
+  exec crm "CREATE TABLE customers (id INT PRIMARY KEY, name TEXT, code TEXT, region TEXT, tier INT)";
+  exec crm "CREATE TABLE managers (region TEXT, manager TEXT)";
+  exec crm "INSERT INTO managers VALUES ('west', 'Ann'), ('east', 'Bo'), ('south', 'Cy')";
+  let regions = [| "west"; "east"; "south" |] in
+  exec crm
+    ("INSERT INTO customers VALUES "
+    ^ String.concat ", "
+        (List.init ncust (fun k ->
+             let i = k + 1 in
+             Printf.sprintf "(%d, 'cust%02d', '%03d', '%s', %d)" i i i regions.(i mod 3)
+               (1 + (i mod 4)))));
+  exec sales "CREATE TABLE orders (oid INT PRIMARY KEY, cust_id INT, amount INT)";
+  exec sales
+    ("INSERT INTO orders VALUES "
+    ^ String.concat ", "
+        (List.map
+           (fun (o, c, a) ->
+             Printf.sprintf "(%d, %s, %d)" o
+               (match c with Some c -> string_of_int c | None -> "NULL")
+               a)
+           order_rows));
+  let wrap up db =
+    Net_sim.wrap
+      { Net_sim.default_profile with Net_sim.availability = (if up then 1.0 else 0.0) }
+      (Rel_source.make db)
+  in
+  let crm_src, crm_stats = wrap crm_up crm in
+  let sales_src, sales_stats = wrap sales_up sales in
+  let cat = Med_catalog.create () in
+  Med_catalog.register_source cat crm_src;
+  Med_catalog.register_source cat sales_src;
+  Med_catalog.register_source cat
+    (Csv_source.make ~name:"legacy"
+       [ ("contacts", "cust,email\ncust03,c3@x.com\ncust07,c7@x.com\nzeta,z@x.com\n") ]);
+  Med_catalog.register_source cat
+    (Xml_source.of_xml_strings ~name:"docs"
+       [ ( "d",
+           {|<d><item sku="cust02"><price>5</price></item>
+                <item sku="cust06"><price><m><who>cust06</who><val>7</val></m></price></item></d>|}
+         ) ]);
+  define cat "cv"
+    {|WHERE <row><id>$i</id><name>$n</name><code>$k</code><region>$r</region><tier>$t</tier></row> IN "crm.customers"
+      CONSTRUCT <cu><cid>$i</cid><name>$n</name><code>$k</code><region>$r</region><tier>$t</tier></cu>|};
+  define cat "ov"
+    {|WHERE <row><oid>$o</oid><cust_id>$c</cust_id><amount>$a</amount></row> IN "sales.orders"
+      CONSTRUCT <ob><oid>$o</oid><cid>$c</cid><amount>$a</amount></ob>|};
+  define cat "mgr"
+    {|WHERE <row><region>$r</region><manager>$m</manager></row> IN "crm.managers"
+      CONSTRUCT <mg><region>$r</region><manager>$m</manager></mg>|};
+  define cat "cust_mgr"
+    {|WHERE <cu><cid>$i</cid><name>$n</name><region>$r</region></cu> IN "cv",
+            <mg><region>$r</region><manager>$m</manager></mg> IN "mgr"
+      CONSTRUCT <cm><cid>$i</cid><name>$n</name><manager>$m</manager></cm>|};
+  (cat, crm_stats, sales_stats)
+
+let engines =
+  [ Alg_batch.Tuple; Alg_batch.Batch { chunk = 4 }; Alg_batch.Parallel { domains = 2; chunk = 3 } ]
+
+(* Answers equal the reference under every engine. *)
+let agree_all cat query =
+  List.for_all
+    (fun mode ->
+      Med_catalog.set_exec_mode cat mode;
+      let ok = agree cat query && agree_ordered cat query in
+      Med_catalog.set_exec_mode cat Alg_batch.Tuple;
+      ok)
+    engines
+
+let analyze ?view_lookup cat query =
+  Med_exec.analysis_to_string (Med_exec.run_analyzed ?view_lookup cat query)
+
+(* A whole [key=value] cell of an EXPLAIN ANALYZE access line. *)
+let has_cell report cell = contains report (cell ^ " ") || contains report (cell ^ "]")
+
+(* The customer ⋈ orders shape of the benchmark's [cust_orders]. *)
+let cust_orders who =
+  q
+    (Printf.sprintf
+       {|WHERE <cu><cid>$c</cid><name>%s</name></cu> IN "cv",
+               <ob><oid>$o</oid><cid>$c</cid><amount>$a</amount></ob> IN "ov"
+         CONSTRUCT <r><o>$o</o><c>$c</c><a>$a</a></r> ORDER BY $o|}
+       who)
+
+let test_bind_driver_keys () =
+  List.iter
+    (fun (who, keys, label) ->
+      let cat, _, sales = bind_fixture () in
+      let query = cust_orders who in
+      check bool_t (label ^ ": the view is bound") true
+        (contains (explain cat query) "-> VIEW ov (composed): <ob><oid>$o</oid><cid>$c</cid><amount>$a</amount></ob> [narrowed by keys of a0.$c]");
+      Net_sim.reset sales;
+      let report = analyze cat query in
+      check bool_t (label ^ ": keys cell") true (has_cell report ("keys=" ^ keys));
+      (match keys with
+      | "0" -> check int_t "zero keys make no call" 0 sales.Net_sim.calls
+      | _ ->
+        check bool_t (label ^ ": ships fewer than the 90 orders") true
+          (sales.Net_sim.tuples_shipped < 90));
+      check bool_t (label ^ ": matches reference") true (agree_all cat query))
+    [ ({|"nobody"|}, "0", "no key"); ({|"cust05"|}, "1", "one key"); ("$n", "30", "many keys") ]
+
+let test_bind_cap () =
+  let cat, _, sales = bind_fixture ~ncust:1100 () in
+  let query = cust_orders "$n" in
+  Net_sim.reset sales;
+  let report = analyze cat query in
+  check bool_t "unbound past the cap" true (has_cell report "unbound=keys>1024");
+  check int_t "the whole table ships" 90 sales.Net_sim.tuples_shipped;
+  check bool_t "matches reference" true (agree_all cat query)
+
+(* Orders with a NULL customer key drive the customers view: NULL is
+   never a key. *)
+let test_bind_null_keys () =
+  let cat, _, _ = bind_fixture () in
+  let query =
+    q
+      {|WHERE <ob><oid>$o</oid><cid>$c</cid><amount>$a</amount></ob> IN "ov", $a < 120,
+              <cu><cid>$c</cid><name>$n</name></cu> IN "cv"
+        CONSTRUCT <r><o>$o</o><n>$n</n></r> ORDER BY $o|}
+  in
+  let expected =
+    List.sort_uniq compare
+      (List.filter_map (fun (_, c, a) -> if a < 120 then c else None) order_rows)
+  in
+  check bool_t "a NULL key is among the driver's rows" true
+    (List.exists (fun (_, c, a) -> a < 120 && c = None) order_rows);
+  check bool_t "the customers view is bound" true
+    (contains (explain cat query) "[narrowed by keys of a0.$c]");
+  check bool_t "distinct non-NULL keys" true
+    (has_cell (analyze cat query) (Printf.sprintf "keys=%d" (List.length expected)));
+  check bool_t "matches reference" true (agree_all cat query)
+
+(* A union view whose second definition reads a CSV export: only the
+   relational definition narrows. *)
+let test_bind_union_one_narrows () =
+  let cat, _, _ = bind_fixture () in
+  define cat "party"
+    {|WHERE <row><name>$n</name><tier>$t</tier></row> IN "crm.customers"
+      CONSTRUCT <pt><name>$n</name><src>"crm"</src></pt>
+      UNION
+      WHERE <row><cust>$n</cust></row> IN "legacy.contacts"
+      CONSTRUCT <pt><name>$n</name><src>"csv"</src></pt>|};
+  let query =
+    q
+      {|WHERE <cu><name>$n</name><tier>"4"</tier></cu> IN "cv",
+              <pt><name>$n</name><src>$s</src></pt> IN "party"
+        CONSTRUCT <r><n>$n</n><s>$s</s></r> ORDER BY $n, $s|}
+  in
+  let plan = explain cat query in
+  check bool_t "bound" true (contains plan "[narrowed by keys of a0.$n]");
+  check bool_t "matches reference" true (agree_all cat query);
+  check bool_t "csv contact joins" true
+    (List.exists (fun t -> contains (Dtree.to_string t) "csv") (Med_exec.run cat query))
+
+(* Definitions that bind the join variable to a literal, or to a value
+   that may carry element content, run unnarrowed beside a definition
+   that narrows. *)
+let test_bind_const_and_element () =
+  let cat, _, _ = bind_fixture () in
+  define cat "tagged"
+    {|WHERE <row><id>$i</id><name>$n</name></row> IN "crm.customers"
+      CONSTRUCT <tg><cid>$i</cid><name>$n</name></tg>
+      UNION
+      WHERE <row><name>$n</name><tier>"4"</tier></row> IN "crm.customers"
+      CONSTRUCT <tg><cid>"3"</cid><name>$n</name></tg>|};
+  let const_q =
+    q
+      {|WHERE <cu><cid>$c</cid><tier>"4"</tier></cu> IN "cv",
+              <tg><cid>$c</cid><name>$n</name></tg> IN "tagged"
+        CONSTRUCT <r><c>$c</c><n>$n</n></r> ORDER BY $c, $n|}
+  in
+  check bool_t "literal definition: bound" true
+    (contains (explain cat const_q) "[narrowed by keys of a0.$c]");
+  check bool_t "literal definition: matches reference" true (agree_all cat const_q);
+  define cat "mixed"
+    {|WHERE <row><name>$n</name><tier>$t</tier></row> IN "crm.customers"
+      CONSTRUCT <m><who>$n</who><val>$t</val></m>
+      UNION
+      WHERE <item sku=$s><price>$p</price></item> IN "docs.d"
+      CONSTRUCT <m><who>$s</who><val>$p</val></m>|};
+  let elem_q =
+    q
+      {|WHERE <cu><name>$n</name><tier>"3"</tier></cu> IN "cv",
+              <m><who>$n</who><val>$v</val></m> IN "mixed"
+        CONSTRUCT <r><n>$n</n><v>$v</v></r> ORDER BY $n, $v|}
+  in
+  check bool_t "element content: bound" true
+    (contains (explain cat elem_q) "[narrowed by keys of a0.$n]");
+  check bool_t "the nested match survives" true
+    (List.exists (fun t -> contains (Dtree.to_string t) "cust06") (Med_exec.run cat elem_q));
+  check bool_t "element content: matches reference" true (agree_all cat elem_q)
+
+(* TEXT codes such as "007" drive an INT column: "007" is not the text
+   of any INT, so the bound view ships unbound. *)
+let test_bind_noncanonical_key () =
+  let cat, _, sales = bind_fixture () in
+  let query =
+    q
+      {|WHERE <cu><code>$c</code><tier>"2"</tier></cu> IN "cv",
+              <ob><oid>$o</oid><cid>$c</cid></ob> IN "ov"
+        CONSTRUCT <r>$o</r>|}
+  in
+  check bool_t "bound at compile time" true
+    (contains (explain cat query) "[narrowed by keys of a0.$c]");
+  Net_sim.reset sales;
+  check bool_t "unbound at fetch time" true
+    (has_cell (analyze cat query) "unbound=non-canonical");
+  check int_t "the whole table ships" 90 sales.Net_sim.tuples_shipped;
+  check bool_t "matches reference" true (agree_all cat query)
+
+(* Two levels, as in the benchmark's [cust_mgr]: the view of views as the
+   driver, and as the bound side narrowed through its inner view. *)
+let test_bind_two_levels () =
+  let cat, crm, sales = bind_fixture () in
+  let driven =
+    q
+      {|WHERE <cm><cid>$c</cid><name>"cust07"</name><manager>$m</manager></cm> IN "cust_mgr",
+              <ob><oid>$o</oid><cid>$c</cid><amount>$a</amount></ob> IN "ov"
+        CONSTRUCT <p><o>$o</o><m>$m</m><a>$a</a></p> ORDER BY $a DESC, $o|}
+  in
+  check bool_t "orders bound to the view of views" true
+    (contains (explain cat driven) "[narrowed by keys of a0.$c]");
+  Net_sim.reset sales;
+  check bool_t "driven: one key" true (has_cell (analyze cat driven) "keys=1");
+  check bool_t "driven: a customer's orders ship" true (sales.Net_sim.tuples_shipped < 10);
+  check bool_t "driven: matches reference" true (agree_all cat driven);
+  let bound =
+    q
+      {|WHERE <ob><oid>$o</oid><cid>$c</cid><amount>"37"</amount></ob> IN "ov",
+              <cm><cid>$c</cid><name>$n</name><manager>$m</manager></cm> IN "cust_mgr"
+        CONSTRUCT <p><o>$o</o><n>$n</n><m>$m</m></p> ORDER BY $o|}
+  in
+  check bool_t "the view of views is bound" true
+    (contains (explain cat bound) "-> VIEW cust_mgr (composed): <cm><cid>$c</cid><name>$n</name><manager>$m</manager></cm> [narrowed by keys of a0.$c]");
+  Net_sim.reset crm;
+  ignore (Med_exec.run cat bound);
+  (* One order matches: the inner customers fetch narrows to its
+     customer, and the managers view, bound inside [cust_mgr] on the
+     region, to that customer's manager. *)
+  check int_t "bound: the inner fetches narrow" 2 crm.Net_sim.tuples_shipped;
+  check bool_t "bound: matches reference" true (agree_all cat bound)
+
+let test_bind_materialized () =
+  let cat, _, sales = bind_fixture () in
+  let store = Mat_store.create cat in
+  ignore (Mat_store.materialize store "ov");
+  let query = cust_orders {|"cust05"|} in
+  let view_lookup = Mat_store.lookup store in
+  Net_sim.reset sales;
+  let report = analyze ~view_lookup cat query in
+  check bool_t "the stored copy serves the view" true (has_cell report "unbound=materialized");
+  check int_t "no call to the view's source" 0 sales.Net_sim.calls;
+  check (Alcotest.list string_t) "same answer as the sources give"
+    (List.map Dtree.to_string (Med_exec.run cat query))
+    (List.map Dtree.to_string (Med_exec.run ~view_lookup cat query))
+
+(* The plan without its bind joins, at every level: what the optimizer
+   produced before views were bind-join targets. *)
+let rec without_binds (c : Med_planner.compiled) =
+  let strip (aid, (a : Med_planner.access)) =
+    ( aid,
+      match a with
+      | Med_planner.A_view r ->
+        Med_planner.A_view
+          { r with
+            bind = None;
+            composed =
+              Option.map
+                (fun (cp : Med_planner.composed) ->
+                  { cp with
+                    Med_planner.defs =
+                      List.map
+                        (fun (d : Med_planner.composed_def) ->
+                          { d with Med_planner.sub = without_binds d.Med_planner.sub })
+                        cp.Med_planner.defs })
+                r.composed }
+      | a -> a )
+  in
+  { c with Med_planner.accesses = List.map strip c.Med_planner.accesses }
+
+(* An offline driver, or an offline source under the bound view, fails a
+   strict query and is skipped in partial mode exactly as the unbound
+   plan does. *)
+let test_bind_offline () =
+  let outcome cat compiled partial =
+    if partial then
+      let r = Med_exec.run_compiled_partial cat compiled in
+      Ok (List.map Dtree.to_string r.Med_exec.trees, r.Med_exec.skipped_sources)
+    else
+      match Med_exec.run_compiled cat compiled with
+      | r -> Ok (List.map Dtree.to_string r.Med_exec.trees, [])
+      | exception Alg_exec.Source_unavailable s -> Error s
+      | exception Source.Unavailable s -> Error s
+  in
+  let show = function
+    | Ok (trees, skipped) ->
+      Printf.sprintf "ok %d trees, skipped [%s]" (List.length trees) (String.concat "; " skipped)
+    | Error s -> "unavailable " ^ s
+  in
+  List.iter
+    (fun (crm_up, sales_up, partial, expected) ->
+      let cat, _, _ = bind_fixture ~crm_up ~sales_up () in
+      let compiled = Med_planner.compile cat (cust_orders {|"cust05"|}) in
+      let label =
+        Printf.sprintf "crm %s, sales %s, %s" (if crm_up then "up" else "down")
+          (if sales_up then "up" else "down") (if partial then "partial" else "strict")
+      in
+      let bound = outcome cat compiled partial in
+      check string_t (label ^ ": as expected") expected (show bound);
+      check string_t (label ^ ": as the unbound plan") (show (outcome cat (without_binds compiled) partial))
+        (show bound))
+    [ (false, true, false, "unavailable crm");
+      (false, true, true, "ok 0 trees, skipped [crm]");
+      (true, false, false, "unavailable sales");
+      (true, false, true, "ok 0 trees, skipped [sales]");
+      (false, false, false, "unavailable sales");
+      (false, false, true, "ok 0 trees, skipped [sales; crm]") ]
+
+(* Narrowed fetches record feedback under the bound access's own key, so
+   recompiling with the feedback they left keeps the same plan. *)
+let test_bind_stable () =
+  let cat, _, _ = bind_fixture () in
+  let query = cust_orders {|"cust05"|} in
+  let plans =
+    List.init 3 (fun _ ->
+        Med_planner.explain (Med_exec.run_analyzed cat query).Med_exec.analyzed_compiled)
+  in
+  check bool_t "bound" true (contains (List.hd plans) "[narrowed by keys of a0.$c]");
+  List.iteri
+    (fun i p -> check string_t (Printf.sprintf "compile %d" (i + 2)) (List.hd plans) p)
+    (List.tl plans)
+
 (* Property: compiled pipeline agrees with the reference evaluator on
    random relational data for a fixed query family. *)
 let prop_compiled_equals_reference =
@@ -897,12 +1247,26 @@ let prop_compiled_equals_reference =
                  $i >= 3, $a < 800
             CONSTRUCT <hit><i>$i</i><a>$a</a></hit>|}
       in
+      (* Two views joined on the customer key: the orders view is a
+         bind join whose driver is however many customers hold a random
+         tier. *)
+      Med_catalog.define_view_text cat "ov"
+        {|WHERE <row><cust_id>$c</cust_id><amount>$a</amount></row> IN "crm.orders"
+          CONSTRUCT <ob><cid>$c</cid><amount>$a</amount></ob>|};
+      let view_join =
+        q
+          (Printf.sprintf
+             {|WHERE <cust><id>$i</id><tier>"%d"</tier></cust> IN "cust",
+                     <ob><cid>$i</cid><amount>$a</amount></ob> IN "ov"
+               CONSTRUCT <hit><i>$i</i><a>$a</a></hit>|}
+             (Prng.int g 4))
+      in
       List.for_all
         (fun query ->
           agree cat query
           && agree ~opts:Med_sqlgen.no_pushdown cat query
           && agree ~opts:Med_sqlgen.no_join_pushdown cat query)
-        [ query; through_views ])
+        [ query; through_views; view_join ])
 
 let () =
   let props = List.map QCheck_alcotest.to_alcotest [ prop_compiled_equals_reference ] in
@@ -963,6 +1327,19 @@ let () =
           Alcotest.test_case "element content" `Quick test_compose_element_content;
           Alcotest.test_case "partial mode, offline source" `Quick test_compose_partial_offline;
           Alcotest.test_case "materialized view" `Quick test_compose_materialized;
+        ] );
+      ( "view-bind",
+        [
+          Alcotest.test_case "driver with 0, 1 or many keys" `Quick test_bind_driver_keys;
+          Alcotest.test_case "more keys than the cap" `Quick test_bind_cap;
+          Alcotest.test_case "NULL keys" `Quick test_bind_null_keys;
+          Alcotest.test_case "union: one definition narrows" `Quick test_bind_union_one_narrows;
+          Alcotest.test_case "literal and element bindings" `Quick test_bind_const_and_element;
+          Alcotest.test_case "non-canonical key" `Quick test_bind_noncanonical_key;
+          Alcotest.test_case "two levels" `Quick test_bind_two_levels;
+          Alcotest.test_case "materialized bound side" `Quick test_bind_materialized;
+          Alcotest.test_case "offline sources" `Quick test_bind_offline;
+          Alcotest.test_case "stable across compiles" `Quick test_bind_stable;
         ] );
       ( "join-pushdown",
         [

@@ -482,6 +482,50 @@ let test_plan_cache_rebinds_through_views () =
   check bool_t "empty value plan = cold compile" true
     (empty = Med_planner.compile cat (Fe_lens.instantiate lens "in_region" [ ("region", "") ]))
 
+(* A lens query joining two views: the second view is a bind join on
+   the first, and a parametric hit rebinds the driver's literal while
+   the bind itself passes through. *)
+let test_plan_cache_rebinds_view_bind_join () =
+  let sys = fresh_system () in
+  let cat = Nimble.catalog sys in
+  Med_catalog.define_view_text cat "cust"
+    {|WHERE <row><id>$i</id><name>$n</name><region>$r</region></row> IN "crm.customers"
+      CONSTRUCT <cust><cid>$i</cid><name>$n</name><region>$r</region></cust>|};
+  Med_catalog.define_view_text cat "ord"
+    {|WHERE <row><cust_id>$c</cust_id><item>$it</item></row> IN "crm.orders"
+      CONSTRUCT <ord><cid>$c</cid><item>$it</item></ord>|};
+  let lens =
+    Fe_lens.make ~name:"buyers"
+      ~params:[ Fe_lens.param "region" Value.TString ]
+      [ ( "bought",
+          {|WHERE <cust><cid>$c</cid><name>$n</name><region>%region%</region></cust> IN "cust",
+                  <ord><cid>$c</cid><item>$it</item></ord> IN "ord"
+            CONSTRUCT <p><n>$n</n><it>$it</it></p> ORDER BY $n, $it|} ) ]
+  in
+  let pc = Srv_plancache.create cat in
+  let lookup region =
+    Srv_plancache.lookup pc ~lens ~query:"bought" ~args:[ ("region", region) ]
+  in
+  let render compiled =
+    List.map Dtree.to_string (Med_exec.run_compiled cat compiled).Med_exec.trees
+  in
+  let _, first_hit = lookup "west" in
+  check bool_t "first compiles" false first_hit;
+  List.iter
+    (fun region ->
+      let rebound, hit = lookup region in
+      check bool_t (region ^ " rebinds") true hit;
+      let cold =
+        Med_planner.compile cat (Fe_lens.instantiate lens "bought" [ ("region", region) ])
+      in
+      check bool_t (region ^ ": rebound plan = cold compile") true (rebound = cold);
+      check bool_t (region ^ ": the view is bound") true
+        (contains (Med_planner.explain rebound) "[narrowed by keys of a0.$c]");
+      check (Alcotest.list Alcotest.string) (region ^ ": answers = cold compile")
+        (render cold) (render rebound))
+    [ "east"; "west"; "north" ];
+  check int_t "no fallback" 0 (Srv_plancache.stats pc).fallbacks
+
 (* ------------------------------------------------------------------ *)
 (* Dispatch                                                            *)
 (* ------------------------------------------------------------------ *)
@@ -652,6 +696,8 @@ let () =
             test_plan_cache_inlines_nonrebindable;
           Alcotest.test_case "rebinds through composed views" `Quick
             test_plan_cache_rebinds_through_views;
+          Alcotest.test_case "rebinds a view bind join" `Quick
+            test_plan_cache_rebinds_view_bind_join;
         ] );
       ( "dispatch",
         [
