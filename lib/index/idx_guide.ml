@@ -117,7 +117,7 @@ let test_supported = function
 let pred_positionless = function
   | Xml_path.Position _ -> false
   | Xml_path.Has_attr _ | Xml_path.Attr_cmp _ | Xml_path.Child_exists _
-  | Xml_path.Child_cmp _ | Xml_path.Text_cmp _ -> true
+  | Xml_path.Child_cmp _ | Xml_path.Text_cmp _ | Xml_path.In_list _ -> true
 
 let supported (p : Xml_path.t) =
   let rec steps_ok = function
@@ -205,6 +205,8 @@ let ids_of_key t ~root key =
   | Some slot ->
     let lo, hi = t.ranges.(root) in
     slot_ids_in_range t slot lo hi
+
+let has_label t l = Array.exists (List.mem l) t.labels
 
 let all_ids_of_key t key =
   match Hashtbl.find_opt t.slot_by_key key with

@@ -45,6 +45,9 @@ val path_key : t -> int -> string
 (** Ids under a label-path key within one root, ascending. *)
 val ids_of_key : t -> root:int -> string -> int list
 
+(** Whether some element of the forest carries the label. *)
+val has_label : t -> string -> bool
+
 (** Ids under a label-path key across the whole forest, ascending. *)
 val all_ids_of_key : t -> string -> int list
 

@@ -315,23 +315,37 @@ let find_root tree =
   end
 
 (* The walker applies final-step predicates per candidate; replicate on
-   the Dtree side.  Position predicates never reach here — the guide
-   rejects them as unsupported. *)
-let node_pred_holds node p =
-  match p with
-  | Xml_path.Has_attr n -> Dtree.attr node n <> None
+   the Dtree side.  Each predicate becomes a test once per probe, so an
+   IN-list hashes its keys once, not per candidate.  Position predicates
+   never reach here — the guide rejects them as unsupported. *)
+let node_pred_holds = function
+  | Xml_path.Has_attr n -> fun node -> Dtree.attr node n <> None
   | Xml_path.Attr_cmp (n, op, rhs) -> (
-    match Dtree.attr node n with
-    | Some v -> Xml_path.compare_values op (Value.to_string v) rhs
-    | None -> false)
-  | Xml_path.Child_exists n -> Dtree.kids_named node n <> []
+    fun node ->
+      match Dtree.attr node n with
+      | Some v -> Xml_path.compare_values op (Value.to_string v) rhs
+      | None -> false)
+  | Xml_path.Child_exists n -> fun node -> Dtree.kids_named node n <> []
   | Xml_path.Child_cmp (n, op, rhs) ->
-    List.exists
-      (fun c -> Xml_path.compare_values op (Dtree.text c) rhs)
-      (Dtree.kids_named node n)
+    fun node ->
+      List.exists
+        (fun c -> Xml_path.compare_values op (Dtree.text c) rhs)
+        (Dtree.kids_named node n)
   | Xml_path.Text_cmp (op, rhs) ->
-    Xml_path.compare_values op (Dtree.text node) rhs
-  | Xml_path.Position _ -> false
+    fun node -> Xml_path.compare_values op (Dtree.text node) rhs
+  | Xml_path.Position _ -> fun _ -> false
+  | Xml_path.In_list { rel; attr; keys } ->
+    let mem = Xml_path.in_keys keys in
+    fun node ->
+      List.exists
+        (fun t ->
+          match attr with
+          | Some a -> (
+            match Dtree.attr t a with Some v -> mem (Value.to_string v) | None -> false)
+          | None -> mem (Dtree.text t))
+        (List.fold_left
+           (fun nodes name -> List.concat_map (fun n -> Dtree.kids_named n name) nodes)
+           [ node ] rel)
 
 (* Split a path into its structural part (guide-probeable) and the
    final step's predicates (checked per candidate). *)
@@ -407,11 +421,12 @@ let try_select tree path =
           | Some ids ->
             (* Re-check every predicate per node: idempotent for the one
                the value index answered, required for the rest. *)
+            let tests = List.map node_pred_holds preds in
             let out =
               List.filter_map
                 (fun id ->
                   let node = Idx_guide.node guide id in
-                  if List.for_all (node_pred_holds node) preds then
+                  if List.for_all (fun holds -> holds node) tests then
                     (* Same XML round-trip the walker's results take, so
                        answers are byte-identical. *)
                     Some (Dtree.of_xml_element (Dtree.to_xml_element node))
@@ -421,6 +436,16 @@ let try_select tree path =
             tick (match outcome with Value -> c_value_hits | Guide -> c_guide_hits);
             Some (out, outcome))
       end
+
+let lacks_label name label =
+  Atomic.get mode_a <> Off
+  &&
+  match Array.find_opt (fun e -> String.equal e.e_name name) (Atomic.get snap) with
+  | None -> false
+  | Some e -> (
+    match ensure_guide e with
+    | Some guide -> not (Idx_guide.has_label guide label)
+    | None -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Estimation                                                          *)

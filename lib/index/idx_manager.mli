@@ -68,6 +68,13 @@ type outcome = Value | Guide
     is outside the indexable subset — callers must then run the walker. *)
 val try_select : Dtree.t -> Xml_path.t -> (Dtree.t list * outcome) option
 
+(** [lacks_label name label] is true when no element of the forest
+    registered under [name] carries [label] — proven from its structural
+    guide, which it builds if indexing is on and the guide is not built
+    yet.  False whenever that cannot be proven: indexing is off or
+    nothing is registered under [name]. *)
+val lacks_label : string -> string -> bool
+
 (** Index-backed cardinality: exact matching-node count from [name]'s
     built guide, refined by a value probe when one applies and its index
     is already built.  [None] when unknown (no entry, guide not built,

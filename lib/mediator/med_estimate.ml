@@ -203,7 +203,7 @@ let table_rows stats ~source ~export =
    exactly (and value indexes refine predicate paths).  Consults only
    built indexes — estimation never triggers index construction. *)
 let path_rows ~source ~export path =
-  Idx_manager.estimate ("src:" ^ source ^ "/" ^ export) path
+  Idx_manager.estimate (Xml_source.idx_name source export) path
 
 let column_distinct stats ~source ~export ~column =
   match Med_stats.find stats ~source ~export with

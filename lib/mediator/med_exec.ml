@@ -155,63 +155,105 @@ let join_column (fragment : Med_sqlgen.join_fragment) out =
 
 let all_some xs = if List.for_all Option.is_some xs then Some (List.map Option.get xs) else None
 
+let all_ok xs =
+  List.fold_right (fun x acc -> Result.bind x (fun x -> Result.map (List.cons x) acc)) xs (Ok [])
+
+(* Whether no value an access binds can hold an element labelled [tag]:
+   SQL values are atoms (a row variable's [<row>] element aside), and an
+   XML store's documents are checked against their structural guide. *)
+let binds_no_element tag = function
+  | Med_planner.A_sql { fragment; _ } | Med_planner.A_sql_bind { fragment; _ } ->
+    fragment.Med_sqlgen.row_var = None
+  | Med_planner.A_sql_join _ -> true
+  | Med_planner.A_path { source_name; export; _ } | Med_planner.A_match { source_name; export; _ }
+    ->
+    Idx_manager.lacks_label (Xml_source.idx_name source_name export) tag
+  | Med_planner.A_view _ -> false
+
 (* A copy of [access] that fetches only the rows whose [v] is among
    [keys], without recompiling: every fragment reading [v] from a column
-   gains [col IN (keys)], and a composed view narrows each definition
+   gains [col IN (keys)], every path access binding [v] at a fixed site
+   gains [site in (keys)], and a composed view narrows each definition
    that binds [v] to an atom, recursively.  Accesses that do not narrow
-   on [v] come back unchanged.  [None] when a key is not canonical for a
-   narrowed column. *)
+   on [v] come back unchanged.  [Error reason] when the access must run
+   unbound: a key is not canonical for a narrowed column or path
+   (["non-canonical"]), or every definition that could narrow may hide
+   a deeper match in element content (["element-content"]). *)
 let rec narrow_access catalog v keys (access : Med_planner.access) =
-  let ( let* ) = Option.bind in
+  let ( let* ) = Result.bind in
+  let canonical x = Option.to_result ~none:"non-canonical" x in
   let narrowed_fragment source_name export (fragment : Med_sqlgen.fragment) =
     let col = List.assoc v fragment.Med_sqlgen.binds in
-    let* typed = typed_keys (column_type catalog ~source:source_name ~table:export col) keys in
-    Some (narrow_fragment fragment col typed)
+    let* typed =
+      canonical (typed_keys (column_type catalog ~source:source_name ~table:export col) keys)
+    in
+    Ok (narrow_fragment fragment col typed)
   in
-  if not (Med_planner.narrows_on access v) then Some access
+  if not (Med_planner.narrows_on access v) then Ok access
   else
     match access with
     | Med_planner.A_sql r ->
       let* fragment = narrowed_fragment r.source_name r.export r.fragment in
-      Some (Med_planner.A_sql { r with fragment })
+      Ok (Med_planner.A_sql { r with fragment })
     | Med_planner.A_sql_bind r ->
       let* fragment = narrowed_fragment r.source_name r.export r.fragment in
-      Some (Med_planner.A_sql_bind { r with fragment })
+      Ok (Med_planner.A_sql_bind { r with fragment })
     | Med_planner.A_sql_join r ->
       let* col, table, name =
-        join_column r.fragment (List.assoc v r.fragment.Med_sqlgen.jf_binds)
+        canonical (join_column r.fragment (List.assoc v r.fragment.Med_sqlgen.jf_binds))
       in
-      let* typed = typed_keys (column_type catalog ~source:r.source_name ~table name) keys in
+      let* typed =
+        canonical (typed_keys (column_type catalog ~source:r.source_name ~table name) keys)
+      in
       let jf_sql = narrow_select r.fragment.Med_sqlgen.jf_sql col typed in
-      Some
+      Ok
         (Med_planner.A_sql_join
            { r with
              fragment =
                { r.fragment with
                  Med_sqlgen.jf_sql;
                  jf_sql_text = Sql_print.select_to_string jf_sql } })
+    | Med_planner.A_path r -> (
+      match Med_pathgen.bind_site r.path r.pattern v with
+      | None -> Ok access
+      | Some site ->
+        let* texts = canonical (all_some (List.map Med_pathgen.key_text keys)) in
+        Ok (Med_planner.A_path { r with path = Med_pathgen.narrow r.path site texts }))
     | Med_planner.A_view ({ composed = Some c; _ } as r) ->
-      let* c = narrow_composed catalog v keys c in
-      Some (Med_planner.A_view { r with composed = Some c })
-    | Med_planner.A_view { composed = None; _ } | Med_planner.A_path _ | Med_planner.A_match _ ->
-      Some access
+      let* c = narrow_composed catalog r.pattern.Xq_ast.tag v keys c in
+      Ok (Med_planner.A_view { r with composed = Some c })
+    | Med_planner.A_view { composed = None; _ } | Med_planner.A_match _ -> Ok access
 
-and narrow_composed catalog v keys (c : Med_planner.composed) =
+(* Each definition binding [v] to an atom narrows its sub-plan on the
+   variable it maps [v] to.  One whose other variables may carry element
+   content (§16) narrows only when nothing its accesses read can hold an
+   element labelled [tag], the caller's root tag: a row the narrowing
+   drops could otherwise hold a deeper match binding [v] to a key.  Such
+   a definition runs unnarrowed beside the others. *)
+and narrow_composed catalog tag v keys (c : Med_planner.composed) =
   let defs =
     List.map
       (fun (d : Med_planner.composed_def) ->
+        let accesses = d.Med_planner.sub.Med_planner.accesses in
+        let narrow v' (aid, a) = Result.map (fun a -> (aid, a)) (narrow_access catalog v' keys a) in
         match Med_planner.def_var d v with
-        | None -> Some d
-        | Some v' ->
-          Option.map
-            (fun accesses -> { d with Med_planner.sub = { d.Med_planner.sub with accesses } })
-            (all_some
-               (List.map
-                  (fun (aid, a) -> Option.map (fun a -> (aid, a)) (narrow_access catalog v' keys a))
-                  d.Med_planner.sub.Med_planner.accesses)))
+        | Some v' when List.exists (fun (_, a) -> Med_planner.narrows_on a v') accesses ->
+          if d.Med_planner.element_vars <> []
+             && not (List.for_all (fun (_, a) -> binds_no_element tag a) accesses)
+          then Ok (d, `Refused)
+          else
+            Result.map
+              (fun accesses ->
+                ({ d with Med_planner.sub = { d.Med_planner.sub with accesses } }, `Narrowed))
+              (all_ok (List.map (narrow v') accesses))
+        | Some _ | None -> Ok (d, `Kept))
       c.Med_planner.defs
   in
-  Option.map (fun defs -> { c with Med_planner.defs }) (all_some defs)
+  Result.bind (all_ok defs) (fun defs ->
+      let outcomes = List.map snd defs in
+      if List.mem `Refused outcomes && not (List.mem `Narrowed outcomes) then
+        Error "element-content"
+      else Ok { c with Med_planner.defs = List.map fst defs })
 
 (* ------------------------------------------------------------------ *)
 (* Fragment cache plumbing                                             *)
@@ -301,15 +343,33 @@ let sem_plan catalog (src : Source.t) access =
       Some (mk fragment.Med_sqlgen.jf_sql fragment.Med_sqlgen.jf_sql_text exports)
     | _ -> None
 
-let access_select = function
-  | Med_planner.A_sql { fragment; _ } -> Some fragment.Med_sqlgen.sql
-  | Med_planner.A_sql_join { fragment; _ } -> Some fragment.Med_sqlgen.jf_sql
-  | _ -> None
+(* A path narrowed by no keys matches nothing, like [col IN ()]. *)
+let path_matches_nothing (path : Xml_path.t) =
+  List.exists
+    (fun (step : Xml_path.step) ->
+      List.exists
+        (function Xml_path.In_list { keys = []; _ } -> true | _ -> false)
+        step.Xml_path.preds)
+    path.Xml_path.steps
 
-(* Fetch one SQL access's raw result through both cache layers.  A
-   fragment narrowed by no keys matches nothing: it checks the source's
-   availability without a call, so strict and partial outcomes do not
+(* Whether an access was narrowed by no keys: it never ships. *)
+let ships_nothing = function
+  | Med_planner.A_sql { fragment; _ } -> matches_nothing fragment.Med_sqlgen.sql
+  | Med_planner.A_sql_join { fragment; _ } -> matches_nothing fragment.Med_sqlgen.jf_sql
+  | Med_planner.A_path { path; _ } -> path_matches_nothing path
+  | _ -> false
+
+(* What a fetch that matches nothing does instead of a call: it checks
+   the source's availability, so strict and partial outcomes do not
    depend on whether a bind join narrowed it. *)
+let require_available catalog (src : Source.t) =
+  if
+    not
+      (Src_retry.call_available (Med_catalog.retry catalog) ~source:src.Source.name
+         src.Source.is_available)
+  then raise (Source.Unavailable src.Source.name)
+
+(* Fetch one SQL access's raw result through both cache layers. *)
 let fetch_sql catalog (src : Source.t) access =
   let select, sql_text =
     match access with
@@ -319,12 +379,10 @@ let fetch_sql catalog (src : Source.t) access =
       (fragment.Med_sqlgen.jf_sql, fragment.Med_sqlgen.jf_sql_text)
     | _ -> fail "internal: not a SQL access"
   in
-  if matches_nothing select then
-    if
-      Src_retry.call_available (Med_catalog.retry catalog) ~source:src.Source.name
-        src.Source.is_available
-    then Source.R_rows ([], [])
-    else raise (Source.Unavailable src.Source.name)
+  if matches_nothing select then begin
+    require_available catalog src;
+    Source.R_rows ([], [])
+  end
   else
     match sem_plan catalog src access with
     | Some (Sem_rewrite.P_local r) -> r
@@ -393,6 +451,7 @@ type fetch_info = {
   fi_shared : bool;
   fi_cache_hits : int;
   fi_bind : bind_outcome option;
+  fi_idx : int * int * int;
 }
 
 type prefetched = {
@@ -447,19 +506,24 @@ let rec run_access catalog ~opts ~view_lookup access : Alg_env.t list =
     | Source.R_batch _ -> fail "unexpected batch result from %s" source_name)
   | Med_planner.A_path { source_name; export; path; pattern } -> (
     let src = Src_registry.find_exn (Med_catalog.registry catalog) source_name in
-    try
-      match
-        frag_fetch catalog src ~fragment:(frag_key_path export path)
-          (Source.Q_path (export, path))
-      with
-      | Source.R_trees candidates ->
-        (* Preselection is a superset; full matching verifies and binds. *)
-        List.concat_map (Xq_eval.match_pattern pattern) candidates
-      | Source.R_rows _ -> match_documents pattern (export_documents catalog src export)
-      | Source.R_batch _ -> fail "unexpected batch result from %s" source_name
-    with Source.Query_rejected _ ->
-      Obs_metrics.inc capability_fallbacks;
-      match_documents pattern (export_documents catalog src export))
+    if path_matches_nothing path then begin
+      require_available catalog src;
+      []
+    end
+    else
+      try
+        match
+          frag_fetch catalog src ~fragment:(frag_key_path export path)
+            (Source.Q_path (export, path))
+        with
+        | Source.R_trees candidates ->
+          (* Preselection is a superset; full matching verifies and binds. *)
+          List.concat_map (Xq_eval.match_pattern pattern) candidates
+        | Source.R_rows _ -> match_documents pattern (export_documents catalog src export)
+        | Source.R_batch _ -> fail "unexpected batch result from %s" source_name
+      with Source.Query_rejected _ ->
+        Obs_metrics.inc capability_fallbacks;
+        match_documents pattern (export_documents catalog src export))
   | Med_planner.A_match { source_name; export; pattern } ->
     let src = Src_registry.find_exn (Med_catalog.registry catalog) source_name in
     match_documents pattern (export_documents catalog src export)
@@ -643,11 +707,11 @@ and prefetch catalog ~opts ~view_lookup (compiled : Med_planner.compiled) =
           match access with
           (* Views stay lazy; bind joins resolve after their driver, in
              [resolve_binds] — prefetching one here would ship the
-             unbound fragment and defeat the optimizer's choice.  A
-             fragment narrowed by no keys never ships: it resolves at
-             pull time, through [fetch_sql]. *)
+             unbound fragment and defeat the optimizer's choice.  An
+             access narrowed by no keys never ships: it resolves at pull
+             time, through [fetch_sql] or [run_access]. *)
           | Med_planner.A_view _ | Med_planner.A_sql_bind _ -> None
-          | a when Option.fold ~none:false ~some:matches_nothing (access_select a) -> None
+          | a when ships_nothing a -> None
           | a -> Some a)
         compiled.Med_planner.accesses
     in
@@ -745,6 +809,7 @@ and prefetch catalog ~opts ~view_lookup (compiled : Med_planner.compiled) =
                         fi_shared = o.Fetch_sched.shared;
                         fi_cache_hits = cache_hits;
                         fi_bind = None;
+                        fi_idx = (0, 0, 0);
                       };
                   })
             entries
@@ -776,12 +841,22 @@ and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
   if not (List.exists (fun (_, a) -> bind_of a <> None) accesses) then buffer
   else begin
     let buf = match buffer with Some b -> b | None -> Hashtbl.create 8 in
-    let no_fetch = { fi_round = 0; fi_shared = false; fi_cache_hits = 0; fi_bind = None } in
-    let run access = try Ok (run_access catalog ~opts ~view_lookup access) with e -> Error e in
+    let no_fetch =
+      { fi_round = 0; fi_shared = false; fi_cache_hits = 0; fi_bind = None; fi_idx = (0, 0, 0) }
+    in
+    (* The fetch and the index probes it made, as (value, guide, miss)
+       deltas: EXPLAIN ANALYZE attributes them to the access, whose scan
+       later reads the buffer without probing. *)
+    let run access =
+      let g0, p0, m0 = Idx_manager.counters () in
+      let r = try Ok (run_access catalog ~opts ~view_lookup access) with e -> Error e in
+      let g1, p1, m1 = Idx_manager.counters () in
+      (r, (p1 - p0, g1 - g0, m1 - m0))
+    in
     let narrow access v keys =
       match access with
       | Med_planner.A_view { view; _ } when view_lookup view <> None -> Error "materialized"
-      | _ -> Option.to_result ~none:"non-canonical" (narrow_access catalog v keys (unbound access))
+      | _ -> narrow_access catalog v keys (unbound access)
     in
     let rec result aid =
       match List.assoc_opt aid accesses with
@@ -793,7 +868,9 @@ and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
         | None ->
           let r, info =
             match bind_of access with
-            | None -> (run access, no_fetch)
+            | None ->
+              let r, idx = run access in
+              (r, { no_fetch with fi_idx = idx })
             | Some { Med_planner.bind_driver; bind_var } ->
               let st = Frag_cache.stats (Med_catalog.frag_cache catalog) in
               let h0 = st.Frag_cache.frag_hits in
@@ -806,7 +883,7 @@ and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
                   | Some keys ->
                     Result.map (fun a -> (a, List.length keys)) (narrow access bind_var keys))
               in
-              let r, outcome =
+              let (r, idx), outcome =
                 match narrowed with
                 | Ok (a, n) -> (run a, Narrowed n)
                 | Error why -> (run (unbound access), Unbound why)
@@ -814,7 +891,8 @@ and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
               ( r,
                 { no_fetch with
                   fi_cache_hits = st.Frag_cache.frag_hits - h0;
-                  fi_bind = Some outcome } )
+                  fi_bind = Some outcome;
+                  fi_idx = idx } )
           in
           Hashtbl.replace buf key { pf_result = r; pf_info = info };
           r)
@@ -1141,7 +1219,11 @@ let run_analyzed ?(opts = Med_sqlgen.default_options) ?(view_lookup = no_lookup)
           stat_calls = calls;
           stat_rows = rows;
           stat_ms = ms;
-          stat_idx = idx;
+          stat_idx =
+            (let p, g, m = idx in
+             match fetch_info access with
+             | Some { fi_idx = p', g', m'; _ } -> (p + p', g + g', m + m')
+             | None -> idx);
           stat_retry = retry;
           stat_fetch = fetch_info access;
           stat_sem =

@@ -75,8 +75,10 @@ type bind_outcome =
       (** the access ran unbound, and why: ["driver-failed"],
           ["keys>1024"] (the {!Med_planner.max_bind_keys} cap),
           ["non-canonical"] (a key is not {!Med_planner.canonical_literal}
-          for a narrowed column) or ["materialized"] (a local copy served
-          the view) *)
+          for a narrowed column, or has no {!Med_pathgen.key_text} for a
+          narrowed path), ["element-content"] (every definition that
+          could narrow may hide a deeper match in element content) or
+          ["materialized"] (a local copy served the view) *)
 (** What a bind join ([A_sql_bind] or a bound [A_view]) did at fetch
     time. *)
 
@@ -85,6 +87,10 @@ type fetch_info = {
   fi_shared : bool;    (** served by another access's execution (dedup) *)
   fi_cache_hits : int; (** fragment-cache hits while fetching it *)
   fi_bind : bind_outcome option;  (** [Some] exactly on bound accesses *)
+  fi_idx : int * int * int;
+      (** (value probes, guide probes, walker fallbacks) the index
+          subsystem answered while a bind join or its driver was fetched
+          ahead of its scan; zero for gather-mode prefetches *)
 }
 (** How an access was fetched when the catalog's {!Fetch_sched.options}
     select gather mode, or when it was a bind join or a bind join's

@@ -1,3 +1,5 @@
+let distinct names = List.length (List.sort_uniq String.compare names) = List.length names
+
 let compile_pattern (p : Xq_ast.pattern) =
   if p.Xq_ast.tag = "*" then None
   else begin
@@ -37,3 +39,62 @@ let compile_pattern (p : Xq_ast.pattern) =
           ];
       }
   end
+
+(* ------------------------------------------------------------------ *)
+(* Bind keys on a path                                                 *)
+(* ------------------------------------------------------------------ *)
+
+type site = { rel : string list; attr : string option }
+
+(* The first place the pattern binds [v] as an attribute or as the sole
+   content of an element, with the child tags leading there from the
+   root.  Content shared with siblings (CONTENT_AS) and ELEMENT_AS are
+   not sites. *)
+let rec find_site rev_tags (q : Xq_ast.pattern) v =
+  match
+    List.find_map
+      (function a, Xq_ast.A_var w when w = v -> Some a | _ -> None)
+      q.Xq_ast.attrs
+  with
+  | Some a -> Some { rel = List.rev rev_tags; attr = Some a }
+  | None ->
+    List.find_map
+      (function
+        | Xq_ast.P_element sub -> (
+          let rev_tags = sub.Xq_ast.tag :: rev_tags in
+          match sub.Xq_ast.children with
+          | [ Xq_ast.P_var w ] when w = v -> Some { rel = List.rev rev_tags; attr = None }
+          | _ -> find_site rev_tags sub v)
+        | Xq_ast.P_var _ | Xq_ast.P_text _ -> None)
+      q.Xq_ast.children
+
+let positional (step : Xml_path.step) =
+  List.exists (function Xml_path.Position _ -> true | _ -> false) step.Xml_path.preds
+
+let bind_site (path : Xml_path.t) (p : Xq_ast.pattern) v =
+  match path.Xml_path.steps with
+  | [ step ] when not (positional step) -> (
+    match find_site [] p v with
+    | Some site ->
+      let tags = p.Xq_ast.tag :: site.rel in
+      if List.mem "*" tags || not (distinct tags) then None else Some site
+    | None -> None)
+  | _ -> None
+
+let key_text (k : Value.t) =
+  let s = Value.to_string k in
+  match k with
+  | Value.Null -> None
+  | Value.Float f -> (
+    match float_of_string_opt s with
+    | Some f' when Float.compare f f' = 0 -> Some s
+    | Some _ | None -> None)
+  | Value.Bool _ | Value.Int _ | Value.String _ | Value.Date _ ->
+    if String.trim s = "" then None else Some s
+
+let narrow (path : Xml_path.t) site keys =
+  match path.Xml_path.steps with
+  | [] -> path
+  | first :: rest ->
+    let preds = first.Xml_path.preds @ [ Xml_path.in_list ?attr:site.attr site.rel keys ] in
+    { path with Xml_path.steps = { first with Xml_path.preds } :: rest }

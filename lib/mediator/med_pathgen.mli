@@ -15,3 +15,39 @@
 
 val compile_pattern : Xq_ast.pattern -> Xml_path.t option
 (** [None] when no useful narrowing exists (wildcard tag). *)
+
+(** {1 Bind keys on a path}
+
+    A bind join narrows a path access to the candidates whose join
+    variable can equal one of the driver's keys, with one extra
+    predicate on the candidate step:
+    [category[product/@sku in ('S00012','S00513')]].  The soundness rule
+    is the one above, with the hash join's equality as the pattern: a
+    row the join keeps must satisfy the predicate. *)
+
+(** Where a pattern binds a variable: the child tags leading from the
+    pattern's root to the binding element, and the attribute read there
+    ([None]: the element's text). *)
+type site = { rel : string list; attr : string option }
+
+val bind_site : Xml_path.t -> Xq_ast.pattern -> string -> site option
+(** The site the pattern binds the variable at, when a path access over
+    the pattern can narrow on it: the path is one step selecting the
+    pattern's root (as {!compile_pattern} builds it) without a
+    [position()] predicate — a filter after a positional one is not the
+    same path — and the pattern binds the variable from an attribute
+    ([<product sku=$s>]) or from the sole content of an element
+    ([<sku>$s</sku>]) at a fixed child path whose tags, the root's
+    included, are distinct and not [*].  [ELEMENT_AS] bindings and
+    content shared with siblings are not sites. *)
+
+val key_text : Value.t -> string option
+(** The text a driver key ships as, when path equality on it is implied
+    by the join's: a row the join keeps holds the key's value, guessed
+    back from the text the path compares ([Value.of_string_guess]), or
+    an element whose text is the key's text.  [None] for NULL, for
+    floats whose text does not parse back to the same float, and for
+    blank text, which serialization drops from element content. *)
+
+val narrow : Xml_path.t -> site -> string list -> Xml_path.t
+(** The path with [site in (keys)] added to its first step. *)

@@ -319,8 +319,10 @@ let def_var (d : composed_def) v =
 
 (* The one eligibility test behind every bind join: a SQL fragment
    narrows on a variable it reads from a column (an IN-list filters that
-   column), a composed view on a variable some definition binds to an
-   atom that one of the definition's own accesses narrows on. *)
+   column), a path access on a variable its pattern binds at a fixed
+   site (an IN-list predicate filters the candidates), a composed view
+   on a variable some definition binds to an atom that one of the
+   definition's own accesses narrows on. *)
 let rec narrows_on access v =
   match access with
   | A_sql { fragment; _ } | A_sql_bind { fragment; _ } ->
@@ -329,6 +331,7 @@ let rec narrows_on access v =
     fragment.Med_sqlgen.sql.Sql_ast.limit = None
     && List.mem_assoc v fragment.Med_sqlgen.binds
   | A_sql_join { fragment; _ } -> List.mem_assoc v fragment.Med_sqlgen.jf_binds
+  | A_path { path; pattern; _ } -> Med_pathgen.bind_site path pattern v <> None
   | A_view { composed = Some c; _ } ->
     List.exists
       (fun d ->
@@ -336,7 +339,7 @@ let rec narrows_on access v =
         | Some v' -> List.exists (fun (_, a) -> narrows_on a v') d.sub.accesses
         | None -> false)
       c.defs
-  | A_view { composed = None; _ } | A_path _ | A_match _ -> false
+  | A_view { composed = None; _ } | A_match _ -> false
 
 (* Bind-join conversion under the DP optimizer: after it fixes an order,
    a large relational fragment joined to a small driver on a variable the
@@ -720,7 +723,9 @@ let rec compose_view ?feedback opts catalog (view : Med_catalog.view) (pattern :
       in
       let* binds, conds, literals = walk [] [] [] asks in
       let element_vars =
-        if atomic then [] else List.filter_map (function _, F_var v -> Some v | _ -> None) children
+        List.filter_map
+          (function _, F_var v when not (fact v).atomic -> Some v | _ -> None)
+          children
       in
       Some (def, binds, conds, literals, element_vars)
     end
@@ -1107,17 +1112,32 @@ let access_to_string (aid, access) =
 
 (* One line per access, and under a composed view the accesses of each
    specialized definition, two spaces deeper per level ([UNION] between
-   the definitions of a union view). *)
-let rec add_access_lines buf depth entry =
+   the definitions of a union view).  [narrowing] is the variable a bind
+   narrows this level on, with the bind: a path access it narrows ends
+   in the predicate the driver's keys will fill. *)
+let rec add_access_lines buf depth ?narrowing entry =
   Buffer.add_string buf (String.make (2 * depth) ' ');
   Buffer.add_string buf (access_to_string entry);
+  (match narrowing, snd entry with
+  | Some (v, { bind_driver; bind_var }), A_path { path; pattern; _ } -> (
+    match Med_pathgen.bind_site path pattern v with
+    | Some { Med_pathgen.rel; attr } ->
+      Buffer.add_string buf
+        (Printf.sprintf " [%s in keys of %s.$%s]" (Xml_path.in_target_to_string rel attr)
+           bind_driver bind_var)
+    | None -> ())
+  | _ -> ());
   Buffer.add_char buf '\n';
   match snd entry with
-  | A_view { composed = Some { defs; _ }; _ } ->
+  | A_view { composed = Some { defs; _ }; bind; _ } ->
+    let outer = match bind with Some b -> Some (b.bind_var, b) | None -> narrowing in
     List.iteri
       (fun i d ->
         if i > 0 then Buffer.add_string buf (String.make (2 * depth + 4) ' ' ^ "UNION\n");
-        List.iter (add_access_lines buf (depth + 1)) d.sub.accesses)
+        let narrowing =
+          Option.bind outer (fun (v, b) -> Option.map (fun v' -> (v', b)) (def_var d v))
+        in
+        List.iter (add_access_lines buf (depth + 1) ?narrowing) d.sub.accesses)
       defs
   | _ -> ()
 

@@ -63,8 +63,9 @@ type access =
           (** a bind join into the composed view (never on the tree
               path): each definition that binds [bind_var] to an atom
               runs on a copy of its sub-plan whose fragments reading
-              that atom carry [col IN (driver keys)]; the other
-              definitions run unnarrowed *)
+              that atom carry [col IN (driver keys)] and whose path
+              accesses binding it carry [site in (driver keys)]; the
+              other definitions run unnarrowed *)
     }
   | A_sql_bind of {
       source_name : string;
@@ -83,8 +84,9 @@ type access =
     the bound access (NULL keys never join), so answers are untouched —
     only shipped rows shrink.  When the driver fails, has more than
     {!max_bind_keys} distinct keys, or has a key that is not canonical
-    for a narrowed column ({!canonical_literal}), the executor runs the
-    access unbound instead. *)
+    for a narrowed column ({!canonical_literal}) or path
+    ({!Med_pathgen.key_text}), the executor runs the access unbound
+    instead. *)
 and bind = {
   bind_driver : string;  (** access id whose rows supply the keys *)
   bind_var : string;     (** join variable shared with the driver *)
@@ -197,8 +199,10 @@ val narrows_on : access -> string -> bool
     variable is among a set of keys: a SQL fragment (without a LIMIT)
     or a join fragment reading the variable from a column, or a composed
     view some definition of which maps the variable through {!def_var}
-    to a variable one of its sub-plan accesses narrows on.  The one
-    eligibility test behind every bind join. *)
+    to a variable one of its sub-plan accesses narrows on, or a path
+    access whose pattern binds the variable at a fixed site
+    ({!Med_pathgen.bind_site}).  The one eligibility test behind every
+    bind join. *)
 
 val estimated_rows :
   ?feedback:Obs_feedback.t -> ?stats:Med_stats.t -> access -> float
@@ -229,7 +233,9 @@ val explain : compiled -> string
     source; under the DP optimizer also the chosen order and its
     estimates.  A composed view's line is followed by its definitions'
     accesses, indented one level deeper; a bound view's line ends in
-    [[narrowed by keys of <driver>.$<var>]]. *)
+    [[narrowed by keys of <driver>.$<var>]], and each path access the
+    bind narrows beneath it in the predicate the keys will fill,
+    [[product/@sku in keys of <driver>.$<var>]]. *)
 
 val opt_info_to_string : opt_info -> string
 (** The one-line optimizer cell EXPLAIN and EXPLAIN ANALYZE print. *)

@@ -1,6 +1,10 @@
 (** XML document source: a named collection of documents supporting path
     selection pushdown. *)
 
+val idx_name : string -> string -> string
+(** [idx_name source doc] is the {!Idx_manager} entry a store registers
+    its document [doc] under: ["src:<source>/<doc>"]. *)
+
 val make : name:string -> (string * Dtree.t) list -> Source.t
 (** [make ~name docs] with [(doc_name, tree)] pairs.  Capability:
     select/path pushdown, no joins or aggregates. *)

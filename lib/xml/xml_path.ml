@@ -23,6 +23,7 @@ type pred =
   | Child_cmp of string * cmp_op * string
   | Text_cmp of cmp_op * string
   | Position of int
+  | In_list of { rel : string list; attr : string option; keys : string list }
 
 type step = {
   axis : axis;
@@ -84,18 +85,30 @@ let read_name st =
   if st.pos = start then pfail (Printf.sprintf "expected a name at offset %d" start);
   String.sub st.input start (st.pos - start)
 
+(* Inside a literal, the quote character doubled stands for itself. *)
 let read_string_lit st =
   let quote = peek st in
   if quote <> '\'' && quote <> '"' then pfail "expected a string literal";
   advance st;
-  let start = st.pos in
-  while st.pos < st.len && peek st <> quote do
-    advance st
-  done;
-  if st.pos >= st.len then pfail "unterminated string literal";
-  let s = String.sub st.input start (st.pos - start) in
-  advance st;
-  s
+  let buf = Buffer.create 16 in
+  let rec go () =
+    if st.pos >= st.len then pfail "unterminated string literal"
+    else begin
+      let c = peek st in
+      advance st;
+      if c <> quote then begin
+        Buffer.add_char buf c;
+        go ()
+      end
+      else if st.pos < st.len && peek st = quote then begin
+        Buffer.add_char buf quote;
+        advance st;
+        go ()
+      end
+    end
+  in
+  go ();
+  Buffer.contents buf
 
 let read_op st =
   skip_ws st;
@@ -142,6 +155,35 @@ let read_rhs st =
     String.sub st.input start (st.pos - start)
   end
 
+let in_list ?attr rel keys = In_list { rel; attr; keys = List.sort_uniq String.compare keys }
+
+(* [in] followed by a blank or the opening parenthesis, so a child named
+   [in] or [index] still reads as a name. *)
+let looking_at_in st =
+  looking_at st "in"
+  && (st.pos + 2 >= st.len
+     || (let c = st.input.[st.pos + 2] in
+         c = ' ' || c = '\t' || c = '('))
+
+let read_in_keys st =
+  eat st "in";
+  skip_ws st;
+  eat st "(";
+  skip_ws st;
+  let rec keys acc =
+    let k = read_rhs st in
+    skip_ws st;
+    if peek st = ',' then begin
+      advance st;
+      keys (k :: acc)
+    end
+    else List.rev (k :: acc)
+  in
+  let ks = if peek st = ')' then [] else keys [] in
+  skip_ws st;
+  eat st ")";
+  ks
+
 let read_pred st =
   eat st "[";
   skip_ws st;
@@ -151,6 +193,7 @@ let read_pred st =
       let name = read_name st in
       skip_ws st;
       if peek st = ']' then Has_attr name
+      else if looking_at_in st then in_list ~attr:name [] (read_in_keys st)
       else begin
         let op = read_op st in
         let rhs = read_rhs st in
@@ -159,9 +202,13 @@ let read_pred st =
     end
     else if looking_at st "text()" then begin
       eat st "text()";
-      let op = read_op st in
-      let rhs = read_rhs st in
-      Text_cmp (op, rhs)
+      skip_ws st;
+      if looking_at_in st then in_list [] (read_in_keys st)
+      else begin
+        let op = read_op st in
+        let rhs = read_rhs st in
+        Text_cmp (op, rhs)
+      end
     end
     else if looking_at st "position()" then begin
       eat st "position()";
@@ -175,12 +222,35 @@ let read_pred st =
     end
     else begin
       let name = read_name st in
-      skip_ws st;
-      if peek st = ']' then Child_exists name
+      if peek st = '/' then begin
+        (* A relative child path, optionally ending in an attribute:
+           only an IN-list tests one. *)
+        let rec rel acc =
+          if peek st = '/' then begin
+            advance st;
+            if peek st = '@' then begin
+              advance st;
+              let attr = read_name st in
+              (List.rev acc, Some attr)
+            end
+            else rel (read_name st :: acc)
+          end
+          else (List.rev acc, None)
+        in
+        let rel, attr = rel [ name ] in
+        skip_ws st;
+        if not (looking_at_in st) then pfail (Printf.sprintf "expected 'in' at offset %d" st.pos);
+        in_list ?attr rel (read_in_keys st)
+      end
       else begin
-        let op = read_op st in
-        let rhs = read_rhs st in
-        Child_cmp (name, op, rhs)
+        skip_ws st;
+        if peek st = ']' then Child_exists name
+        else if looking_at_in st then in_list [ name ] (read_in_keys st)
+        else begin
+          let op = read_op st in
+          let rhs = read_rhs st in
+          Child_cmp (name, op, rhs)
+        end
       end
     end
   in
@@ -315,13 +385,33 @@ let op_to_string = function
   | Gt -> ">"
   | Ge -> ">="
 
+(* Injective: single quotes unless the value holds one, then double
+   quotes unless it holds both, then single quotes with each one
+   doubled.  The rendering is the fragment cache's identity for a path,
+   so two literals must never print alike. *)
+let literal_to_string v =
+  if not (String.contains v '\'') then "'" ^ v ^ "'"
+  else if not (String.contains v '"') then "\"" ^ v ^ "\""
+  else "'" ^ String.concat "''" (String.split_on_char '\'' v) ^ "'"
+
+let in_target_to_string rel attr =
+  match rel, attr with
+  | [], None -> "text()"
+  | [], Some a -> "@" ^ a
+  | rel, None -> String.concat "/" rel
+  | rel, Some a -> String.concat "/" rel ^ "/@" ^ a
+
 let pred_to_string = function
   | Has_attr n -> Printf.sprintf "[@%s]" n
-  | Attr_cmp (n, op, v) -> Printf.sprintf "[@%s%s'%s']" n (op_to_string op) v
+  | Attr_cmp (n, op, v) -> Printf.sprintf "[@%s%s%s]" n (op_to_string op) (literal_to_string v)
   | Child_exists n -> Printf.sprintf "[%s]" n
-  | Child_cmp (n, op, v) -> Printf.sprintf "[%s%s'%s']" n (op_to_string op) v
-  | Text_cmp (op, v) -> Printf.sprintf "[text()%s'%s']" (op_to_string op) v
+  | Child_cmp (n, op, v) -> Printf.sprintf "[%s%s%s]" n (op_to_string op) (literal_to_string v)
+  | Text_cmp (op, v) -> Printf.sprintf "[text()%s%s]" (op_to_string op) (literal_to_string v)
   | Position k -> Printf.sprintf "[position()=%d]" k
+  | In_list { rel; attr; keys } ->
+    (* Sorted and deduplicated: one key set, one rendering. *)
+    Printf.sprintf "[%s in (%s)]" (in_target_to_string rel attr)
+      (String.concat "," (List.map literal_to_string (List.sort_uniq String.compare keys)))
 
 let step_to_string s =
   Printf.sprintf "%s::%s%s" (axis_to_string s.axis) (test_to_string s.test)
@@ -350,21 +440,57 @@ let compare_values op lhs rhs =
   | Gt -> c > 0
   | Ge -> c >= 0
 
-let pred_holds cursor position p =
-  let e = Xml_cursor.element cursor in
+(* [compare_values Eq v k] for some key [k], in one hash probe: a value
+   that parses as a float equals exactly the numeric keys of its value
+   (canonical bits, since [Float.compare] equates -0. with 0. and every
+   nan), and any other value exactly the identical non-numeric key. *)
+let in_keys keys =
+  let canonical f = if f = 0.0 then 0.0 else if Float.is_nan f then Float.nan else f in
+  let nums = Hashtbl.create 8 and strs = Hashtbl.create 8 in
+  List.iter
+    (fun k ->
+      match float_of_string_opt k with
+      | Some f -> Hashtbl.replace nums (Int64.bits_of_float (canonical f)) ()
+      | None -> Hashtbl.replace strs k ())
+    keys;
+  fun v ->
+    match float_of_string_opt v with
+    | Some f -> Hashtbl.mem nums (Int64.bits_of_float (canonical f))
+    | None -> Hashtbl.mem strs v
+
+let in_list_holds rel attr mem e =
+  let targets =
+    List.fold_left
+      (fun es name -> List.concat_map (fun e -> Xml_types.children_named e name) es)
+      [ e ] rel
+  in
+  List.exists
+    (fun t ->
+      match attr with
+      | Some a -> ( match Xml_types.attr t a with Some v -> mem v | None -> false)
+      | None -> mem (Xml_types.text_content t))
+    targets
+
+(* A predicate as a test over (candidate, position), built once per step
+   so an IN-list hashes its keys once, not per candidate. *)
+let pred_test p =
+  let on_element holds cursor _ = holds (Xml_cursor.element cursor) in
   match p with
-  | Has_attr n -> Xml_types.attr e n <> None
-  | Attr_cmp (n, op, rhs) -> (
-    match Xml_types.attr e n with
-    | Some v -> compare_values op v rhs
-    | None -> false)
-  | Child_exists n -> Xml_types.children_named e n <> []
+  | Has_attr n -> on_element (fun e -> Xml_types.attr e n <> None)
+  | Attr_cmp (n, op, rhs) ->
+    on_element (fun e ->
+        match Xml_types.attr e n with
+        | Some v -> compare_values op v rhs
+        | None -> false)
+  | Child_exists n -> on_element (fun e -> Xml_types.children_named e n <> [])
   | Child_cmp (n, op, rhs) ->
-    List.exists
-      (fun c -> compare_values op (Xml_types.text_content c) rhs)
-      (Xml_types.children_named e n)
-  | Text_cmp (op, rhs) -> compare_values op (Xml_types.text_content e) rhs
-  | Position k -> position = k
+    on_element (fun e ->
+        List.exists
+          (fun c -> compare_values op (Xml_types.text_content c) rhs)
+          (Xml_types.children_named e n))
+  | Text_cmp (op, rhs) -> on_element (fun e -> compare_values op (Xml_types.text_content e) rhs)
+  | Position k -> fun _ position -> position = k
+  | In_list { rel; attr; keys } -> on_element (in_list_holds rel attr (in_keys keys))
 
 let axis_candidates axis cursor =
   match axis with
@@ -386,15 +512,14 @@ let test_holds test cursor =
   | Attribute n -> Xml_types.attr e n <> None
 
 let eval_step step cursors =
+  let tests = List.map pred_test step.preds in
   List.concat_map
     (fun cursor ->
       let candidates = axis_candidates step.axis cursor in
       let named = List.filter (test_holds step.test) candidates in
       (* Predicates see positions within the candidate list for this
          context node, matching XPath's child-positional semantics. *)
-      List.filteri
-        (fun i c -> List.for_all (pred_holds c (i + 1)) step.preds)
-        named)
+      List.filteri (fun i c -> List.for_all (fun t -> t c (i + 1)) tests) named)
     cursors
 
 let dedup_in_order cursors =

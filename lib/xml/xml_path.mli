@@ -16,11 +16,14 @@
               | NAME (op STRING)?          (* child-element text compare  *)
               | "text()" op STRING
               | "position()" "=" INT
+              | target "in" "(" (STRING ("," STRING)* )? ")"
+      target ::= "text()" | "@" NAME | NAME ("/" NAME)* ("/@" NAME)?
       op    ::= "=" | "!=" | "<" | "<=" | ">" | ">="
     v}
     [//] before a step means the descendant axis.  String literals use
-    single or double quotes.  Comparisons are numeric when both sides
-    parse as numbers, string otherwise. *)
+    single or double quotes; inside one, the quote character doubled
+    stands for itself (['it''s']).  Comparisons are numeric when both
+    sides parse as numbers, string otherwise. *)
 
 type axis =
   | Child
@@ -47,6 +50,12 @@ type pred =
   | Child_cmp of string * cmp_op * string
   | Text_cmp of cmp_op * string
   | Position of int
+  | In_list of { rel : string list; attr : string option; keys : string list }
+      (** [[rel/@attr in ('k1','k2')]]: some element reached from the
+          candidate through the child path [rel] (the candidate itself
+          when empty) has attribute [attr] — or, without one, text —
+          equal to a key under {!compare_values}.  Build it with
+          {!in_list}, which sorts and deduplicates the keys. *)
 
 type step = {
   axis : axis;
@@ -64,13 +73,31 @@ exception Syntax_error of string
 val parse : string -> (t, string) result
 val parse_exn : string -> t
 
+val in_list : ?attr:string -> string list -> string list -> pred
+(** [in_list ?attr rel keys] is the [In_list] predicate with [keys]
+    sorted and deduplicated, as {!parse} returns it. *)
+
 val compare_values : cmp_op -> string -> string -> bool
 (** The comparison used by predicates: numeric when both sides parse as
     floats, string otherwise.  Exposed so index probes can replicate
     predicate semantics exactly. *)
 
+val in_keys : string list -> string -> bool
+(** [in_keys keys] is a membership test equivalent to
+    [fun v -> List.exists (compare_values Eq v) keys], with the keys
+    hashed once into a numeric and a string bucket, so each test costs
+    one probe. *)
+
 val to_string : t -> string
-(** Re-render a parsed path (canonical axis syntax). *)
+(** Re-render a parsed path (canonical axis syntax).  Injective on
+    literals, and [parse (to_string p) = Ok p] for every path [p] whose
+    names are names of the grammar and whose IN-lists are built by
+    {!in_list}: the rendering is the fragment cache's identity for a
+    pushed path. *)
+
+val in_target_to_string : string list -> string option -> string
+(** What an IN-list tests, as {!to_string} renders it:
+    [in_target_to_string ["product"] (Some "sku") = "product/@sku"]. *)
 
 (** {1 Evaluation} *)
 

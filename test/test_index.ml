@@ -124,6 +124,50 @@ let test_manager_try_select_equals_walker () =
   check bool_t "guide hits ticked" true (g > 0);
   check bool_t "value hits ticked" true (v > 0)
 
+(* The IN-list predicate a path bind join adds: the guide finds the
+   categories and the predicate filters them per node, exactly as the
+   walker does — numeric keys compare as numbers, a missing attribute
+   matches nothing, any of several children may match. *)
+let shelf () =
+  tree_of
+    {|<shelf><category name="a"><product sku="S1" n="1"><id>014</id></product><product sku="S2"/><product><id>7</id></product></category><category name="b"><product sku="it's" n="2.5"><id>x</id></product></category><category name="c"/></shelf>|}
+
+let test_manager_in_list_equals_walker () =
+  fresh ();
+  let t = shelf () in
+  Idx_manager.register "src:shop/shelf" [ t ];
+  let cases =
+    List.map
+      (fun (label, p, n) -> (label, p, n, Idx_manager.Guide))
+      [ ("no keys", "//category[product/@sku in ()]", 0);
+        ("one key", "//category[product/@sku in ('S2')]", 1);
+        ("many keys", "//category[product/@sku in ('S1','it''s','S9')]", 2);
+        (* The parsed tree holds <id>014</id> as the INT 14. *)
+        ("'014' equals 14", "//category[product/id in ('014')]", 1);
+        ("'7.0' equals 7", "//category[product/id in ('7.0')]", 1);
+        ("x is no number", "//category[product/id in ('x','0')]", 1);
+        ("1.0 equals 1", "//category[product/@n in ('1.0')]", 1);
+        ("2.50 equals 2.5", "//category[product/@n in ('2.50','3')]", 1);
+        ("a missing attribute matches no key", "//category[product/@n in ('')]", 0);
+        ("repeated products: any one matches", "//category[product/id in ('7')]", 1);
+        ("a key holding a quote", {|//category[product/@sku in ("it's")]|}, 1);
+        ("the candidate's own attribute", "//product[@sku in ('S1','S2')]", 2) ]
+    (* An [=] beside the IN-list takes a value probe; the list filters. *)
+    @ [ ("with an equality", "//category[@name='a'][product/@sku in ('it''s')]", 0, Idx_manager.Value) ]
+  in
+  List.iter
+    (fun (label, p, expected, probe) ->
+      let p = path p in
+      match Idx_manager.try_select t p with
+      | None -> Alcotest.failf "%s: the guide should answer" label
+      | Some (got, outcome) ->
+        check bool_t (label ^ ": probe kind") true (outcome = probe);
+        check string_t (label ^ ": byte-identical with walker") (render (walker t p)) (render got);
+        check int_t (label ^ ": matches") expected (List.length got))
+    cases;
+  let _, _, misses = Idx_manager.counters () in
+  check int_t "the walker never ran" 0 misses
+
 let test_manager_off_and_unregistered () =
   fresh ();
   let t = doc () in
@@ -187,12 +231,23 @@ let catalog_xml g nprod =
   Buffer.add_string buf "</catalog>";
   Buffer.contents buf
 
+(* The last two join a driver to views over path accesses: bind joins
+   that ship the driver's skus as an IN-list.  [sk]'s values are atoms,
+   so it narrows with indexing off as well (the walker evaluates the
+   predicate); [pc] carries element content and narrows only when the
+   store's guide proves its root tag absent. *)
 let queries =
   [|
     {|WHERE <product sku=$s><price>$p</price></product> IN "products.catalog", $p < 50
       CONSTRUCT <r><s>$s</s><p>$p</p></r>|};
     {|WHERE <r><s>$s</s><p>$p</p></r> IN "cheap"
       CONSTRUCT <x>$s</x>|};
+    {|WHERE <product sku=$s><cat>"tools"</cat><price>$p</price></product> IN "products.catalog", $p < 60,
+            <sk><sku>$s</sku></sk> IN "sk"
+      CONSTRUCT <x>$s</x>|};
+    {|WHERE <product sku=$s><cat>"infra"</cat></product> IN "products.catalog",
+            <pc><sku>$s</sku><price>$q</price></pc> IN "pc"
+      CONSTRUCT <x><s>$s</s><q>$q</q></x>|};
   |]
 
 let engine_of = function
@@ -231,6 +286,11 @@ let prop_indexed_equals_unindexed =
         Med_catalog.define_view_text cat "cheap"
           {|WHERE <product sku=$s><price>$p</price></product> IN "products.catalog", $p < 40
             CONSTRUCT <r><s>$s</s><p>$p</p></r>|};
+        Med_catalog.define_view_text cat "sk"
+          {|WHERE <product sku=$s/> IN "products.catalog" CONSTRUCT <sk><sku>$s</sku></sk>|};
+        Med_catalog.define_view_text cat "pc"
+          {|WHERE <catalog><product sku=$s><price>$p</price></product></catalog> IN "products.catalog"
+            CONSTRUCT <pc><sku>$s</sku><price>$p</price></pc>|};
         Med_catalog.set_exec_mode cat (engine_of engine);
         let store = Mat_store.create cat in
         ignore (Mat_store.materialize store "cheap");
@@ -285,6 +345,8 @@ let () =
           Alcotest.test_case "estimate never builds" `Quick
             test_manager_estimate_never_builds;
           Alcotest.test_case "is_registered" `Quick test_manager_is_registered;
+          Alcotest.test_case "in-list predicate = walker" `Quick
+            test_manager_in_list_equals_walker;
         ] );
       ("equivalence", qsuite);
     ]

@@ -197,6 +197,26 @@ let test_compiled_reference_agreement_whole_scenario () =
       {|WHERE <customer><key>$k</key></customer> IN "all_customers" CONSTRUCT <k>$k</k> ORDER BY $k DESC LIMIT 3|};
     ]
 
+(* The fragment cache keys a pushed path by its rendering.  A literal
+   holding quotes and brackets must not print like two predicates: here
+   the first query's empty answer would otherwise serve the second. *)
+let test_path_literal_cache_identity () =
+  let q1 =
+    {|WHERE <category name="x'][@id='y"><p>$p</p></category> IN "shelf.doc" CONSTRUCT <p>$p</p>|}
+  in
+  let q2 = {|WHERE <category name="x" id="y"><p>$p</p></category> IN "shelf.doc" CONSTRUCT <p>$p</p>|} in
+  let answers queries =
+    let sys = Nimble.create ~frag_capacity:64 () in
+    ok
+      (Nimble.register_source sys
+         (Xml_source.of_xml_strings ~name:"shelf"
+            [ ("doc", {|<doc><category name="x" id="y"><p>B</p></category></doc>|}) ]));
+    List.map (fun q -> List.map Dtree.to_string (ok (Nimble.query sys q))) queries
+  in
+  let fresh = answers [ q2 ] in
+  check bool_t "a fresh system answers q2" true (List.hd fresh <> []);
+  check bool_t "q2 after q1 answers as fresh" true (List.nth (answers [ q1; q2 ]) 1 = List.hd fresh)
+
 let () =
   Alcotest.run "integration"
     [
@@ -205,5 +225,7 @@ let () =
           Alcotest.test_case "full scenario" `Quick test_full_walkthrough;
           Alcotest.test_case "oracle agreement across the federation" `Quick
             test_compiled_reference_agreement_whole_scenario;
+          Alcotest.test_case "path literals keep fragment identities apart" `Quick
+            test_path_literal_cache_identity;
         ] );
     ]

@@ -1201,6 +1201,257 @@ let test_bind_stable () =
     (fun i p -> check string_t (Printf.sprintf "compile %d" (i + 2)) (List.hd plans) p)
     (List.tl plans)
 
+(* ------------------------------------------------------------------ *)
+(* Path bind joins                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The benchmark's [store_month] shape at test size: [till] sells lines
+   by sku, [shelf] is an XML catalog of six categories of four products
+   each (S01..S24, dealt round-robin), both behind the network
+   simulator.  Lines reference skus up to S30, so some never join.  The
+   [prod] view reads the catalog through a path access; its name and
+   price may carry element content.  [extra] adds categories. *)
+let path_fixture ?(nlines = 40) ?(shelf_up = true) ?(extra = "") () =
+  let till = Rel_db.create ~name:"till" () in
+  let exec s = ignore (Rel_db.exec till s) in
+  exec "CREATE TABLE sales (sid INT PRIMARY KEY, store INT, sku TEXT, weight FLOAT)";
+  exec
+    ("INSERT INTO sales VALUES "
+    ^ String.concat ", "
+        (List.init nlines (fun k ->
+             let i = k + 1 in
+             let sku = if nlines > 100 then i else 1 + (i * 7 mod 30) in
+             Printf.sprintf "(%d, %d, 'S%02d', %s)" i (i mod 5) sku
+               (if i mod 4 = 0 then "1234567.5" else "2.5"))));
+  let catalog =
+    "<catalog>"
+    ^ String.concat ""
+        (List.init 6 (fun c ->
+             Printf.sprintf {|<category name="c%d">%s</category>|} (c + 1)
+               (String.concat ""
+                  (List.init 4 (fun k ->
+                       let p = (k * 6) + c + 1 in
+                       Printf.sprintf
+                         {|<product sku="S%02d" w="%s"><name>item %d</name><price>%d</price></product>|}
+                         p (if p mod 4 = 0 then "2.5" else "1.5") p (p * 3))))))
+    ^ extra ^ "</catalog>"
+  in
+  let till_src, _ = Net_sim.wrap Net_sim.default_profile (Rel_source.make till) in
+  let shelf_src, shelf_stats =
+    Net_sim.wrap
+      { Net_sim.default_profile with Net_sim.availability = (if shelf_up then 1.0 else 0.0) }
+      (Xml_source.of_xml_strings ~name:"shelf" [ ("catalog", catalog) ])
+  in
+  let cat = Med_catalog.create () in
+  Med_catalog.register_source cat till_src;
+  Med_catalog.register_source cat shelf_src;
+  define cat "sold"
+    {|WHERE <row><sid>$i</sid><store>$st</store><sku>$s</sku><weight>$w</weight></row> IN "till.sales"
+      CONSTRUCT <sd><sid>$i</sid><store>$st</store><sku>$s</sku><w>$w</w></sd>|};
+  define cat "prod"
+    {|WHERE <category name=$c><product sku=$s><name>$n</name><price>$p</price></product></category> IN "shelf.catalog"
+      CONSTRUCT <pv><sku>$s</sku><cat>$c</cat><name>$n</name><price>$p</price></pv>|};
+  (cat, shelf_stats)
+
+(* Lines of the sales the [driver] pattern's children select, joined to
+   the products on sku. *)
+let lines driver =
+  q
+    (Printf.sprintf
+       {|WHERE <sd>%s<sku>$s</sku></sd> IN "sold",
+               <pv><sku>$s</sku><name>$n</name><price>$p</price></pv> IN "prod"
+         CONSTRUCT <line><sid>$i</sid><sku>$s</sku><name>$n</name><price>$p</price></line>
+         ORDER BY $i, $n|}
+       driver)
+
+let test_path_bind_keys () =
+  List.iter
+    (fun (driver, keys, label) ->
+      let cat, shelf = path_fixture () in
+      let query = lines driver in
+      let plan = explain cat query in
+      check bool_t (label ^ ": the view is bound") true
+        (contains plan "-> VIEW prod (composed): <pv><sku>$s</sku><name>$n</name><price>$p</price></pv> [narrowed by keys of a0.$s]");
+      check bool_t (label ^ ": the path shows its IN-list") true
+        (contains plan "[product/@sku in keys of a0.$s]");
+      Net_sim.reset shelf;
+      let report = analyze cat query in
+      check bool_t (label ^ ": keys cell") true (has_cell report ("keys=" ^ keys));
+      let bound_nodes = shelf.Net_sim.tuples_shipped in
+      (match keys with
+      | "0" ->
+        check int_t "zero keys make no call" 0 shelf.Net_sim.calls;
+        check bool_t "and no index probe" false (contains report "idx=")
+      | _ ->
+        check bool_t (label ^ ": the guide answers") true
+          (has_cell report "idx=probe:0/guide:1/miss:0");
+        Net_sim.reset shelf;
+        ignore (Med_exec.run_compiled cat (without_binds (Med_planner.compile cat query)));
+        (* Every category holds a product among 30 keys. *)
+        let unbound_nodes = shelf.Net_sim.tuples_shipped in
+        check bool_t (label ^ ": ships fewer nodes than unbound") true
+          (if keys = "30" then bound_nodes = unbound_nodes else bound_nodes < unbound_nodes));
+      check bool_t (label ^ ": matches reference") true (agree_all cat query))
+    [ ({|<sid>$i</sid><store>"9"</store>|}, "0", "no key");
+      ({|<sid>"3"</sid>|}, "1", "one key");
+      ({|<sid>$i</sid><store>"2"</store>|}, "6", "several keys");
+      ("<sid>$i</sid>", "30", "many keys") ]
+
+let test_path_bind_cap () =
+  let cat, shelf = path_fixture ~nlines:1100 () in
+  let query = lines "<sid>$i</sid>" in
+  Net_sim.reset shelf;
+  check bool_t "unbound past the cap" true (has_cell (analyze cat query) "unbound=keys>1024");
+  check int_t "one call" 1 shelf.Net_sim.calls;
+  check bool_t "matches reference" true (agree_all cat query)
+
+(* A FLOAT key whose text does not parse back to the same float (the
+   text of 1234567.5 is "1.23457e+06") could drop rows the join keeps:
+   among the weights 2.5 and 1234567.5, the view ships unbound. *)
+let test_path_bind_noncanonical_key () =
+  let cat, _ = path_fixture () in
+  define cat "wprod"
+    {|WHERE <category><product sku=$s w=$w/></category> IN "shelf.catalog"
+      CONSTRUCT <pw><sku>$s</sku><w>$w</w></pw>|};
+  let query =
+    q
+      {|WHERE <sd><sid>$i</sid><w>$w</w></sd> IN "sold", <pw><sku>$s</sku><w>$w</w></pw> IN "wprod"
+        CONSTRUCT <x><i>$i</i><s>$s</s></x> ORDER BY $i, $s|}
+  in
+  check bool_t "bound at compile time" true
+    (contains (explain cat query) "[narrowed by keys of a0.$w]");
+  check bool_t "unbound at fetch time" true
+    (has_cell (analyze cat query) "unbound=non-canonical");
+  check bool_t "2.5 joins" true (Med_exec.run cat query <> []);
+  check bool_t "matches reference" true (agree_all cat query)
+
+(* An offline catalog fails a strict query and is skipped in partial
+   mode exactly as the unbound plan does, with or without keys. *)
+let test_path_bind_offline () =
+  let outcome cat compiled partial =
+    if partial then
+      let r = Med_exec.run_compiled_partial cat compiled in
+      Ok (List.length r.Med_exec.trees, r.Med_exec.skipped_sources)
+    else
+      match Med_exec.run_compiled cat compiled with
+      | r -> Ok (List.length r.Med_exec.trees, [])
+      | exception Alg_exec.Source_unavailable s -> Error s
+      | exception Source.Unavailable s -> Error s
+  in
+  let show = function
+    | Ok (n, skipped) -> Printf.sprintf "ok %d trees, skipped [%s]" n (String.concat "; " skipped)
+    | Error s -> "unavailable " ^ s
+  in
+  List.iter
+    (fun (driver, partial, expected) ->
+      let cat, _ = path_fixture ~shelf_up:false () in
+      let compiled = Med_planner.compile cat (lines driver) in
+      let label = Printf.sprintf "%s, %s" driver (if partial then "partial" else "strict") in
+      let bound = outcome cat compiled partial in
+      check string_t (label ^ ": as expected") expected (show bound);
+      check string_t (label ^ ": as the unbound plan")
+        (show (outcome cat (without_binds compiled) partial))
+        (show bound))
+    [ ({|<sid>"3"</sid>|}, false, "unavailable shelf");
+      ({|<sid>"3"</sid>|}, true, "ok 0 trees, skipped [shelf]");
+      ({|<sid>$i</sid><store>"9"</store>|}, false, "unavailable shelf");
+      ({|<sid>$i</sid><store>"9"</store>|}, true, "ok 0 trees, skipped [shelf]") ]
+
+let test_path_bind_materialized () =
+  let cat, shelf = path_fixture () in
+  let store = Mat_store.create cat in
+  ignore (Mat_store.materialize store "prod");
+  let query = lines {|<sid>"3"</sid>|} in
+  let view_lookup = Mat_store.lookup store in
+  Net_sim.reset shelf;
+  check bool_t "the stored copy serves the view" true
+    (has_cell (analyze ~view_lookup cat query) "unbound=materialized");
+  check int_t "no call to the catalog" 0 shelf.Net_sim.calls;
+  check (Alcotest.list string_t) "same answer as the sources give"
+    (List.map Dtree.to_string (Med_exec.run cat query))
+    (List.map Dtree.to_string (Med_exec.run ~view_lookup cat query))
+
+(* A product whose name holds a [<pv>] element: matching the view's
+   instantiated tree finds a deeper match there, for a sku the product
+   itself does not carry.  Narrowing on the product's own sku would drop
+   it, so the view ships unbound — as it must when indexing is off and
+   the guide cannot prove the tag absent. *)
+let test_path_bind_element_content () =
+  let inner = {|<pv><sku>S03</sku><name>inner</name><price>1</price></pv>|} in
+  let cat, _ =
+    path_fixture
+      ~extra:(Printf.sprintf {|<category name="odd"><product sku="S99"><name>%s</name><price>0</price></product></category>|} inner)
+      ()
+  in
+  let query = lines {|<sid>$i</sid><store>"1"</store>|} in
+  check bool_t "S03 is among the keys" true
+    (List.exists (fun t -> contains (Dtree.to_string t) "S03") (Med_exec.run cat query));
+  check bool_t "unbound for element content" true
+    (has_cell (analyze cat query) "unbound=element-content");
+  check bool_t "the deeper match survives" true
+    (List.exists (fun t -> contains (Dtree.to_string t) "inner") (Med_exec.run cat query));
+  check bool_t "matches reference" true (agree_all cat query);
+  let cat, _ = path_fixture () in
+  Idx_manager.set_mode Idx_manager.Off;
+  let report = analyze cat query in
+  let ok = agree_all cat query in
+  Idx_manager.set_mode Idx_manager.Auto;
+  check bool_t "indexing off: no proof, unbound" true (has_cell report "unbound=element-content");
+  check bool_t "indexing off: matches reference" true ok
+
+(* Definitions that bind the join variable some way no path predicate
+   implies stay unbound, and answer like the reference. *)
+let test_path_bind_ineligible () =
+  let cat, _ = path_fixture () in
+  List.iter
+    (fun (name, def) ->
+      define cat name
+        (def ^ {| IN "shelf.catalog" CONSTRUCT <pv><sku>$s</sku><name>$n</name><price>$p</price></pv>|});
+      let query =
+        q
+          (Printf.sprintf
+             {|WHERE <sd><sid>$i</sid><store>"2"</store><sku>$s</sku></sd> IN "sold",
+                     <pv><sku>$s</sku><name>$n</name><price>$p</price></pv> IN "%s"
+               CONSTRUCT <line><sid>$i</sid><name>$n</name></line> ORDER BY $i, $n|}
+             name)
+      in
+      check bool_t (name ^ ": unbound") false (contains (explain cat query) "narrowed by keys");
+      check bool_t (name ^ ": matches reference") true (agree_all cat query))
+    [ ("element_as", {|WHERE <product><name>$n</name><price>$p</price></product> ELEMENT_AS $s|});
+      ("content_as", {|WHERE <product><name>$n</name><price>$p</price>$s</product>|});
+      ("repeated_tag", {|WHERE <product><name>$n</name><price>$p</price><product sku=$s/></product>|}) ];
+  (* The eligibility test itself, on path accesses compiled from
+     patterns: the sites above are refused, and so is a positional path. *)
+  let access pattern =
+    match (Med_planner.compile cat (q (pattern ^ {| IN "shelf.catalog" CONSTRUCT <x/>|}))).Med_planner.accesses with
+    | [ (_, (Med_planner.A_path _ as a)) ] -> a
+    | _ -> Alcotest.fail "expected one path access"
+  in
+  List.iter
+    (fun (pattern, v, expected) ->
+      check bool_t (pattern ^ " narrows on $" ^ v) expected
+        (Med_planner.narrows_on (access pattern) v))
+    [ ({|WHERE <category><product sku=$s/></category>|}, "s", true);
+      ({|WHERE <category><product><sku>$s</sku></product></category>|}, "s", true);
+      ({|WHERE <product sku=$s/>|}, "s", true);
+      ({|WHERE <category><product/> ELEMENT_AS $s</category>|}, "s", false);
+      ({|WHERE <category><product><sku>$k</sku>$s</product></category>|}, "s", false);
+      ({|WHERE <category><category sku=$s/></category>|}, "s", false);
+      ({|WHERE <category><*><sku>$s</sku></*></category>|}, "s", false);
+      ({|WHERE <category><product sku=$k/></category>|}, "s", false) ];
+  match access {|WHERE <category><product sku=$s/></category>|} with
+  | Med_planner.A_path r ->
+    let positional =
+      List.map
+        (fun (st : Xml_path.step) -> { st with Xml_path.preds = st.Xml_path.preds @ [ Xml_path.Position 1 ] })
+        r.path.Xml_path.steps
+    in
+    check bool_t "a position() path does not narrow" false
+      (Med_planner.narrows_on
+         (Med_planner.A_path { r with path = { r.path with Xml_path.steps = positional } })
+         "s")
+  | _ -> ()
+
 (* Property: compiled pipeline agrees with the reference evaluator on
    random relational data for a fixed query family. *)
 let prop_compiled_equals_reference =
@@ -1340,6 +1591,16 @@ let () =
           Alcotest.test_case "materialized bound side" `Quick test_bind_materialized;
           Alcotest.test_case "offline sources" `Quick test_bind_offline;
           Alcotest.test_case "stable across compiles" `Quick test_bind_stable;
+        ] );
+      ( "path-bind",
+        [
+          Alcotest.test_case "driver with 0, 1 or many keys" `Quick test_path_bind_keys;
+          Alcotest.test_case "more keys than the cap" `Quick test_path_bind_cap;
+          Alcotest.test_case "non-canonical key" `Quick test_path_bind_noncanonical_key;
+          Alcotest.test_case "offline catalog" `Quick test_path_bind_offline;
+          Alcotest.test_case "materialized bound side" `Quick test_path_bind_materialized;
+          Alcotest.test_case "element content" `Quick test_path_bind_element_content;
+          Alcotest.test_case "ineligible bindings" `Quick test_path_bind_ineligible;
         ] );
       ( "join-pushdown",
         [

@@ -314,6 +314,104 @@ let test_path_position_under_descendant () =
   let second = List.map Xml_types.text_content (select "//s/b[position()=2]" e) in
   check (Alcotest.list string_t) "second b where present" [ "2" ] second
 
+(* Literals render injectively: single quotes, else double quotes, else
+   single quotes with each one doubled.  Quote-free literals render as
+   they always did. *)
+let test_path_literal_quoting () =
+  let attr v = { Xml_path.absolute = false;
+                 steps = [ { Xml_path.axis = Xml_path.Child; test = Xml_path.Name "c";
+                             preds = [ Xml_path.Attr_cmp ("name", Xml_path.Eq, v) ] } ] } in
+  let show v = Xml_path.to_string (attr v) in
+  check string_t "plain" "child::c[@name='x']" (show "x");
+  check string_t "a single quote" {|child::c[@name="it's"]|} (show "it's");
+  check string_t "both quotes" {|child::c[@name='it''s "q"']|} (show {|it's "q"|});
+  check string_t "quote-free paths unchanged" "/descendant::x[@id='3'][text()>='10']"
+    (Xml_path.to_string (Xml_path.parse_exn "//x[@id='3'][text()>='10']"));
+  let two =
+    { Xml_path.absolute = false;
+      steps = [ { Xml_path.axis = Xml_path.Child; test = Xml_path.Name "c";
+                  preds = [ Xml_path.Attr_cmp ("name", Xml_path.Eq, "x");
+                            Xml_path.Attr_cmp ("id", Xml_path.Eq, "y") ] } ] }
+  in
+  check bool_t "a value holding a predicate prints unlike two predicates" true
+    (show "x'][@id='y" <> Xml_path.to_string two);
+  List.iter
+    (fun v ->
+      check bool_t ("parses back: " ^ v) true (Xml_path.parse (show v) = Ok (attr v)))
+    [ ""; "x'][@id='y"; "it's"; {|say "hi"|}; {|'"'|}; "''"; {|""|} ];
+  check string_t "doubled quote in double quotes" {|a"b|}
+    (match (Xml_path.parse_exn {|c[@n="a""b"]|}).Xml_path.steps with
+    | [ { Xml_path.preds = [ Xml_path.Attr_cmp (_, _, v) ]; _ } ] -> v
+    | _ -> "?")
+
+(* The IN-list predicate: a relative child path, optionally ending in an
+   attribute, against a key set compared as [compare_values] compares. *)
+let test_path_in_list () =
+  let root =
+    parse
+      {|<cat><c n="1"><p sku="S1"><q>014</q></p><p sku="S2"/></c><c n="2"><p sku="S3"><q>7.5</q></p></c><c><p><q>x</q></p></c></cat>|}
+  in
+  let names path =
+    List.map
+      (fun e -> Option.value ~default:"-" (Xml_types.attr e "n"))
+      (select path root)
+  in
+  let p = Xml_path.parse_exn "/c[p/@sku in ('S3','S1','S1')]" in
+  check string_t "keys print sorted and deduplicated" "/child::c[p/@sku in ('S1','S3')]"
+    (Xml_path.to_string p);
+  check (Alcotest.list string_t) "both categories" [ "1"; "2" ] (names "/c[p/@sku in ('S3','S1')]");
+  check (Alcotest.list string_t) "a repeated child matches on any" [ "1" ]
+    (names "/c[p/@sku in ('S2')]");
+  check (Alcotest.list string_t) "no keys, no match" [] (names "/c[p/@sku in ()]");
+  check (Alcotest.list string_t) "a missing attribute never matches" [] (names "/c[p/@sku in ('')]");
+  check (Alcotest.list string_t) "text: 014 equals 14" [ "1" ] (names "/c[p/q in (14)]");
+  check (Alcotest.list string_t) "text: 7.50 equals 7.5" [ "2" ] (names "/c[p/q in ('7.50')]");
+  check (Alcotest.list string_t) "text: strings compare as strings" [ "-" ] (names "/c[p/q in ('x')]");
+  check (Alcotest.list string_t) "own attribute" [ "2" ] (names "/c[@n in ('2.0')]");
+  check int_t "own text" 1 (List.length (select "//q[text() in ('x','y')]" root));
+  check bool_t "in needs a key list" true (Result.is_error (Xml_path.parse "/c[p/@sku in 'S1']"));
+  check bool_t "a child path needs in" true (Result.is_error (Xml_path.parse "/c[p/@sku='S1']"));
+  check bool_t "a child named in" true (Result.is_ok (Xml_path.parse "/c[in][index='1']"))
+
+let gen_path =
+  let open QCheck2.Gen in
+  let name = oneofl [ "a"; "b"; "sku"; "in"; "text"; "position"; "x-1"; "n.s"; "p:q" ] in
+  let lit =
+    string_size ~gen:(oneofl [ 'a'; '\''; '"'; ']'; '['; ' '; '1'; '.'; ','; '('; ')' ]) (int_bound 6)
+  in
+  let op = oneofl Xml_path.[ Eq; Neq; Lt; Le; Gt; Ge ] in
+  let pred =
+    oneof
+      [ map (fun n -> Xml_path.Has_attr n) name;
+        map3 (fun n o v -> Xml_path.Attr_cmp (n, o, v)) name op lit;
+        map (fun n -> Xml_path.Child_exists n) name;
+        map3 (fun n o v -> Xml_path.Child_cmp (n, o, v)) name op lit;
+        map2 (fun o v -> Xml_path.Text_cmp (o, v)) op lit;
+        map (fun k -> Xml_path.Position k) (int_range (-3) 9);
+        map3
+          (fun rel attr keys -> Xml_path.in_list ?attr rel keys)
+          (list_size (int_bound 3) name) (opt name) (list_size (int_bound 4) lit) ]
+  in
+  let axis =
+    oneofl
+      Xml_path.[ Child; Descendant; Descendant_or_self; Parent; Ancestor; Self;
+                 Following_sibling; Preceding_sibling ]
+  in
+  let test =
+    oneof
+      [ map (fun n -> Xml_path.Name n) name; pure Xml_path.Any_element; pure Xml_path.Text_node;
+        map (fun n -> Xml_path.Attribute n) name ]
+  in
+  let step =
+    map3 (fun axis test preds -> { Xml_path.axis; test; preds }) axis test
+      (list_size (int_bound 3) pred)
+  in
+  map2 (fun absolute steps -> { Xml_path.absolute; steps }) bool (list_size (int_range 1 4) step)
+
+let prop_path_parse_print =
+  QCheck2.Test.make ~name:"path parse (to_string p) = p" ~count:500 ~print:Xml_path.to_string
+    gen_path (fun p -> Xml_path.parse (Xml_path.to_string p) = Ok p)
+
 (* ------------------------------------------------------------------ *)
 (* Pretty printer                                                      *)
 (* ------------------------------------------------------------------ *)
@@ -326,7 +424,10 @@ let test_pretty_parses_back () =
   check int_t "same book count" 3 (List.length (select "//book" e'))
 
 let () =
-  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_print_parse_roundtrip; prop_count_nodes_positive ] in
+  let qsuite =
+    List.map QCheck_alcotest.to_alcotest
+      [ prop_print_parse_roundtrip; prop_count_nodes_positive; prop_path_parse_print ]
+  in
   Alcotest.run "xml"
     [
       ( "parser",
@@ -379,5 +480,7 @@ let () =
           Alcotest.test_case "axes at tree edges" `Quick test_path_axes_at_edges;
           Alcotest.test_case "position under descendant" `Quick
             test_path_position_under_descendant;
+          Alcotest.test_case "literal quoting" `Quick test_path_literal_quoting;
+          Alcotest.test_case "in-list predicate" `Quick test_path_in_list;
         ] );
     ]
