@@ -783,16 +783,17 @@ let e12 () =
   Bench_json.note_rows n_seq
 
 (* ------------------------------------------------------------------ *)
-(* E13: batch-at-a-time vs tuple-at-a-time execution                   *)
+(* E13: chunked (one-domain morsel) vs tuple-at-a-time execution      *)
 (* ------------------------------------------------------------------ *)
 
 let e13 () =
   section "E13"
-    "batch vs tuple execution: 10k x 10k hash join and a 4-source federated query";
+    "chunked vs tuple execution: 10k x 10k hash join and a 4-source federated query";
   let no_sources _ _ = Seq.empty in
-  (* Part 1: the E6 hash-join workload over both engines.  The plan
-     stacks select+project on the join so the batch engine's fused
-     operator is on the hot path too. *)
+  (* Part 1: the E6 hash-join workload over both engines; the chunked
+     side is the morsel-driven engine at one domain, which runs every
+     region inline.  The plan stacks select+project on the join so the
+     fused select+project pass is on the hot path too. *)
   let n = if !quick then 2_000 else 10_000 in
   let g = Prng.create 131 in
   let left = e6_relation g "l" n (max 1 (n / 10)) in
@@ -808,29 +809,28 @@ let e13 () =
             Alg_expr.Binop (Alg_expr.Ge, lv, Alg_expr.Const (Value.Int 0)) ),
         [ "l"; "r" ] )
   in
+  let chunked () = fst (Alg_exec.run_parallel ~domains:1 no_sources plan) in
   let tuple_envs = Alg_exec.run_list no_sources plan in
-  let batch_envs, _ = Alg_exec.run_batched no_sources plan in
+  let chunked_envs = chunked () in
   let identical =
-    List.length tuple_envs = List.length batch_envs
-    && List.for_all2 Alg_env.equal tuple_envs batch_envs
+    List.length tuple_envs = List.length chunked_envs
+    && List.for_all2 Alg_env.equal tuple_envs chunked_envs
   in
-  if not identical then failwith "E13: batch and tuple results differ";
+  if not identical then failwith "E13: chunked and tuple results differ";
   let rows_out = List.length tuple_envs in
   let tuple_ms =
     Workloads.bench_ms ~runs:3 (fun () -> ignore (Alg_exec.run_list no_sources plan))
   in
-  let batch_ms =
-    Workloads.bench_ms ~runs:3 (fun () -> ignore (Alg_exec.run_batched no_sources plan))
-  in
-  let speedup = if batch_ms > 0.0 then tuple_ms /. batch_ms else 0.0 in
-  row "%-28s %14s %14s %10s %10s\n" "join workload" "tuple ms" "batch ms" "speedup" "rows";
+  let chunked_ms = Workloads.bench_ms ~runs:3 (fun () -> ignore (chunked ())) in
+  let speedup = if chunked_ms > 0.0 then tuple_ms /. chunked_ms else 0.0 in
+  row "%-28s %14s %14s %10s %10s\n" "join workload" "tuple ms" "par1 ms" "speedup" "rows";
   row "%-28s %14.1f %14.1f %9.2fx %10d\n"
     (Printf.sprintf "%dx%d, |keys|=%d" n n (max 1 (n / 10)))
-    tuple_ms batch_ms speedup rows_out;
+    tuple_ms chunked_ms speedup rows_out;
   row "results identical (ordered): %s\n" (if identical then "yes" else "NO");
   Bench_json.note_param "join_n" (string_of_int n);
   Bench_json.note_param "join_tuple_ms" (Printf.sprintf "%.1f" tuple_ms);
-  Bench_json.note_param "join_batch_ms" (Printf.sprintf "%.1f" batch_ms);
+  Bench_json.note_param "join_par1_ms" (Printf.sprintf "%.1f" chunked_ms);
   Bench_json.note_param "join_speedup" (Printf.sprintf "%.2fx" speedup);
   Bench_json.note_rows rows_out;
   (* Part 2: an E12-style 4-source federated join, whole pipeline
@@ -865,17 +865,18 @@ let e13 () =
     row "%-28s %12.1f %10d\n" label wall (List.length !trees);
     (List.map Dtree.to_string !trees, wall)
   in
-  let fed_tuple, fed_tuple_ms = run_fed "tuple" Alg_batch.Tuple in
-  let fed_batch, fed_batch_ms =
-    run_fed "batch (chunk=1024)" (Alg_batch.Batch { chunk = Alg_batch.default_chunk })
+  let fed_tuple, fed_tuple_ms = run_fed "tuple" Alg_exec.Tuple in
+  let fed_par1, fed_par1_ms =
+    run_fed "parallel (domains=1)"
+      (Alg_exec.Parallel { domains = 1; chunk = Alg_exec.default_chunk })
   in
-  Med_catalog.set_exec_mode cat Alg_batch.Tuple;
-  if fed_tuple <> fed_batch then failwith "E13: federated results differ across engines";
+  Med_catalog.set_exec_mode cat Alg_exec.Tuple;
+  if fed_tuple <> fed_par1 then failwith "E13: federated results differ across engines";
   row "federated results identical: yes\n";
   Bench_json.note_param "fed_sources" (string_of_int nsources);
   Bench_json.note_param "fed_rows_per_source" (string_of_int nrows);
   Bench_json.note_param "fed_tuple_ms" (Printf.sprintf "%.1f" fed_tuple_ms);
-  Bench_json.note_param "fed_batch_ms" (Printf.sprintf "%.1f" fed_batch_ms);
+  Bench_json.note_param "fed_par1_ms" (Printf.sprintf "%.1f" fed_par1_ms);
   Bench_json.note_rows (List.length fed_tuple)
 
 (* ------------------------------------------------------------------ *)
@@ -884,13 +885,14 @@ let e13 () =
 
 let e14 () =
   section "E14"
-    "parallel vs batch execution: domain scaling on the E13 join workload and a federated query";
+    "parallel execution: domain scaling on the E13 join workload and a federated query";
   let no_sources _ _ = Seq.empty in
   (* Part 1: the E13 join workload (hash join + select + project) under
-     the morsel-driven parallel engine at 1, 2 and 4 domains, against
-     the batch engine as baseline.  Results must be byte-identical at
-     every domain count — that assertion is the hard part of the
-     contract; the speedup depends on how many cores the host grants. *)
+     the morsel-driven engine at 2 and 4 domains, against one domain
+     (the sequential chunked mode) as baseline.  Results must be
+     byte-identical at every domain count — that assertion is the hard
+     part of the contract; the speedup depends on how many cores the
+     host grants. *)
   let n = if !quick then 2_000 else 10_000 in
   let g = Prng.create 141 in
   let left = e6_relation g "l" n (max 1 (n / 10)) in
@@ -907,31 +909,32 @@ let e14 () =
         [ "l"; "r" ] )
   in
   let cores = Domain.recommended_domain_count () in
-  let batch_envs, _ = Alg_exec.run_batched no_sources plan in
-  let rows_out = List.length batch_envs in
-  let batch_ms =
-    Workloads.bench_ms ~runs:3 (fun () -> ignore (Alg_exec.run_batched no_sources plan))
+  let base_envs, _ = Alg_exec.run_parallel ~domains:1 no_sources plan in
+  let rows_out = List.length base_envs in
+  let base_ms =
+    Workloads.bench_ms ~runs:3 (fun () ->
+        ignore (Alg_exec.run_parallel ~domains:1 no_sources plan))
   in
   row "host cores available: %d\n" cores;
   row "%-28s %14s %10s %10s\n" "join workload" "wall ms" "speedup" "rows";
-  row "%-28s %14.1f %10s %10d\n" "batch (baseline)" batch_ms "1.00x" rows_out;
+  row "%-28s %14.1f %10s %10d\n" "parallel (domains=1)" base_ms "1.00x" rows_out;
   Bench_json.note_param "cores" (string_of_int cores);
   Bench_json.note_param "join_n" (string_of_int n);
-  Bench_json.note_param "join_batch_ms" (Printf.sprintf "%.1f" batch_ms);
+  Bench_json.note_param "join_par1_ms" (Printf.sprintf "%.1f" base_ms);
   List.iter
     (fun domains ->
       let par_envs, _ = Alg_exec.run_parallel ~domains no_sources plan in
       let identical =
-        List.length batch_envs = List.length par_envs
-        && List.for_all2 Alg_env.equal batch_envs par_envs
+        List.length base_envs = List.length par_envs
+        && List.for_all2 Alg_env.equal base_envs par_envs
       in
       if not identical then
-        failwith (Printf.sprintf "E14: parallel(domains=%d) differs from batch" domains);
+        failwith (Printf.sprintf "E14: parallel(domains=%d) differs from domains=1" domains);
       let par_ms =
         Workloads.bench_ms ~runs:3 (fun () ->
             ignore (Alg_exec.run_parallel ~domains no_sources plan))
       in
-      let speedup = if par_ms > 0.0 then batch_ms /. par_ms else 0.0 in
+      let speedup = if par_ms > 0.0 then base_ms /. par_ms else 0.0 in
       row "%-28s %14.1f %9.2fx %10d\n"
         (Printf.sprintf "parallel (domains=%d)" domains)
         par_ms speedup (List.length par_envs);
@@ -941,7 +944,7 @@ let e14 () =
       Bench_json.note_param
         (Printf.sprintf "join_par%d_speedup" domains)
         (Printf.sprintf "%.2fx" speedup))
-    [ 1; 2; 4 ];
+    [ 2; 4 ];
   row "results identical at every domain count: yes\n";
   Bench_json.note_rows rows_out;
   (* Part 2: the E13 federated 4-source join, whole pipeline, with the
@@ -978,12 +981,12 @@ let e14 () =
     row "%-28s %12.1f %10d\n" label wall (List.length !trees);
     (List.map Dtree.to_string !trees, wall)
   in
-  let fed_tuple, fed_tuple_ms = run_fed "tuple" Alg_batch.Tuple in
+  let fed_tuple, fed_tuple_ms = run_fed "tuple" Alg_exec.Tuple in
   let fed_par, fed_par_ms =
     run_fed "parallel (domains=2)"
-      (Alg_batch.Parallel { domains = 2; chunk = Alg_batch.default_chunk })
+      (Alg_exec.Parallel { domains = 2; chunk = Alg_exec.default_chunk })
   in
-  Med_catalog.set_exec_mode cat Alg_batch.Tuple;
+  Med_catalog.set_exec_mode cat Alg_exec.Tuple;
   if fed_tuple <> fed_par then failwith "E14: federated results differ across engines";
   row "federated results identical: yes\n";
   Bench_json.note_param "fed_sources" (string_of_int nsources);
@@ -1299,9 +1302,9 @@ let e17 () =
   (* Same answers from every engine under both optimizers. *)
   let engines =
     [
-      ("tuple", Alg_batch.Tuple);
-      ("batch", Alg_batch.Batch { chunk = 256 });
-      ("parallel", Alg_batch.Parallel { domains = 2; chunk = 128 });
+      ("tuple", Alg_exec.Tuple);
+      ("parallel(domains=1)", Alg_exec.Parallel { domains = 1; chunk = 256 });
+      ("parallel(domains=2)", Alg_exec.Parallel { domains = 2; chunk = 128 });
     ]
   in
   List.iter
@@ -1312,7 +1315,7 @@ let e17 () =
          || render (Med_exec.run cat_d q) <> ans_g
       then failwith (Printf.sprintf "E17: answers diverged under %s engine" label))
     engines;
-  row "answers identical across greedy/dp and tuple/batch/parallel engines: yes\n";
+  row "answers identical across greedy/dp and tuple/parallel (1, 2 domains): yes\n";
   Bench_json.note_param "fact_rows" (string_of_int nfact);
   Bench_json.note_param "greedy_shipped" (string_of_int ship_g);
   Bench_json.note_param "dp_shipped" (string_of_int ship_d);
@@ -1412,9 +1415,9 @@ let e18 () =
   (* Byte-identical answers from every engine, indexed and not. *)
   let engines =
     [
-      ("tuple", Alg_batch.Tuple);
-      ("batch", Alg_batch.Batch { chunk = 256 });
-      ("parallel", Alg_batch.Parallel { domains = 2; chunk = 128 });
+      ("tuple", Alg_exec.Tuple);
+      ("parallel(domains=1)", Alg_exec.Parallel { domains = 1; chunk = 256 });
+      ("parallel(domains=2)", Alg_exec.Parallel { domains = 2; chunk = 128 });
     ]
   in
   List.iter
@@ -1431,7 +1434,7 @@ let e18 () =
                  (Idx_manager.mode_to_string mode)))
         [ Idx_manager.Off; Idx_manager.Eager ])
     engines;
-  row "answers identical across off/auto/eager and tuple/batch/parallel: yes\n";
+  row "answers identical across off/auto/eager and tuple/parallel (1, 2 domains): yes\n";
   Idx_manager.clear ();
   Idx_manager.set_mode Idx_manager.Auto;
   Bench_json.note_param "products" (string_of_int nprod);

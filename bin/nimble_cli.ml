@@ -141,11 +141,10 @@ let apply_flaky sys spec =
       Src_registry.remove reg name;
       Src_registry.register reg wrapped)
 
-(* --exec-mode/--chunk-size/--parallel/--optimize/--index: tuple-,
-   batch- or morsel-driven parallel plan evaluation, the join-order
-   strategy, and the path/value index mode.  --parallel N (N > 0)
-   overrides the mode. *)
-let apply_exec sys (mode, chunk, par, omode, imode) =
+(* --parallel/--chunk-size/--optimize/--index: tuple or morsel-driven
+   plan evaluation (--parallel N > 0 selects the latter with N domains),
+   the join-order strategy, and the path/value index mode. *)
+let apply_exec sys (chunk, par, omode, imode) =
   if chunk <= 0 then failwith "chunk size must be positive";
   if par < 0 then failwith "parallelism must be non-negative";
   (match Med_optimize.mode_of_string omode with
@@ -154,15 +153,8 @@ let apply_exec sys (mode, chunk, par, omode, imode) =
   (match Idx_manager.mode_of_string imode with
   | Ok m -> Nimble.set_index_mode sys m
   | Error m -> failwith m);
-  if par > 0 then Nimble.set_exec_mode sys (Alg_batch.Parallel { domains = par; chunk })
-  else
-    match Alg_batch.mode_of_string mode with
-    | Some Alg_batch.Tuple -> Nimble.set_exec_mode sys Alg_batch.Tuple
-    | Some (Alg_batch.Batch _) -> Nimble.set_exec_mode sys (Alg_batch.Batch { chunk })
-    | Some (Alg_batch.Parallel { domains; _ }) ->
-      Nimble.set_exec_mode sys (Alg_batch.Parallel { domains; chunk })
-    | None ->
-      failwith (Printf.sprintf "unknown exec mode %S (tuple, batch, parallel)" mode)
+  Nimble.set_exec_mode sys
+    (if par > 0 then Alg_exec.Parallel { domains = par; chunk } else Alg_exec.Tuple)
 
 let build_system csvs xmls sqls fetch exec =
   let sys = Nimble.create () in
@@ -290,6 +282,8 @@ let run_serve csvs xmls sqls fetch exec path =
 (* REPL                                                                *)
 (* ------------------------------------------------------------------ *)
 
+let exec_usage = "usage: \\exec | \\exec tuple | \\exec parallel [DOMAINS]"
+
 let repl_help =
   {|commands:
   \help                       this message
@@ -315,8 +309,8 @@ let repl_help =
   \retry breaker on|off       per-source circuit breakers
   \retry stale on|off         partial mode may serve stale cached fragments
   \exec                       show the plan execution engine
-  \exec tuple|batch [CHUNK]   switch engines (batch = vectorized, CHUNK rows/step)
-  \par [DOMAINS]              switch to morsel-driven parallel execution
+  \exec tuple                 switch to tuple-at-a-time execution (the default)
+  \exec parallel [DOMAINS]    switch to morsel-driven execution (1 = sequential)
   \optimize                   show the join-order strategy
   \optimize greedy|dp[:N]     switch optimizers (dp = cost-based DPsize)
   \index                      show path/value index registrations
@@ -554,32 +548,28 @@ let run_repl csvs xmls sqls fetch exec =
          String.split_on_char ' ' (String.trim (String.sub line 6 (String.length line - 6)))
          |> List.filter (fun s -> s <> "")
        in
-       match args with
-       | [ "tuple" ] ->
-         Nimble.set_exec_mode sys Alg_batch.Tuple;
+       let parallel domains =
+         Some (Alg_exec.Parallel { domains; chunk = Alg_exec.default_chunk })
+       in
+       let mode =
+         match args with
+         | [ "tuple" ] -> Some Alg_exec.Tuple
+         | [ "parallel" ] -> parallel (Alg_par.default_domains ())
+         | [ "parallel"; n ] -> (
+           match int_of_string_opt n with
+           | Some domains when domains > 0 -> parallel domains
+           | _ -> None)
+         | _ -> None
+       in
+       match mode with
+       | Some m ->
+         Nimble.set_exec_mode sys m;
          print_string (Nimble.exec_report sys)
-       | [ "batch" ] ->
-         Nimble.set_exec_mode sys (Alg_batch.Batch { chunk = Alg_batch.default_chunk });
-         print_string (Nimble.exec_report sys)
-       | [ "batch"; n ] -> (
-         match int_of_string_opt n with
-         | Some chunk when chunk > 0 ->
-           Nimble.set_exec_mode sys (Alg_batch.Batch { chunk });
-           print_string (Nimble.exec_report sys)
-         | _ -> print_endline "usage: \\exec tuple|batch [CHUNK]")
-       | [ "parallel" ] ->
-         Nimble.set_exec_mode sys
-           (Alg_batch.Parallel
-              { domains = Alg_par.default_domains (); chunk = Alg_batch.default_chunk });
-         print_string (Nimble.exec_report sys)
-       | [ "parallel"; n ] -> (
-         match int_of_string_opt n with
-         | Some domains when domains > 0 ->
-           Nimble.set_exec_mode sys
-             (Alg_batch.Parallel { domains; chunk = Alg_batch.default_chunk });
-           print_string (Nimble.exec_report sys)
-         | _ -> print_endline "usage: \\exec tuple|batch [CHUNK] | \\exec parallel [DOMAINS]")
-       | _ -> print_endline "usage: \\exec tuple|batch [CHUNK] | \\exec parallel [DOMAINS]");
+       | None -> print_endline exec_usage);
+      loop ()
+    | Some line when line = "\\par" || starts_with "\\par " line ->
+      (* Not an engine command: \exec parallel switches engines. *)
+      print_endline exec_usage;
       loop ()
     | Some "\\index" ->
       print_string (Nimble.index_report sys);
@@ -600,21 +590,6 @@ let run_repl csvs xmls sqls fetch exec =
          | Ok msg -> print_string msg
          | Error m -> Printf.printf "error: %s\n" m)
        | _ -> print_endline "usage: \\index | \\index off|auto|eager | \\index build VIEW");
-      loop ()
-    | Some "\\par" ->
-      Nimble.set_exec_mode sys
-        (Alg_batch.Parallel
-           { domains = Alg_par.default_domains (); chunk = Alg_batch.default_chunk });
-      print_string (Nimble.exec_report sys);
-      loop ()
-    | Some line when starts_with "\\par " line ->
-      (let arg = String.trim (String.sub line 5 (String.length line - 5)) in
-       match int_of_string_opt arg with
-       | Some domains when domains > 0 ->
-         Nimble.set_exec_mode sys
-           (Alg_batch.Parallel { domains; chunk = Alg_batch.default_chunk });
-         print_string (Nimble.exec_report sys)
-       | _ -> print_endline "usage: \\par [DOMAINS]");
       loop ()
     | Some line when starts_with "\\partial " line ->
       let text = String.sub line 9 (String.length line - 9) in
@@ -744,33 +719,21 @@ let fetch_term =
     $ fetch_mode_opt $ fetch_fanout_opt $ frag_cache_opt $ sem_cache_opt
     $ retry_opt $ retry_deadline_opt $ breaker_opt $ flaky_opt)
 
-let exec_mode_opt =
-  Arg.(
-    value & opt string "tuple"
-    & info [ "exec-mode" ] ~docv:"MODE"
-        ~doc:
-          "Plan evaluation engine: $(b,tuple) (one row at a time, the \
-           default), $(b,batch) (vectorized batch-at-a-time execution \
-           moving --chunk-size rows per step; same answers, less \
-           per-row overhead) or $(b,parallel) (morsel-driven multicore \
-           execution on a domain pool; same answers again).")
-
 let chunk_size_opt =
   Arg.(
-    value & opt int Alg_batch.default_chunk
+    value & opt int Alg_exec.default_chunk
     & info [ "chunk-size" ] ~docv:"N"
-        ~doc:
-          "Rows per chunk in batch execution mode, and the morsel size \
-           in parallel mode (default 1024).")
+        ~doc:"Rows per morsel on the morsel-driven engine (default 1024).")
 
 let parallel_opt =
   Arg.(
     value & opt int 0
     & info [ "parallel" ] ~docv:"N"
         ~doc:
-          "Run plans on the morsel-driven parallel engine with $(docv) \
-           domains (the calling domain included), overriding --exec-mode; \
-           0 (the default) leaves --exec-mode in charge.")
+          "Run plans on the morsel-driven engine with $(docv) domains \
+           (the calling domain included; 1 is the sequential chunked \
+           mode); 0, the default, runs them tuple-at-a-time.  Answers \
+           are identical either way.")
 
 let optimize_opt =
   Arg.(
@@ -796,8 +759,8 @@ let index_opt =
 
 let exec_term =
   Term.(
-    const (fun mode chunk par omode imode -> (mode, chunk, par, omode, imode))
-    $ exec_mode_opt $ chunk_size_opt $ parallel_opt $ optimize_opt $ index_opt)
+    const (fun chunk par omode imode -> (chunk, par, omode, imode))
+    $ chunk_size_opt $ parallel_opt $ optimize_opt $ index_opt)
 
 let wrap f = Term.(ret (const f))
 

@@ -54,5 +54,5 @@ val explain_analyze :
     measured (rows, inclusive milliseconds) that [actual] reports for
     that plan node (physical identity); nodes the executor never pulled
     from print [never executed].  [extra] appends engine-specific cells
-    to a node's annotation (the batch engine's batches/rows-per-batch/
-    fill columns); it defaults to none. *)
+    to a node's annotation ({!Alg_ops.cells_of_stats}: morsel counts,
+    fallbacks, index outcomes); it defaults to none. *)

@@ -46,7 +46,7 @@ val rename : t -> (string * string) list -> t
 
 val has_layout : t -> string array -> bool
 (** Does the environment bind exactly [names], in that order?  Cheap
-    (no allocation) — the batch engine uses it to skip no-op
+    (no allocation) — compiled projections use it to skip no-op
     projections. *)
 
 val concat : t -> t -> t

@@ -46,7 +46,7 @@ let seq_of_list l = List.to_seq l
    cost model's cardinality estimate (clamped to something sane)
    replaces the old fixed create 32/64, so big builds skip the rehash
    cascade.  Sort comparison, outer-union schema and grouping live in
-   Alg_batch and are shared with the batch engine so the two cannot
+   Alg_ops and are shared with the parallel engine so the two cannot
    drift. *)
 let table_size plan =
   let est =
@@ -153,7 +153,7 @@ let rec run_hooked ?(on_idx = fun _ _ -> ()) hook sources plan : Alg_env.t Seq.t
       (run sources left)
   | Alg_plan.Sort (input, specs) ->
     let envs = List.of_seq (run sources input) in
-    seq_of_list (Alg_batch.sort_list specs envs)
+    seq_of_list (Alg_ops.sort_list specs envs)
   | Alg_plan.Distinct input ->
     let seen : (int, Alg_env.t) Hashtbl.t = Hashtbl.create (table_size input) in
     Seq.filter
@@ -167,13 +167,13 @@ let rec run_hooked ?(on_idx = fun _ _ -> ()) hook sources plan : Alg_env.t Seq.t
       (run sources input)
   | Alg_plan.Group { input; keys; aggs } ->
     let envs = List.of_seq (run sources input) in
-    seq_of_list (Alg_batch.group_rows ~size_hint:(table_size input) keys aggs envs)
+    seq_of_list (Alg_ops.group_rows ~size_hint:(table_size input) keys aggs envs)
   | Alg_plan.Union (a, b) -> Seq.append (run sources a) (run sources b)
   | Alg_plan.Outer_union (a, b) ->
     (* Materialize both sides to compute the union schema, then pad. *)
     let la = List.of_seq (run sources a) in
     let lb = List.of_seq (run sources b) in
-    let vars = Alg_batch.union_vars (la @ lb) in
+    let vars = Alg_ops.union_vars (la @ lb) in
     seq_of_list (List.map (fun env -> Alg_env.project env vars) (la @ lb))
   | Alg_plan.Navigate { input; var; path; out } ->
     Seq.concat_map
@@ -182,7 +182,7 @@ let rec run_hooked ?(on_idx = fun _ _ -> ()) hook sources plan : Alg_env.t Seq.t
         | None -> Seq.empty
         | Some (Dtree.Atom _) -> Seq.empty
         | Some tree ->
-          let matches, how = Alg_batch.navigate_matches tree path in
+          let matches, how = Alg_ops.navigate_matches tree path in
           on_idx plan how;
           seq_of_list (List.map (fun m -> Alg_env.bind env out m) matches))
       (run sources input)
@@ -228,35 +228,42 @@ let run_partial sources plan =
   (envs, List.rev !skipped)
 
 (* ------------------------------------------------------------------ *)
-(* Batch-at-a-time execution (Alg_batch wired to this engine)          *)
+(* Engine selection                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let run_batched ?chunk sources plan =
-  Alg_batch.run ?chunk ~sources
-    ~fallback:(fun p -> run sources p)
-    ~template:build_template plan
+let default_chunk = 1024
+
+type mode =
+  | Tuple
+  | Parallel of { domains : int; chunk : int }
+
+let mode_to_string = function
+  | Tuple -> "tuple"
+  | Parallel { domains; chunk } ->
+    if chunk = default_chunk then Printf.sprintf "parallel(domains=%d)" domains
+    else Printf.sprintf "parallel(domains=%d,chunk=%d)" domains chunk
+
+let mode_of_string s =
+  match String.lowercase_ascii (String.trim s) with
+  | "tuple" -> Some Tuple
+  | "parallel" -> Some (Parallel { domains = Alg_par.default_domains (); chunk = default_chunk })
+  | _ -> None
 
 (* Morsel-driven parallel execution (Alg_par wired to this engine). *)
-let run_parallel ?domains ?chunk ?cost_rows sources plan =
-  Alg_par.run ?domains ?chunk ?cost_rows ~sources
+let run_parallel ?domains ?(chunk = default_chunk) ?cost_rows sources plan =
+  Alg_par.run ?domains ~chunk ?cost_rows ~sources
     ~fallback:(fun p -> run sources p)
     ~template:build_template plan
 
 let run_mode ?cost_rows mode sources plan =
   match mode with
-  | Alg_batch.Tuple -> run_list sources plan
-  | Alg_batch.Batch { chunk } -> fst (run_batched ~chunk sources plan)
-  | Alg_batch.Parallel { domains; chunk } ->
-    fst (run_parallel ~domains ~chunk ?cost_rows sources plan)
+  | Tuple -> run_list sources plan
+  | Parallel { domains; chunk } -> fst (run_parallel ~domains ~chunk ?cost_rows sources plan)
 
 let run_partial_mode ?cost_rows mode sources plan =
   match mode with
-  | Alg_batch.Tuple -> run_partial sources plan
-  | Alg_batch.Batch { chunk } ->
-    let skipped = ref [] in
-    let envs, _ = run_batched ~chunk (partial_guard skipped sources) plan in
-    (envs, List.rev !skipped)
-  | Alg_batch.Parallel { domains; chunk } ->
+  | Tuple -> run_partial sources plan
+  | Parallel { domains; chunk } ->
     let skipped = ref [] in
     let envs, _ =
       run_parallel ~domains ~chunk ?cost_rows (partial_guard skipped sources) plan
@@ -285,90 +292,30 @@ let of_tuples binding rows =
 (* Instrumented execution                                              *)
 (* ------------------------------------------------------------------ *)
 
-type op_stats = {
-  op_plan : Alg_plan.t;
-  mutable actual_rows : int;
-  mutable elapsed_ms : float;  (* inclusive of input operators *)
-  mutable pulled : bool;
-  mutable idx_probe : int;
-  mutable idx_guide : int;
-  mutable idx_miss : int;
-  op_kids : op_stats list;
-}
-
-let rec make_stats plan =
-  {
-    op_plan = plan;
-    actual_rows = 0;
-    elapsed_ms = 0.0;
-    pulled = false;
-    idx_probe = 0;
-    idx_guide = 0;
-    idx_miss = 0;
-    op_kids = List.map make_stats (Alg_plan.children plan);
-  }
-
-let rec stats_index acc st =
-  List.fold_left stats_index ((st.op_plan, st) :: acc) st.op_kids
-
-let find_stats index plan =
-  (* Physical identity: each plan node appears once in a compiled tree. *)
-  Option.map snd (List.find_opt (fun (p, _) -> p == plan) index)
-
 (* Wrap a sequence so every pull charges inclusive wall time to [st] and
    every element bumps its row count. *)
-let counted st seq =
+let counted (st : Alg_ops.op_stats) seq =
   let rec aux s () =
-    st.pulled <- true;
+    st.op_pulled <- true;
     let t0 = Obs_clock.wall_ms () in
     let node = s () in
-    st.elapsed_ms <- st.elapsed_ms +. (Obs_clock.wall_ms () -. t0);
+    st.op_ms <- st.op_ms +. (Obs_clock.wall_ms () -. t0);
     match node with
     | Seq.Nil -> Seq.Nil
     | Seq.Cons (x, rest) ->
-      st.actual_rows <- st.actual_rows + 1;
+      st.op_rows <- st.op_rows + 1;
       Seq.Cons (x, aux rest)
   in
   aux seq
 
-let rec span_of_stats st =
-  let sp = Obs_span.make (Alg_plan.node_label st.op_plan) in
-  Obs_span.set_int sp "rows" st.actual_rows;
-  Obs_span.set_duration_ms sp st.elapsed_ms;
-  List.iter (fun k -> Obs_span.add_child sp (span_of_stats k)) st.op_kids;
-  sp
-
 let run_instrumented sources plan =
-  let root = make_stats plan in
-  let index = stats_index [] root in
+  let root = Alg_ops.make_stats plan in
+  let index = Alg_ops.index root in
   let hook p seq =
-    match find_stats index p with
+    match Alg_ops.find index p with
     | Some st -> counted st seq
     | None -> seq
   in
-  let on_idx p how =
-    match find_stats index p with
-    | None -> ()
-    | Some st -> (
-      match how with
-      | `Probe -> st.idx_probe <- st.idx_probe + 1
-      | `Guide -> st.idx_guide <- st.idx_guide + 1
-      | `Miss -> st.idx_miss <- st.idx_miss + 1)
-  in
+  let on_idx p how = Option.iter (fun st -> Alg_ops.count_idx st how) (Alg_ops.find index p) in
   let envs = List.of_seq (run_hooked ~on_idx hook sources plan) in
-  if Obs_trace.enabled () then Obs_trace.emit (span_of_stats root);
   (envs, root)
-
-let actual_of_stats root =
-  let index = stats_index [] root in
-  fun plan ->
-    match find_stats index plan with
-    | Some st when st.pulled -> Some (st.actual_rows, st.elapsed_ms)
-    | Some _ | None -> None
-
-let idx_cells_of_stats root =
-  let index = stats_index [] root in
-  fun plan ->
-    match find_stats index plan with
-    | Some st -> Alg_batch.idx_cell st.idx_probe st.idx_guide st.idx_miss
-    | None -> []

@@ -27,16 +27,32 @@ val run_partial :
     returned list names the sources that were skipped, so the caller can
     annotate the answer as incomplete. *)
 
-(** {1 Batch-at-a-time execution}
+(** {1 Engines}
 
-    The vectorized engine of {!Alg_batch}, wired to this module's
-    sources, fallback and template machinery.  Same answers, same
-    order, same strict/partial semantics; rows move in chunks. *)
+    Two engines evaluate the same physical plans with the same answers,
+    the same order and the same strict/partial semantics: this module's
+    tuple engine ({!run_list}, the default and the reference) and the
+    morsel-driven engine of {!Alg_par}.  With [domains = 1] the latter
+    is the sequential chunked mode: it runs every region inline, with
+    no pool and no locks.  Unlike the tuple engine it materializes every
+    operator's input, so a [LIMIT] evaluates its whole input. *)
 
-val run_batched :
-  ?chunk:int -> source_fn -> Alg_plan.t -> Alg_env.t list * Alg_batch.stats
-(** Run on the batch engine (chunk default {!Alg_batch.default_chunk}),
-    returning the rows plus the per-operator batch statistics. *)
+val default_chunk : int
+(** 1024: the default morsel size. *)
+
+type mode =
+  | Tuple  (** {!run_list} — the default *)
+  | Parallel of { domains : int; chunk : int }
+      (** {!run_parallel} — [domains] workers (the caller included) over
+          morsels of [chunk] rows *)
+(** The knob surfaced through the mediator, the facade and the CLI
+    ([--parallel]/[--chunk-size], repl [\exec]). *)
+
+val mode_to_string : mode -> string
+
+val mode_of_string : string -> mode option
+(** Accepts ["tuple"] and ["parallel"] ({!Alg_par.default_domains}
+    domains, chunk {!default_chunk}). *)
 
 val run_parallel :
   ?domains:int ->
@@ -45,11 +61,9 @@ val run_parallel :
   source_fn ->
   Alg_plan.t ->
   Alg_env.t list * Alg_par.stats
-(** Run on the morsel-driven parallel engine of {!Alg_par} ([domains]
-    default {!Alg_par.default_domains}, morsel size default
-    {!Alg_batch.default_chunk}), returning the rows plus the
-    per-operator parallel statistics.  Same answers, same order, same
-    strict/partial semantics as the other engines.  [cost_rows]
+(** Run on the morsel-driven engine of {!Alg_par} ([domains] default
+    {!Alg_par.default_domains}, morsel size default {!default_chunk}),
+    returning the rows plus the per-operator statistics.  [cost_rows]
     estimates a subplan's output rows so per-partition hash-join tables
     pre-size from real cardinalities (the mediator passes its
     feedback/statistics-backed estimator); default is the blind cost
@@ -57,14 +71,14 @@ val run_parallel :
 
 val run_mode :
   ?cost_rows:(Alg_plan.t -> float) ->
-  Alg_batch.mode -> source_fn -> Alg_plan.t -> Alg_env.t list
-(** {!run_list}, {!run_batched} or {!run_parallel} according to the
-    mode ([cost_rows] reaches the parallel engine only). *)
+  mode -> source_fn -> Alg_plan.t -> Alg_env.t list
+(** {!run_list} or {!run_parallel} according to the mode ([cost_rows]
+    reaches the parallel engine only). *)
 
 val run_partial_mode :
   ?cost_rows:(Alg_plan.t -> float) ->
-  Alg_batch.mode -> source_fn -> Alg_plan.t -> Alg_env.t list * string list
-(** {!run_partial} under any engine: unavailable sources contribute
+  mode -> source_fn -> Alg_plan.t -> Alg_env.t list * string list
+(** {!run_partial} under either engine: unavailable sources contribute
     no rows and are reported, whichever engine executes the plan. *)
 
 val buffered :
@@ -80,34 +94,15 @@ val buffered :
 (** {1 Instrumented execution}
 
     The observability path: identical semantics to {!run_list}, plus a
-    per-operator statistics tree (rows out, inclusive wall time) mirroring
-    the plan — the raw material of EXPLAIN ANALYZE.  When the trace sink
-    is enabled, the statistics also emit as a span tree. *)
-
-type op_stats = {
-  op_plan : Alg_plan.t;          (** the node these numbers describe *)
-  mutable actual_rows : int;     (** rows this operator produced *)
-  mutable elapsed_ms : float;    (** inclusive wall time (with inputs) *)
-  mutable pulled : bool;         (** false: the executor never reached it *)
-  mutable idx_probe : int;       (** Navigate bindings answered by value probe *)
-  mutable idx_guide : int;       (** … answered by the structural guide *)
-  mutable idx_miss : int;        (** … that fell back to the tree walker *)
-  op_kids : op_stats list;       (** same shape as {!Alg_plan.children} *)
-}
+    per-operator {!Alg_ops.op_stats} tree (rows out, inclusive wall
+    time, index outcomes) mirroring the plan — the raw material of
+    EXPLAIN ANALYZE. *)
 
 val run_instrumented :
-  source_fn -> Alg_plan.t -> Alg_env.t list * op_stats
+  source_fn -> Alg_plan.t -> Alg_env.t list * Alg_ops.op_stats
 (** Force the whole result, counting rows and charging inclusive time per
-    operator.  With the sink disabled this allocates only the statistics
-    tree; results are identical to {!run_list}. *)
-
-val actual_of_stats : op_stats -> Alg_plan.t -> (int * float) option
-(** Lookup (by physical node identity) suitable as the [actual] argument
-    of {!Alg_cost.explain_analyze}; [None] for nodes never pulled. *)
-
-val idx_cells_of_stats : op_stats -> Alg_plan.t -> string list
-(** The [idx=probe:…/guide:…/miss:…] EXPLAIN ANALYZE cell for a node,
-    empty unless an index answered some of its Navigate bindings. *)
+    operator.  Allocates only the statistics tree; results are
+    identical to {!run_list}. *)
 
 val build_template :
   Alg_env.t -> Alg_plan.template -> Dtree.t

@@ -1,12 +1,14 @@
 (* Morsel-driven parallel execution over a reusable domain pool.
    See the interface for the contract; the short version is that the
    engine materializes operator outputs bottom-up (in the same child
-   order as the tuple and batch engines), splits per-row work into
-   morsels of [chunk] rows, runs morsels on a fixed pool of domains,
-   and stitches per-morsel outputs back in morsel order — so answers
-   are byte-identical to the other two engines.  Everything touching
-   process-global state (source functions, metrics, the fragment
-   cache, tuple-engine fallback) runs on the caller's domain only. *)
+   order as the tuple engine), splits per-row work into morsels of
+   [chunk] rows, runs morsels on a fixed pool of domains, and stitches
+   per-morsel outputs back in morsel order — so answers are
+   byte-identical to the tuple engine.  With one domain every region
+   runs inline on the caller: the sequential chunked mode.  Everything
+   touching process-global state (source functions, metrics, the
+   fragment cache, tuple-engine fallback) runs on the caller's domain
+   only. *)
 
 [@@@ocaml.warnerror "+a"]
 
@@ -139,59 +141,13 @@ let run_region ~domains n (task : int -> unit) : float array =
 (* Statistics                                                          *)
 (* ------------------------------------------------------------------ *)
 
-type op_par = {
-  op_plan : Alg_plan.t;
-  op_parallel : bool;
-  mutable op_pulled : bool;
-  mutable op_morsels : int;
-  mutable op_rows : int;
-  mutable op_ms : float;  (* inclusive *)
-  (* Navigate index outcomes tick from worker domains, hence atomics. *)
-  op_idx_probe : int Atomic.t;
-  op_idx_guide : int Atomic.t;
-  op_idx_miss : int Atomic.t;
-  op_kids : op_par list;
-}
-
 type stats = {
   domains : int;
   chunk_size : int;
   busy : float array;  (* per-domain busy ms; slot 0 is the caller *)
   mutable morsels : int;
-  root : op_par;
+  root : Alg_ops.op_stats;
 }
-
-let operator_parallel = function
-  | Alg_plan.Nl_join _ | Alg_plan.Merge_join _ | Alg_plan.Dep_join _
-  | Alg_plan.Distinct _ -> false
-  | _ -> true
-
-let rec make_stats plan =
-  {
-    op_plan = plan;
-    op_parallel = operator_parallel plan;
-    op_pulled = false;
-    op_morsels = 0;
-    op_rows = 0;
-    op_ms = 0.0;
-    op_idx_probe = Atomic.make 0;
-    op_idx_guide = Atomic.make 0;
-    op_idx_miss = Atomic.make 0;
-    op_kids = List.map make_stats (Alg_plan.children plan);
-  }
-
-let rec stats_index acc ob =
-  List.fold_left stats_index ((ob.op_plan, ob) :: acc) ob.op_kids
-
-let find_stats stats plan =
-  (* Physical identity: each plan node appears once in a compiled tree. *)
-  Option.map snd
-    (List.find_opt (fun (p, _) -> p == plan) (stats_index [] stats.root))
-
-let actual_of_stats stats plan =
-  match find_stats stats plan with
-  | Some ob when ob.op_pulled -> Some (ob.op_rows, ob.op_ms)
-  | Some _ | None -> None
 
 let busy_max stats = Array.fold_left Float.max 0.0 stats.busy
 
@@ -200,43 +156,11 @@ let busy_min stats =
   | 0 -> 0.0
   | _ -> Array.fold_left Float.min stats.busy.(0) stats.busy
 
-let cells_of_stats stats plan =
-  match find_stats stats plan with
-  | None -> []
-  | Some ob ->
-    if not ob.op_pulled then []
-    else begin
-      let base =
-        if not ob.op_parallel then [ "fallback=tuple" ]
-        else if ob.op_morsels > 0 then [ Printf.sprintf "morsels=%d" ob.op_morsels ]
-        else []
-      in
-      let base =
-        base
-        @ Alg_batch.idx_cell
-            (Atomic.get ob.op_idx_probe)
-            (Atomic.get ob.op_idx_guide)
-            (Atomic.get ob.op_idx_miss)
-      in
-      if ob == stats.root then
-        base
-        @ [
-            Printf.sprintf "domains=%d" stats.domains;
-            Printf.sprintf "skew=%.2f/%.2fms" (busy_max stats) (busy_min stats);
-          ]
-      else base
-    end
-
-let span_of_stats stats =
-  let rec go ob =
-    let sp = Obs_span.make (Alg_plan.node_label ob.op_plan) in
-    Obs_span.set_int sp "rows" ob.op_rows;
-    Obs_span.set_int sp "morsels" ob.op_morsels;
-    Obs_span.set_duration_ms sp ob.op_ms;
-    List.iter (fun k -> Obs_span.add_child sp (go k)) ob.op_kids;
-    sp
-  in
-  go stats.root
+let root_cells stats =
+  [
+    Printf.sprintf "domains=%d" stats.domains;
+    Printf.sprintf "skew=%.2f/%.2fms" (busy_max stats) (busy_min stats);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation                                                          *)
@@ -276,7 +200,7 @@ let morsel_ranges morsel n =
 (* Run [m] tasks as one parallel region, folding per-domain busy time
    and morsel counts into the stats.  Metrics tick on the caller only —
    the registry is not thread-safe. *)
-let region ctx ob m task =
+let region ctx (ob : Alg_ops.op_stats) m task =
   let busy = run_region ~domains:ctx.cfg.domains m task in
   let slots = min (Array.length busy) (Array.length ctx.stats.busy) in
   for i = 0 to slots - 1 do
@@ -302,24 +226,62 @@ let par_map ctx ob (f : Alg_env.t -> Alg_env.t) (input : Alg_env.t array) =
     out
   end
 
-(* Morsel-parallel filter/expand: each morsel collects its own output
-   run; runs are stitched in morsel order. *)
+(* Morsel-parallel filter/expand.  Each morsel writes its first [len]
+   rows in place, into its own slice of one output array, and spills
+   any further rows into chunks of [len] (no per-row list cells, no
+   copying as its output grows).  When every morsel filled its slice
+   exactly — a filter that kept every row, a 1:1 expansion — that array
+   is the answer; otherwise the pieces are blitted together in morsel
+   order. *)
 let par_expand ctx ob (f : (Alg_env.t -> unit) -> Alg_env.t -> unit) input =
   let n = Array.length input in
   if n = 0 then [||]
   else begin
     let ranges = morsel_ranges ctx.cfg.morsel n in
     let m = Array.length ranges in
-    let outs = Array.make m [||] in
+    let out = Array.make n Alg_env.empty in
+    let kept = Array.make m 0 and spills = Array.make m [] in
     region ctx ob m (fun i ->
         let lo, len = ranges.(i) in
-        let acc = ref [] in
-        let emit env = acc := env :: !acc in
+        let dst = ref out and pos = ref lo and stop = ref (lo + len) and chunks = ref [] in
+        let emit env =
+          if !pos = !stop then begin
+            dst := Array.make len Alg_env.empty;
+            chunks := !dst :: !chunks;
+            pos := 0;
+            stop := len
+          end;
+          !dst.(!pos) <- env;
+          incr pos
+        in
         for j = lo to lo + len - 1 do
           f emit input.(j)
         done;
-        outs.(i) <- Array.of_list (List.rev !acc));
-    Array.concat (Array.to_list outs)
+        match !chunks with
+        | [] -> kept.(i) <- !pos - lo
+        | last :: full ->
+          kept.(i) <- len;
+          spills.(i) <- List.rev ((last, !pos) :: List.map (fun c -> (c, len)) full));
+    let spilled = Array.exists (fun s -> s <> []) spills in
+    if (not spilled) && Array.fold_left ( + ) 0 kept = n then out
+    else begin
+      let total =
+        Array.fold_left ( + ) 0 kept
+        + Array.fold_left (List.fold_left (fun acc (_, k) -> acc + k)) 0 spills
+      in
+      let res = Array.make total Alg_env.empty in
+      let pos = ref 0 in
+      let put src off k =
+        Array.blit src off res !pos k;
+        pos := !pos + k
+      in
+      Array.iteri
+        (fun i (lo, _) ->
+          put out lo kept.(i);
+          List.iter (fun (chunk, k) -> put chunk 0 k) spills.(i))
+        ranges;
+      res
+    end
   end
 
 (* Parallel stable sort: decorate and sort each morsel run in parallel
@@ -330,13 +292,13 @@ let par_sort ctx ob specs arr =
   let n = Array.length arr in
   if n <= 1 || specs = [] then arr
   else begin
-    let cmp_keys = Alg_batch.sort_compare_keys specs in
+    let cmp_keys = Alg_ops.sort_compare_keys specs in
     let ranges = morsel_ranges ctx.cfg.morsel n in
     let m = Array.length ranges in
     let runs = Array.make m [||] in
     region ctx ob m (fun i ->
         let lo, len = ranges.(i) in
-        let d = Alg_batch.sort_decorate specs (Array.sub arr lo len) in
+        let d = Alg_ops.sort_decorate specs (Array.sub arr lo len) in
         Array.stable_sort (fun (ka, _) (kb, _) -> cmp_keys ka kb) d;
         runs.(i) <- d);
     let merge a b =
@@ -393,7 +355,7 @@ let default_cost_rows plan =
   let est = Alg_cost.estimate ~source_rows:(fun _ -> Alg_cost.default_scan_rows) plan in
   est.Alg_cost.rows
 
-let rec eval ctx ob plan : Alg_env.t array =
+let rec eval ctx (ob : Alg_ops.op_stats) plan : Alg_env.t array =
   ob.op_pulled <- true;
   let t0 = Obs_clock.wall_ms () in
   let out = eval_node ctx ob plan in
@@ -401,10 +363,11 @@ let rec eval ctx ob plan : Alg_env.t array =
   ob.op_rows <- Array.length out;
   out
 
-and eval_node ctx ob plan : Alg_env.t array =
+and eval_node ctx (ob : Alg_ops.op_stats) plan : Alg_env.t array =
   let kid i = List.nth ob.op_kids i in
   let fallback () =
     Obs_metrics.inc ctx.counters.c_fallbacks;
+    ob.op_fallback <- true;
     Array.of_seq (ctx.cfg.fallback plan)
   in
   match plan with
@@ -412,19 +375,33 @@ and eval_node ctx ob plan : Alg_env.t array =
     (* Sources (mediator fetches, caches, network simulation, metrics)
        are process-global state: materialize on the caller's domain, in
        plan order — which also keeps strict/partial failure semantics
-       identical to the other engines. *)
+       identical to the tuple engine. *)
     Array.of_seq (ctx.cfg.sources source binding)
   | Alg_plan.Const_envs envs -> Array.of_list envs
   | Alg_plan.Select (input, pred) ->
-    let test = Alg_batch.compile_pred pred in
+    let test = Alg_ops.compile_pred pred in
     let rows = eval ctx (kid 0) input in
     par_expand ctx ob (fun emit env -> if test env then emit env) rows
+  | Alg_plan.Project (Alg_plan.Select (inner, pred), vars) ->
+    (* Fused select+project: one pass filters and narrows.  The select
+       node reports the fused pass's rows and time, and no morsels of
+       its own. *)
+    let sel = kid 0 in
+    let test = Alg_ops.compile_pred pred in
+    let narrow = Alg_ops.compile_project vars in
+    let t0 = Obs_clock.wall_ms () in
+    let rows = eval ctx (List.hd sel.op_kids) inner in
+    let out = par_expand ctx ob (fun emit env -> if test env then emit (narrow env)) rows in
+    sel.op_pulled <- true;
+    sel.op_rows <- Array.length out;
+    sel.op_ms <- Obs_clock.wall_ms () -. t0;
+    out
   | Alg_plan.Project (input, vars) ->
-    par_map ctx ob (Alg_batch.compile_project vars) (eval ctx (kid 0) input)
+    par_map ctx ob (Alg_ops.compile_project vars) (eval ctx (kid 0) input)
   | Alg_plan.Rename (input, mapping) ->
     par_map ctx ob (fun env -> Alg_env.rename env mapping) (eval ctx (kid 0) input)
   | Alg_plan.Extend (input, var, e) ->
-    let f = Alg_batch.compile_value e in
+    let f = Alg_ops.compile_value e in
     par_map ctx ob (fun env -> Alg_env.bind_value env var (f env)) (eval ctx (kid 0) input)
   | Alg_plan.Extend_tree (input, var, e) ->
     par_map ctx ob
@@ -434,7 +411,7 @@ and eval_node ctx ob plan : Alg_env.t array =
         | None -> Alg_env.bind env var (Dtree.atom Value.Null))
       (eval ctx (kid 0) input)
   | Alg_plan.Hash_join { left; right; left_key; right_key; residual } ->
-    (* Build side first (same evaluation order as the other engines),
+    (* Build side first (same evaluation order as the tuple engine),
        then: parallel key precompute, one build partition per domain
        (each walks the key column backwards so buckets stay in build
        order), and a morsel-parallel probe over read-only tables.  Per
@@ -443,7 +420,7 @@ and eval_node ctx ob plan : Alg_env.t array =
     let rights = eval ctx (kid 1) right in
     let lefts = eval ctx (kid 0) left in
     let n = Array.length rights in
-    let rkey = Alg_batch.compile_value right_key in
+    let rkey = Alg_ops.compile_value right_key in
     let rkeys = Array.make n Value.Null in
     let ranges = morsel_ranges ctx.cfg.morsel n in
     region ctx ob (Array.length ranges) (fun i ->
@@ -452,9 +429,9 @@ and eval_node ctx ob plan : Alg_env.t array =
           rkeys.(j) <- rkey rights.(j)
         done);
     let parts = partitions ctx in
-    let part_of k = Hashtbl.hash k mod parts in
+    let part_of k = if parts = 1 then 0 else Hashtbl.hash k mod parts in
     (* Pre-size each partition from the cost model's build-side
-       estimate, as the sequential engines do for the whole table. *)
+       estimate, as the tuple engine does for the whole table. *)
     let hint =
       int_of_float
         (Float.min 1_048_576.0
@@ -474,8 +451,8 @@ and eval_node ctx ob plan : Alg_env.t array =
               | Some bucket -> bucket := rights.(j) :: !bucket
               | None -> Hashtbl.add table k (ref [ rights.(j) ]))
         done);
-    let lkey = Alg_batch.compile_value left_key in
-    let keep = Option.map Alg_batch.compile_pred residual in
+    let lkey = Alg_ops.compile_value left_key in
+    let keep = Option.map Alg_ops.compile_pred residual in
     par_expand ctx ob
       (fun emit lenv ->
         match lkey lenv with
@@ -499,10 +476,10 @@ and eval_node ctx ob plan : Alg_env.t array =
     if keys = [] then
       (* Scalar aggregation is one group fed in input order — it cannot
          be split without reassociating float sums, so it runs on the
-         caller (shared with the other engines, identities included). *)
-      Array.of_list (Alg_batch.group_rows ~size_hint:16 keys aggs (Array.to_list rows))
+         caller (shared with the tuple engine, identities included). *)
+      Array.of_list (Alg_ops.group_rows ~size_hint:16 keys aggs (Array.to_list rows))
     else begin
-      let keyfns = List.map (fun (_, e) -> Alg_batch.compile_value e) keys in
+      let keyfns = List.map (fun (_, e) -> Alg_ops.compile_value e) keys in
       let keyvals : Value.t list array = Array.make n [] in
       let ranges = morsel_ranges ctx.cfg.morsel n in
       region ctx ob (Array.length ranges) (fun i ->
@@ -516,7 +493,7 @@ and eval_node ctx ob plan : Alg_env.t array =
          sequence the sequential fold would — float sums associate
          identically.  Groups then merge by first-occurrence row. *)
       let parts = partitions ctx in
-      let groups : (int * Value.t list * Alg_batch.agg_state list) list array =
+      let groups : (int * Value.t list * Alg_ops.agg_state list) list array =
         Array.make parts []
       in
       let hint =
@@ -527,17 +504,17 @@ and eval_node ctx ob plan : Alg_env.t array =
           let order = ref [] in
           for j = 0 to n - 1 do
             let key = keyvals.(j) in
-            if Hashtbl.hash key mod parts = p then begin
+            if parts = 1 || Hashtbl.hash key mod parts = p then begin
               let _, _, states =
                 match Hashtbl.find_opt table key with
                 | Some entry -> entry
                 | None ->
-                  let entry = (j, key, List.map (fun _ -> Alg_batch.new_state ()) aggs) in
+                  let entry = (j, key, List.map (fun _ -> Alg_ops.new_state ()) aggs) in
                   Hashtbl.add table key entry;
                   order := entry :: !order;
                   entry
               in
-              List.iter2 (fun st (_, agg) -> Alg_batch.feed rows.(j) st agg) states aggs
+              List.iter2 (fun st (_, agg) -> Alg_ops.feed rows.(j) st agg) states aggs
             end
           done;
           groups.(p) <- List.rev !order);
@@ -548,7 +525,7 @@ and eval_node ctx ob plan : Alg_env.t array =
            (fun (_, key, states) ->
              let key_bindings = List.map2 (fun (var, _) v -> (var, Dtree.atom v)) keys key in
              let agg_bindings =
-               List.map2 (fun st (var, agg) -> (var, Alg_batch.result st agg)) states aggs
+               List.map2 (fun st (var, agg) -> (var, Alg_ops.result st agg)) states aggs
              in
              Alg_env.of_bindings (key_bindings @ agg_bindings))
            all)
@@ -560,7 +537,7 @@ and eval_node ctx ob plan : Alg_env.t array =
   | Alg_plan.Outer_union (a, b) ->
     let ea = eval ctx (kid 0) a in
     let eb = eval ctx (kid 1) b in
-    let vars = Alg_batch.union_vars (Array.to_list ea @ Array.to_list eb) in
+    let vars = Alg_ops.union_vars (Array.to_list ea @ Array.to_list eb) in
     par_map ctx ob (fun env -> Alg_env.project env vars) (Array.append ea eb)
   | Alg_plan.Navigate { input; var; path; out } ->
     par_expand ctx ob
@@ -569,11 +546,8 @@ and eval_node ctx ob plan : Alg_env.t array =
         | None -> ()
         | Some (Dtree.Atom _) -> ()
         | Some (Dtree.Node _ as tree) ->
-          let matches, how = Alg_batch.navigate_matches tree path in
-          (match how with
-          | `Probe -> Atomic.incr ob.op_idx_probe
-          | `Guide -> Atomic.incr ob.op_idx_guide
-          | `Miss -> Atomic.incr ob.op_idx_miss);
+          let matches, how = Alg_ops.navigate_matches tree path in
+          Alg_ops.count_idx ob how;
           List.iter (fun m -> emit (Alg_env.bind env out m)) matches)
       (eval ctx (kid 0) input)
   | Alg_plan.Unnest { input; var; label; out } ->
@@ -607,8 +581,8 @@ and eval_node ctx ob plan : Alg_env.t array =
 
 let default_domains () = max 1 (Domain.recommended_domain_count ())
 
-let run ?domains ?(chunk = Alg_batch.default_chunk) ?(cost_rows = default_cost_rows)
-    ~sources ~fallback ~template plan =
+let run ?domains ~chunk ?(cost_rows = default_cost_rows) ~sources ~fallback ~template
+    plan =
   let domains =
     match domains with
     | Some d -> max 1 (min (Pool.max_workers + 1) d)
@@ -624,7 +598,7 @@ let run ?domains ?(chunk = Alg_batch.default_chunk) ?(cost_rows = default_cost_r
     }
   in
   Obs_metrics.inc counters.c_runs;
-  let root = make_stats plan in
+  let root = Alg_ops.make_stats plan in
   let stats =
     { domains; chunk_size = cfg.morsel; busy = Array.make domains 0.0; morsels = 0; root }
   in

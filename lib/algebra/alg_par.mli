@@ -1,17 +1,21 @@
 (** Morsel-driven multicore execution of physical plans.
 
-    The third engine, next to {!Alg_exec} (tuple-at-a-time) and
-    {!Alg_batch} (batch-at-a-time): operator outputs are materialized
-    bottom-up, per-row work is cut into {e morsels} of [chunk] rows,
-    and morsels run on a fixed, process-wide pool of OCaml domains
-    (hand-rolled mutex/condition work queue — the caller participates
-    as worker 0).  Workers claim morsels from a shared counter, so a
+    The second engine, next to {!Alg_exec}'s tuple-at-a-time
+    reference: operator outputs are materialized bottom-up, per-row
+    work is cut into {e morsels} of [chunk] rows, and morsels run on a
+    fixed, process-wide pool of OCaml domains (hand-rolled
+    mutex/condition work queue — the caller participates as worker 0).  Workers claim morsels from a shared counter, so a
     fast domain steals the tail of a slow one (Leis et al.,
     "Morsel-Driven Parallelism", SIGMOD 2014); per-morsel outputs are
     stitched back in morsel order.
 
-    {b Determinism.}  Answers are byte-identical to the other two
-    engines, by construction:
+    {b Sequential mode.}  With [domains = 1] every region runs inline on
+    the caller — no pool, no locks — so the engine is a sequential
+    chunked executor: compiled expressions, a fused select+project
+    pass, and one growable output array per morsel.
+
+    {b Determinism.}  Answers are byte-identical to the tuple engine,
+    by construction:
 
     - maps/filters/expansions stitch per-morsel outputs in input order;
     - the hash join partitions its build side by key hash, each
@@ -35,48 +39,22 @@
     (fetch scheduler, caches, network simulation), and the metrics
     registry is not thread-safe.  Scans materialize eagerly in plan
     order, so strict/partial source-failure semantics — including
-    which sources are recorded as skipped — match the other engines. *)
+    which sources are recorded as skipped — match the tuple engine. *)
 
-(** {1 Per-operator statistics} *)
-
-type op_par = {
-  op_plan : Alg_plan.t;
-  op_parallel : bool;  (** false: subtree ran on the tuple engine *)
-  mutable op_pulled : bool;
-  mutable op_morsels : int;  (** parallel tasks issued by this operator *)
-  mutable op_rows : int;
-  mutable op_ms : float;  (** inclusive of input operators *)
-  op_idx_probe : int Atomic.t;
-      (** Navigate bindings answered by a value probe (atomic: Navigate
-          expansion runs on worker domains) *)
-  op_idx_guide : int Atomic.t;  (** … answered by the structural guide *)
-  op_idx_miss : int Atomic.t;  (** … that fell back to the tree walker *)
-  op_kids : op_par list;
-}
+(** {1 Statistics} *)
 
 type stats = {
   domains : int;
   chunk_size : int;  (** the morsel size *)
   busy : float array;  (** per-domain busy ms; slot 0 is the caller *)
   mutable morsels : int;  (** total parallel tasks over the whole run *)
-  root : op_par;
+  root : Alg_ops.op_stats;
+      (** per-operator rows, time, morsels, fallbacks and index outcomes *)
 }
 
-val actual_of_stats : stats -> Alg_plan.t -> (int * float) option
-(** As {!Alg_exec.actual_of_stats}: (rows, inclusive ms) by physical
-    node identity, [None] for nodes never evaluated. *)
-
-val cells_of_stats : stats -> Alg_plan.t -> string list
-(** The parallel columns of EXPLAIN ANALYZE for one node:
-    [morsels=…] for parallel operators, [fallback=tuple] for fallback
-    roots; the plan root additionally reports [domains=…] and
+val root_cells : stats -> string list
+(** The plan root's extra EXPLAIN ANALYZE cells: [domains=…] and
     [skew=MAX/MINms] — the busiest vs. idlest domain's busy time. *)
-
-val span_of_stats : stats -> Obs_span.t
-(** Statistics as a span tree, for the trace sink. *)
-
-val busy_max : stats -> float
-val busy_min : stats -> float
 
 (** {1 Running} *)
 
@@ -85,7 +63,7 @@ val default_domains : unit -> int
 
 val run :
   ?domains:int ->
-  ?chunk:int ->
+  chunk:int ->
   ?cost_rows:(Alg_plan.t -> float) ->
   sources:(string -> string -> Alg_env.t Seq.t) ->
   fallback:(Alg_plan.t -> Alg_env.t Seq.t) ->
@@ -94,11 +72,13 @@ val run :
   Alg_env.t list * stats
 (** Evaluate the plan with [domains] workers (default
     {!default_domains}, caller included, clamped to the pool limit)
-    over morsels of [chunk] rows (default {!Alg_batch.default_chunk}).
-    [sources]/[fallback]/[template] as in {!Alg_batch.run};
-    [cost_rows] estimates a subplan's output rows so per-partition
-    hash-join tables pre-size from real cardinalities (default: the
-    blind cost model over {!Alg_cost.default_scan_rows}); most
-    callers want {!Alg_exec.run_parallel}.  The domain pool is global
+    over morsels of [chunk] rows.  [sources] resolves scans (raise
+    {!Alg_exec.Source_unavailable} as usual; they run on the caller);
+    [fallback] runs a subtree on the tuple engine; [template]
+    instantiates CONSTRUCT templates; [cost_rows] estimates a subplan's
+    output rows so per-partition hash-join tables pre-size from real
+    cardinalities (default: the blind cost model over
+    {!Alg_cost.default_scan_rows}).  Most callers want
+    {!Alg_exec.run_parallel}.  The domain pool is global
     and reused across runs; it grows to the largest [domains] ever
     requested and is joined at exit. *)

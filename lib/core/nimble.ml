@@ -346,7 +346,7 @@ let set_exec_mode t mode = Med_catalog.set_exec_mode t.cat mode
 
 let exec_report t =
   Printf.sprintf "exec: %s\n"
-    (Alg_batch.mode_to_string (Med_catalog.exec_mode t.cat))
+    (Alg_exec.mode_to_string (Med_catalog.exec_mode t.cat))
 
 (* ------------------------------------------------------------------ *)
 (* Path & value indexes                                                *)

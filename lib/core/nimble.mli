@@ -107,13 +107,13 @@ val retry_report : t -> string
 
 (** {1 Execution engine} *)
 
-val exec_mode : t -> Alg_batch.mode
-val set_exec_mode : t -> Alg_batch.mode -> unit
-(** Tuple-at-a-time (default), batch-at-a-time or morsel-driven
-    parallel plan evaluation for every subsequent query against this
-    engine; batch mode carries its chunk size, parallel mode its domain
-    count and morsel size.  Answers are identical in all three —
-    these are throughput knobs. *)
+val exec_mode : t -> Alg_exec.mode
+val set_exec_mode : t -> Alg_exec.mode -> unit
+(** Tuple-at-a-time (default) or morsel-driven plan evaluation for
+    every subsequent query against this engine; morsel-driven mode
+    carries its domain count (1 is the sequential chunked mode) and
+    morsel size.  Answers are identical in both — this is a throughput
+    knob. *)
 
 val exec_report : t -> string
 (** One-line summary of the execution mode — the repl's [\exec] view. *)

@@ -14,7 +14,7 @@ type t = {
   mutable frag : Frag_cache.t;
   mutable sem : Sem_cache.t;
   mutable fetch : Fetch_sched.options;
-  mutable exec : Alg_batch.mode;
+  mutable exec : Alg_exec.mode;
   mutable listeners : (string -> unit) list;
       (* mutation subscribers (plan caches), fired with the affected name *)
 }
@@ -34,7 +34,7 @@ let create ?frag_ttl_ms ?(frag_capacity = 0) ?(sem_budget_bytes = 0) () =
     frag = Frag_cache.create ?ttl_ms:frag_ttl_ms ~capacity:frag_capacity ();
     sem = Sem_cache.create ~budget_bytes:sem_budget_bytes ();
     fetch = Fetch_sched.default_options;
-    exec = Alg_batch.Tuple;
+    exec = Alg_exec.Tuple;
     listeners = [];
   }
 

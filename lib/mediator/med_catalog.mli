@@ -110,13 +110,13 @@ val fetch_options : t -> Fetch_sched.options
 
 val set_fetch_options : t -> Fetch_sched.options -> unit
 
-val exec_mode : t -> Alg_batch.mode
+val exec_mode : t -> Alg_exec.mode
 (** How executions against this catalog evaluate their plans:
-    tuple-at-a-time (the default), batch-at-a-time with a configured
-    chunk size, or morsel-driven parallel with a configured domain
-    count and morsel size. *)
+    tuple-at-a-time (the default) or morsel-driven with a configured
+    domain count and morsel size ([domains = 1] is the sequential
+    chunked mode). *)
 
-val set_exec_mode : t -> Alg_batch.mode -> unit
+val set_exec_mode : t -> Alg_exec.mode -> unit
 
 (** {1 Sources} *)
 

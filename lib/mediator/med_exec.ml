@@ -1088,9 +1088,9 @@ type analysis = {
   analyzed_compiled : Med_planner.compiled;
   analyzed_source_rows : string -> float;
   analyzed_actual : Alg_plan.t -> (int * float) option;
-  analyzed_batch : Alg_plan.t -> string list;
-      (* batch-engine cells per node; [] everywhere in tuple mode *)
-  analyzed_mode : Alg_batch.mode;
+  analyzed_cells : Alg_plan.t -> string list;
+      (* engine cells per node (morsels, fallback, idx, root domains/skew) *)
+  analyzed_mode : Alg_exec.mode;
   analyzed_accesses : access_stat list;
   analyzed_wall_ms : float;
   analyzed_virtual_ms : float;
@@ -1158,42 +1158,30 @@ let run_analyzed ?(opts = Med_sqlgen.default_options) ?(view_lookup = no_lookup)
      retry := (r + r1 - r0, u + u1 - u0, f + f1 - f0));
     List.to_seq envs
   in
-  let mode = Med_catalog.exec_mode catalog in
-  let envs, actual, batch_cells =
+  let envs, root, root_cells =
     Obs_trace.with_span "query" (fun qspan ->
-        match mode with
-        | Alg_batch.Tuple ->
-          let envs, op_root =
-            Alg_exec.run_instrumented sources compiled.Med_planner.plan
-          in
-          Obs_span.set_int qspan "rows" (List.length envs);
-          (envs, Alg_exec.actual_of_stats op_root, Alg_exec.idx_cells_of_stats op_root)
-        | Alg_batch.Batch { chunk } ->
-          let envs, bstats =
-            Alg_exec.run_batched ~chunk sources compiled.Med_planner.plan
-          in
-          Obs_span.set_int qspan "rows" (List.length envs);
-          if Obs_trace.enabled () then
-            Obs_trace.emit (Alg_batch.span_of_stats bstats);
-          (envs, Alg_batch.actual_of_stats bstats, Alg_batch.cells_of_stats bstats)
-        | Alg_batch.Parallel { domains; chunk } ->
-          let cost_rows plan =
-            (Alg_cost.estimate ~source_rows plan).Alg_cost.rows
-          in
-          let envs, pstats =
-            Alg_exec.run_parallel ~domains ~chunk ~cost_rows sources
-              compiled.Med_planner.plan
-          in
-          Obs_span.set_int qspan "rows" (List.length envs);
-          if Obs_trace.enabled () then
-            Obs_trace.emit (Alg_par.span_of_stats pstats);
-          (envs, Alg_par.actual_of_stats pstats, Alg_par.cells_of_stats pstats))
+        let envs, root, root_cells =
+          match Med_catalog.exec_mode catalog with
+          | Alg_exec.Tuple ->
+            let envs, root = Alg_exec.run_instrumented sources compiled.Med_planner.plan in
+            (envs, root, [])
+          | Alg_exec.Parallel { domains; chunk } ->
+            let cost_rows plan = (Alg_cost.estimate ~source_rows plan).Alg_cost.rows in
+            let envs, pstats =
+              Alg_exec.run_parallel ~domains ~chunk ~cost_rows sources
+                compiled.Med_planner.plan
+            in
+            (envs, pstats.Alg_par.root, Alg_par.root_cells pstats)
+        in
+        Obs_span.set_int qspan "rows" (List.length envs);
+        if Obs_trace.enabled () then Obs_trace.emit (Alg_ops.span_of_stats root);
+        (envs, root, root_cells))
   in
-  (envs, actual, batch_cells, fetch_info)
+  (envs, Alg_ops.actual_of_stats root, Alg_ops.cells_of_stats ~root_cells root, fetch_info)
   in
   (* Same retry-budget context as [exec]: the analyzed run is strict,
      so no stale serving — but transient faults retry identically. *)
-  let (envs, actual, batch_cells, fetch_info), _stale =
+  let (envs, actual, cells, fetch_info), _stale =
     Src_retry.with_query (Med_catalog.retry catalog) ~partial:false analyze
   in
   let wall_ms = Obs_clock.wall_ms () -. t0 in
@@ -1243,7 +1231,7 @@ let run_analyzed ?(opts = Med_sqlgen.default_options) ?(view_lookup = no_lookup)
     analyzed_compiled = compiled;
     analyzed_source_rows = source_rows;
     analyzed_actual = actual;
-    analyzed_batch = batch_cells;
+    analyzed_cells = cells;
     analyzed_mode = Med_catalog.exec_mode catalog;
     analyzed_accesses = accesses;
     analyzed_wall_ms = wall_ms;
@@ -1258,7 +1246,7 @@ let run_analyzed_text ?opts ?view_lookup catalog text =
 let analysis_to_string a =
   let buf = Buffer.create 512 in
   Buffer.add_string buf
-    (Alg_cost.explain_analyze ~extra:a.analyzed_batch
+    (Alg_cost.explain_analyze ~extra:a.analyzed_cells
        ~source_rows:a.analyzed_source_rows ~actual:a.analyzed_actual
        a.analyzed_compiled.Med_planner.plan);
   (match a.analyzed_compiled.Med_planner.opt_info with
@@ -1316,9 +1304,8 @@ let analysis_to_string a =
     a.analyzed_accesses;
   let exec_note =
     match a.analyzed_mode with
-    | Alg_batch.Tuple -> ""
-    | Alg_batch.Batch { chunk } -> Printf.sprintf " [batch chunk=%d]" chunk
-    | Alg_batch.Parallel { domains; chunk } ->
+    | Alg_exec.Tuple -> ""
+    | Alg_exec.Parallel { domains; chunk } ->
       Printf.sprintf " [parallel domains=%d chunk=%d]" domains chunk
   in
   Buffer.add_string buf

@@ -124,10 +124,11 @@ type analysis = {
       (** the pre-run estimate snapshot, keyed by access id *)
   analyzed_actual : Alg_plan.t -> (int * float) option;
       (** per-operator (rows, inclusive ms), by physical node identity *)
-  analyzed_batch : Alg_plan.t -> string list;
-      (** the batch engine's per-operator cells (batches, rows/batch,
-          fill ratio); [[]] everywhere when the run was tuple-at-a-time *)
-  analyzed_mode : Alg_batch.mode;
+  analyzed_cells : Alg_plan.t -> string list;
+      (** the engine's per-operator cells ({!Alg_ops.cells_of_stats}):
+          [idx=…] in either engine; [morsels=…], [fallback=tuple] and the
+          root's [domains=…]/[skew=…] when the run was parallel *)
+  analyzed_mode : Alg_exec.mode;
       (** the engine that executed the analyzed run *)
   analyzed_accesses : access_stat list;
   analyzed_wall_ms : float;

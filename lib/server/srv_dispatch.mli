@@ -50,7 +50,7 @@ val submit :
   ?priority:Srv_request.priority ->
   ?deadline_ms:float ->
   ?mode:Srv_request.failure_mode ->
-  ?exec:Alg_batch.mode ->
+  ?exec:Alg_exec.mode ->
   unit ->
   (int, string) result
 (** Enqueue an invocation and pump whatever can start at the current

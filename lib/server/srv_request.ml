@@ -27,7 +27,7 @@ type t = {
   req_priority : priority;
   req_deadline_ms : float option;
   req_mode : failure_mode;
-  req_exec : Alg_batch.mode option;
+  req_exec : Alg_exec.mode option;
 }
 
 type reject =

@@ -34,7 +34,7 @@ type t = {
   req_deadline_ms : float option;
       (** maximum virtual queue wait; [None] waits forever *)
   req_mode : failure_mode;
-  req_exec : Alg_batch.mode option;
+  req_exec : Alg_exec.mode option;
       (** per-request engine override; [None] uses the catalog's *)
 }
 

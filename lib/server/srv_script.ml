@@ -118,7 +118,7 @@ let do_request env = function
         | Some ("!mode", "strict") -> mode := Srv_request.Strict
         | Some ("!mode", _) -> if !bad = None then bad := Some tok
         | Some ("!exec", v) -> (
-          match Alg_batch.mode_of_string v with
+          match Alg_exec.mode_of_string v with
           | Some m -> exec := Some m
           | None -> if !bad = None then bad := Some tok)
         | Some (k, v) -> args := (k, v) :: !args)

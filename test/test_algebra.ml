@@ -351,7 +351,7 @@ let test_run_instrumented () =
   let plan = Alg_plan.Select (scan, child "p" "dept" =% ci 10) in
   let envs, stats = Alg_exec.run_instrumented sources plan in
   check int_t "same rows as run_list" (List.length (run plan)) (List.length envs);
-  let actual = Alg_exec.actual_of_stats stats in
+  let actual = Alg_ops.actual_of_stats stats in
   (match actual plan with
   | Some (rows, ms) ->
     check int_t "select actual rows" 2 rows;
@@ -369,7 +369,7 @@ let test_explain_analyze_output () =
   let report =
     Alg_cost.explain_analyze
       ~source_rows:(fun _ -> Alg_cost.default_scan_rows)
-      ~actual:(Alg_exec.actual_of_stats stats)
+      ~actual:(Alg_ops.actual_of_stats stats)
       plan
   in
   check bool_t "limit line has actuals" true (contains "actual 0 rows" report);
@@ -442,8 +442,13 @@ let prop_select_pushes_through_join =
       norm plain = norm pushed)
 
 (* ------------------------------------------------------------------ *)
-(* Group determinism (regressions) and the batch engine                *)
+(* Group determinism (regressions) and the one-domain chunked mode     *)
 (* ------------------------------------------------------------------ *)
+
+(* The morsel-driven engine at one domain: the sequential chunked mode,
+   every region inline on the caller. *)
+let chunked_run ?(chunk = 4) plan =
+  Alg_exec.run_mode (Alg_exec.Parallel { domains = 1; chunk }) sources plan
 
 (* Keyless aggregation over empty input yields exactly one row of
    aggregate identities — in both engines. *)
@@ -477,7 +482,7 @@ let test_group_empty_input () =
     | None -> Alcotest.fail (label ^ ": expected collection binding")
   in
   check_engine "tuple" (run plan);
-  check_engine "batch" (fst (Alg_exec.run_batched ~chunk:4 sources plan))
+  check_engine "parallel(domains=1)" (chunked_run plan)
 
 (* Null group keys land in one deterministic group; group order is
    first-appearance order in both engines. *)
@@ -494,15 +499,13 @@ let test_group_null_keys () =
     List.map (fun e -> (Alg_env.value_of e "dept", Alg_env.value_of e "n")) envs
   in
   let tuple = snapshot (run plan) in
-  let batch = snapshot (fst (Alg_exec.run_batched ~chunk:3 sources plan)) in
+  let chunked = snapshot (chunked_run ~chunk:3 plan) in
   check int_t "three groups (null keys grouped)" 3 (List.length tuple);
   check bool_t "first-appearance order" true
     (tuple = [ (Value.Int 10, Value.Int 2); (Value.Int 20, Value.Int 1); (Value.Null, Value.Int 1) ]);
-  check bool_t "batch agrees" true (tuple = batch)
+  check bool_t "parallel(domains=1) agrees" true (tuple = chunked)
 
-let batch_run ?(chunk = 4) plan = fst (Alg_exec.run_batched ~chunk sources plan)
-
-let test_batch_basic_equivalence () =
+let test_chunked_basic_equivalence () =
   let open Alg_expr in
   let plans =
     [
@@ -523,44 +526,52 @@ let test_batch_basic_equivalence () =
             (Printf.sprintf "plan %d chunk %d" i chunk)
             true
             (List.map Alg_env.to_string (run plan)
-            = List.map Alg_env.to_string (batch_run ~chunk plan)))
+            = List.map Alg_env.to_string (chunked_run ~chunk plan)))
         [ 1; 2; 1024 ])
     plans
 
-(* The fused select+project surfaces in the per-operator stats, and a
-   non-vectorized operator reports its tuple-engine fallback. *)
-let test_batch_stats_cells () =
+(* The fused select+project reports the select's rows without morsels
+   of its own (it ran inside its parent's pass), and an operator with no
+   morsel implementation reports its tuple-engine fallback. *)
+let test_chunked_stats_cells () =
   let open Alg_expr in
+  let run_stats plan = Alg_exec.run_parallel ~domains:1 ~chunk:2 sources plan in
   let sel = Alg_plan.Select (open_scan "people" "p", Binop (Alg_expr.Le, child "p" "id", ci 3)) in
   let plan = Alg_plan.Project (sel, [ "p" ]) in
-  let envs, stats = Alg_exec.run_batched ~chunk:2 sources plan in
+  let envs, stats = run_stats plan in
+  let root = stats.Alg_par.root in
   check int_t "fused rows" 3 (List.length envs);
-  check bool_t "select reports fusion" true
-    (List.exists (contains "fused") (Alg_batch.cells_of_stats stats sel));
-  check bool_t "project reports batches" true
-    (List.exists (contains "batches=") (Alg_batch.cells_of_stats stats plan));
+  check bool_t "fused select reports its rows" true
+    (match Alg_ops.actual_of_stats root sel with Some (3, _) -> true | _ -> false);
+  check bool_t "fused select runs no morsels of its own" false
+    (List.exists (contains "morsels=") (Alg_ops.cells_of_stats root sel));
+  check bool_t "project reports morsels" true
+    (List.exists (contains "morsels=") (Alg_ops.cells_of_stats root plan));
   let distinct = Alg_plan.Distinct (open_scan "people" "p") in
-  let envs, stats = Alg_exec.run_batched ~chunk:2 sources distinct in
+  let envs, stats = run_stats distinct in
   check int_t "distinct rows" 4 (List.length envs);
   check bool_t "distinct reports fallback" true
-    (List.exists (contains "fallback") (Alg_batch.cells_of_stats stats distinct))
+    (List.exists (contains "fallback") (Alg_ops.cells_of_stats stats.Alg_par.root distinct))
 
-let test_batch_strict_unavailable () =
+let test_chunked_strict_unavailable () =
   let plan = Alg_plan.Limit (Alg_plan.Sort (open_scan "gone_source" "p", []), 0) in
   try
-    ignore (batch_run plan);
+    ignore (chunked_run plan);
     Alcotest.fail "expected Source_unavailable"
   with Alg_exec.Source_unavailable name -> check string_t "names the source" "gone_source" name
 
-(* Property (the batch-engine contract): batched execution is
-   observably identical to tuple-at-a-time execution — same rows, same
-   order (document order, sort stability, group order), same aggregate
-   values — over random plans and chunk sizes. *)
-let prop_batch_equals_tuple =
-  QCheck2.Test.make ~name:"batch run = tuple run (random plans, random chunks)" ~count:150
+(* Property (the engine contract): morsel-driven execution is
+   byte-identical to tuple-at-a-time execution — same rows, same order
+   (document order, sort stability, group order), same aggregate
+   values — over random plans, domain counts (one domain is the
+   sequential chunked mode) and morsel sizes. *)
+let prop_parallel_equals_tuple =
+  QCheck2.Test.make
+    ~name:"parallel run = tuple run (random plans, domains 1-3, random chunks)" ~count:150
     QCheck2.Gen.(quad (int_bound 25) (int_bound 25) (int_bound 5) (int_bound 1000))
     (fun (n, m, shape, seed) ->
-      let g = Prng.create (seed + (n * 131) + (m * 17) + shape) in
+      let g = Prng.create (seed + (n * 257) + (m * 29) + shape) in
+      let domains = 1 + Prng.int g 3 in
       let chunk = List.nth [ 1; 2; 3; 7; 64; 1024 ] (Prng.int g 6) in
       let mk var count =
         Alg_plan.Const_envs
@@ -574,19 +585,20 @@ let prop_batch_equals_tuple =
       let open Alg_expr in
       let join =
         if Prng.int g 4 = 0 then
-          (* non-vectorized operator: exercises the fallback path *)
+          (* no morsel implementation: exercises the caller-side fallback *)
           Alg_plan.Nl_join { left; right; pred = Some (lk =% rk) }
         else Alg_plan.Hash_join { left; right; left_key = lk; right_key = rk; residual = None }
       in
       let plan =
         match shape with
         | 0 ->
+          (* the fused select+project pass *)
           Alg_plan.Project
             ( Alg_plan.Select (join, Binop (Alg_expr.Le, child "l" "v", ci (Prng.int g 20))),
               [ "l"; "r" ] )
         | 1 ->
-          (* heavy key duplication: order differences from unstable sort
-             or probe order would show up here *)
+          (* heavy key duplication: an unstable merge or probe reorder
+             would show up here *)
           Alg_plan.Sort (join, [ { Alg_plan.sort_key = lk; ascending = Prng.int g 2 = 0 } ])
         | 2 ->
           Alg_plan.Group
@@ -611,15 +623,19 @@ let prop_batch_equals_tuple =
             }
       in
       let tuple = List.map Alg_env.to_string (Alg_exec.run_list sources plan) in
-      let batch = List.map Alg_env.to_string (fst (Alg_exec.run_batched ~chunk sources plan)) in
-      tuple = batch)
+      let par =
+        List.map Alg_env.to_string
+          (Alg_exec.run_mode (Alg_exec.Parallel { domains; chunk }) sources plan)
+      in
+      tuple = par)
 
-(* Property: partial-results mode (section 3.4) agrees across engines —
-   same rows in order, same set of skipped sources. *)
-let prop_batch_partial_equals_tuple =
-  QCheck2.Test.make ~name:"batch partial run = tuple partial run" ~count:60
-    QCheck2.Gen.(pair (int_bound 3) (int_bound 30))
-    (fun (chunk_ix, threshold) ->
+(* Property: partial-results mode (section 3.4) agrees between the
+   engines — same rows in order, same set of skipped sources. *)
+let prop_parallel_partial_equals_tuple =
+  QCheck2.Test.make ~name:"parallel partial run = tuple partial run" ~count:60
+    QCheck2.Gen.(triple (int_bound 2) (int_bound 3) (int_bound 30))
+    (fun (domains_ix, chunk_ix, threshold) ->
+      let domains = domains_ix + 1 in
       let chunk = List.nth [ 1; 3; 8; 1024 ] chunk_ix in
       let open Alg_expr in
       let federation =
@@ -629,105 +645,14 @@ let prop_batch_partial_equals_tuple =
             Alg_plan.Union (open_scan "gone_source" "q", open_scan "depts" "d") )
       in
       let t_envs, t_skip = Alg_exec.run_partial sources federation in
-      let b_envs, b_skip =
-        Alg_exec.run_partial_mode (Alg_batch.Batch { chunk }) sources federation
-      in
-      List.map Alg_env.to_string t_envs = List.map Alg_env.to_string b_envs
-      && List.sort compare t_skip = List.sort compare b_skip)
-
-(* Property (the parallel-engine contract): morsel-driven parallel
-   execution is byte-identical to both the tuple and batch engines —
-   same rows, same order, same aggregate values — over random plans,
-   domain counts, and morsel sizes.  Reuses the random-plan generator
-   shape of [prop_batch_equals_tuple]. *)
-let prop_parallel_equals_batch =
-  QCheck2.Test.make ~name:"parallel run = batch run = tuple run (random plans)" ~count:120
-    QCheck2.Gen.(quad (int_bound 25) (int_bound 25) (int_bound 5) (int_bound 1000))
-    (fun (n, m, shape, seed) ->
-      let g = Prng.create (seed + (n * 257) + (m * 29) + shape) in
-      let domains = List.nth [ 1; 2; 3; 4 ] (Prng.int g 4) in
-      let chunk = List.nth [ 1; 2; 3; 7; 64; 1024 ] (Prng.int g 6) in
-      let mk var count =
-        Alg_plan.Const_envs
-          (List.init count (fun i ->
-               let k = if Prng.int g 5 = 0 then Value.Null else Value.Int (Prng.int g 5) in
-               Alg_env.of_bindings
-                 [ (var, Dtree.of_tuple var (Tuple.make [ ("k", k); ("v", Value.Int i) ])) ]))
-      in
-      let left = mk "l" n and right = mk "r" m in
-      let lk = child "l" "k" and rk = child "r" "k" in
-      let open Alg_expr in
-      let join =
-        if Prng.int g 4 = 0 then
-          (* non-vectorized operator: exercises the caller-side fallback *)
-          Alg_plan.Nl_join { left; right; pred = Some (lk =% rk) }
-        else Alg_plan.Hash_join { left; right; left_key = lk; right_key = rk; residual = None }
-      in
-      let plan =
-        match shape with
-        | 0 ->
-          Alg_plan.Project
-            ( Alg_plan.Select (join, Binop (Alg_expr.Le, child "l" "v", ci (Prng.int g 20))),
-              [ "l"; "r" ] )
-        | 1 ->
-          (* heavy key duplication: an unstable parallel merge or probe
-             reorder would show up here *)
-          Alg_plan.Sort (join, [ { Alg_plan.sort_key = lk; ascending = Prng.int g 2 = 0 } ])
-        | 2 ->
-          Alg_plan.Group
-            {
-              input = join;
-              keys = [ ("k", lk) ];
-              aggs =
-                [
-                  ("n", Alg_plan.A_count);
-                  ("s", Alg_plan.A_sum (child "l" "v"));
-                  ("mx", Alg_plan.A_max (child "r" "v"));
-                ];
-            }
-        | 3 -> Alg_plan.Outer_union (Alg_plan.Union (left, right), open_scan "depts" "d")
-        | 4 -> Alg_plan.Limit (Alg_plan.Distinct (Alg_plan.Project (join, [ "r" ])), Prng.int g 10)
-        | _ ->
-          Alg_plan.Construct
-            {
-              input = join;
-              binding = "out";
-              template = Alg_plan.T_node ("row", [], [ Alg_plan.T_value (child "l" "v") ]);
-            }
-      in
-      let tuple = List.map Alg_env.to_string (Alg_exec.run_list sources plan) in
-      let batch = List.map Alg_env.to_string (fst (Alg_exec.run_batched ~chunk sources plan)) in
-      let par =
-        List.map Alg_env.to_string
-          (Alg_exec.run_mode (Alg_batch.Parallel { domains; chunk }) sources plan)
-      in
-      tuple = batch && batch = par)
-
-(* Property: partial-results mode agrees between the parallel and tuple
-   engines — same rows in order, same set of skipped sources. *)
-let prop_parallel_partial_equals_tuple =
-  QCheck2.Test.make ~name:"parallel partial run = tuple partial run" ~count:40
-    QCheck2.Gen.(pair (int_bound 3) (int_bound 30))
-    (fun (domains_ix, threshold) ->
-      let domains = List.nth [ 1; 2; 3; 4 ] domains_ix in
-      let open Alg_expr in
-      let federation =
-        Alg_plan.Outer_union
-          ( Alg_plan.Select
-              (open_scan "people" "p", Binop (Alg_expr.Le, child "p" "id", ci threshold)),
-            Alg_plan.Union (open_scan "gone_source" "q", open_scan "depts" "d") )
-      in
-      let t_envs, t_skip = Alg_exec.run_partial sources federation in
       let p_envs, p_skip =
-        Alg_exec.run_partial_mode
-          (Alg_batch.Parallel { domains; chunk = 8 })
-          sources federation
+        Alg_exec.run_partial_mode (Alg_exec.Parallel { domains; chunk }) sources federation
       in
       List.map Alg_env.to_string t_envs = List.map Alg_env.to_string p_envs
       && List.sort compare t_skip = List.sort compare p_skip)
 
-(* Sort stability, all three engines: rows sharing a sort key must keep
-   their input order.  The batch engine's decorate–sort–undecorate path
+(* Sort stability, both engines: rows sharing a sort key must keep
+   their input order.  The tuple engine's decorate–sort–undecorate path
    and the parallel engine's merge rounds both promise this. *)
 let test_sort_stability () =
   let rows =
@@ -754,12 +679,12 @@ let test_sort_stability () =
     check int_t (Printf.sprintf "%s: row count" name) 32 (List.length envs)
   in
   assert_stable "tuple" (run plan);
-  assert_stable "batch" (batch_run ~chunk:5 plan);
+  assert_stable "parallel(domains=1,chunk=5)" (chunked_run ~chunk:5 plan);
   List.iter
     (fun domains ->
       assert_stable
         (Printf.sprintf "parallel(domains=%d)" domains)
-        (Alg_exec.run_mode (Alg_batch.Parallel { domains; chunk = 4 }) sources plan))
+        (Alg_exec.run_mode (Alg_exec.Parallel { domains; chunk = 4 }) sources plan))
     [ 1; 2; 4 ]
 
 (* Property: the three join algorithms agree on random data. *)
@@ -797,9 +722,7 @@ let () =
         prop_select_pushes_through_join;
         prop_joins_agree;
         prop_instrumented_identical;
-        prop_batch_equals_tuple;
-        prop_batch_partial_equals_tuple;
-        prop_parallel_equals_batch;
+        prop_parallel_equals_tuple;
         prop_parallel_partial_equals_tuple;
       ]
   in
@@ -838,13 +761,15 @@ let () =
           Alcotest.test_case "explain analyze output" `Quick test_explain_analyze_output;
         ]
         @ props );
+      (* "batch" names the one-domain chunked mode of the morsel-driven
+         engine, which these checks run. *)
       ( "batch",
         [
           Alcotest.test_case "group over empty input" `Quick test_group_empty_input;
           Alcotest.test_case "group null keys deterministic" `Quick test_group_null_keys;
-          Alcotest.test_case "batch = tuple basics" `Quick test_batch_basic_equivalence;
-          Alcotest.test_case "stats cells (fused/fallback)" `Quick test_batch_stats_cells;
-          Alcotest.test_case "strict mode raises" `Quick test_batch_strict_unavailable;
+          Alcotest.test_case "batch = tuple basics" `Quick test_chunked_basic_equivalence;
+          Alcotest.test_case "stats cells (fused/fallback)" `Quick test_chunked_stats_cells;
+          Alcotest.test_case "strict mode raises" `Quick test_chunked_strict_unavailable;
           Alcotest.test_case "sort stability (all engines)" `Quick test_sort_stability;
         ] );
     ]

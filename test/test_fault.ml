@@ -1,7 +1,8 @@
 (* Fault injection & resilience: deterministic Net_sim fault schedules,
    the Src_retry backoff/deadline/breaker engine, partial-mode stale
    serving, and a chaos property driving random fault schedules through
-   all three execution engines in both strict and partial mode. *)
+   both execution engines (the morsel-driven one at one and two domains)
+   in both strict and partial mode. *)
 
 let bool_t = Alcotest.bool
 let int_t = Alcotest.int
@@ -344,9 +345,9 @@ let prop_chaos =
       in
       let engine =
         match Prng.int g 3 with
-        | 0 -> Alg_batch.Tuple
-        | 1 -> Alg_batch.Batch { chunk = 4 }
-        | _ -> Alg_batch.Parallel { domains = 2; chunk = 4 }
+        | 0 -> Alg_exec.Tuple
+        | 1 -> Alg_exec.Parallel { domains = 1; chunk = 4 }
+        | _ -> Alg_exec.Parallel { domains = 2; chunk = 4 }
       in
       let frag_capacity = if Prng.int g 2 = 0 then 8 else 0 in
       let persistent = kind >= 2 in

@@ -251,9 +251,9 @@ let queries =
   |]
 
 let engine_of = function
-  | 0 -> Alg_batch.Tuple
-  | 1 -> Alg_batch.Batch { chunk = 4 }
-  | _ -> Alg_batch.Parallel { domains = 2; chunk = 3 }
+  | 0 -> Alg_exec.Tuple
+  | 1 -> Alg_exec.Parallel { domains = 1; chunk = 4 }
+  | _ -> Alg_exec.Parallel { domains = 2; chunk = 3 }
 
 let gen_case =
   let open QCheck2.Gen in

@@ -925,7 +925,11 @@ let bind_fixture ?(ncust = 30) ?(crm_up = true) ?(sales_up = true) () =
   (cat, crm_stats, sales_stats)
 
 let engines =
-  [ Alg_batch.Tuple; Alg_batch.Batch { chunk = 4 }; Alg_batch.Parallel { domains = 2; chunk = 3 } ]
+  [
+    Alg_exec.Tuple;
+    Alg_exec.Parallel { domains = 1; chunk = 4 };
+    Alg_exec.Parallel { domains = 2; chunk = 3 };
+  ]
 
 (* Answers equal the reference under every engine. *)
 let agree_all cat query =
@@ -933,7 +937,7 @@ let agree_all cat query =
     (fun mode ->
       Med_catalog.set_exec_mode cat mode;
       let ok = agree cat query && agree_ordered cat query in
-      Med_catalog.set_exec_mode cat Alg_batch.Tuple;
+      Med_catalog.set_exec_mode cat Alg_exec.Tuple;
       ok)
     engines
 

@@ -2,9 +2,9 @@
    DPsize join-order enumeration, bind joins, and plan-cache staleness.
 
    The central property: the DP optimizer (with bind-join conversion)
-   returns byte-identical answers to the greedy walk across all three
-   execution engines and both failure modes, including offline
-   sources. *)
+   returns byte-identical answers to the greedy walk across both
+   execution engines (the morsel-driven one at one and two domains) and
+   both failure modes, including offline sources. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -216,9 +216,9 @@ let gen_case =
   pure (seed, ncust, norders, offline, engine, strict, qidx)
 
 let engine_of = function
-  | 0 -> Alg_batch.Tuple
-  | 1 -> Alg_batch.Batch { chunk = 4 }
-  | _ -> Alg_batch.Parallel { domains = 2; chunk = 3 }
+  | 0 -> Alg_exec.Tuple
+  | 1 -> Alg_exec.Parallel { domains = 1; chunk = 4 }
+  | _ -> Alg_exec.Parallel { domains = 2; chunk = 3 }
 
 let prop_dp_equals_greedy =
   QCheck2.Test.make ~name:"dp plan = greedy plan (answers byte-identical)"

@@ -337,9 +337,9 @@ let test_sem_answers_while_source_offline () =
 
 let modes =
   [
-    Alg_batch.Tuple;
-    Alg_batch.Batch { chunk = 4 };
-    Alg_batch.Parallel { domains = 2; chunk = 3 };
+    Alg_exec.Tuple;
+    Alg_exec.Parallel { domains = 1; chunk = 4 };
+    Alg_exec.Parallel { domains = 2; chunk = 3 };
   ]
 
 let prop_sem_cache_transparent =

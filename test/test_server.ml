@@ -6,8 +6,8 @@
      per-request results to serial execution (one request at a time),
      including Partial-mode requests against an offline source;
    - executing through a warm plan cache with fresh parameter values
-     is byte-identical to cold parse+plan+execute, across all three
-     execution engines (tuple, batch, parallel). *)
+     is byte-identical to cold parse+plan+execute, across both
+     execution engines (tuple; parallel at one and two domains). *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -66,7 +66,7 @@ type sym_req = {
   sr_args : (string * string) list;
   sr_priority : Srv_request.priority;
   sr_mode : Srv_request.failure_mode;
-  sr_exec : Alg_batch.mode option;
+  sr_exec : Alg_exec.mode option;
 }
 
 let gen_sym_req =
@@ -86,9 +86,9 @@ let gen_sym_req =
     oneofl
       [
         None;
-        Some Alg_batch.Tuple;
-        Some (Alg_batch.Batch { chunk = 2 });
-        Some (Alg_batch.Parallel { domains = 2; chunk = 2 });
+        Some Alg_exec.Tuple;
+        Some (Alg_exec.Parallel { domains = 1; chunk = 2 });
+        Some (Alg_exec.Parallel { domains = 2; chunk = 2 });
       ]
   in
   pure
@@ -130,7 +130,7 @@ let print_workload wl =
               (match r.sr_mode with Strict -> "strict" | Partial -> "partial")
               (match r.sr_exec with
               | None -> "default"
-              | Some m -> Alg_batch.mode_to_string m))
+              | Some m -> Alg_exec.mode_to_string m))
           wl.wl_reqs))
     (String.concat "," (List.map string_of_int wl.wl_bursts))
 
@@ -228,9 +228,9 @@ let gen_invocations =
      let* exec =
        oneofl
          [
-           Alg_batch.Tuple;
-           Alg_batch.Batch { chunk = 3 };
-           Alg_batch.Parallel { domains = 2; chunk = 2 };
+           Alg_exec.Tuple;
+           Alg_exec.Parallel { domains = 1; chunk = 3 };
+           Alg_exec.Parallel { domains = 2; chunk = 2 };
          ]
      in
      pure (lens, query, [ ("region", region); ("min", min) ], exec))
@@ -241,7 +241,7 @@ let print_invocations invs =
        (fun (lens, query, args, exec) ->
          Printf.sprintf "%s.%s %s %s" lens query
            (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) args))
-           (Alg_batch.mode_to_string exec))
+           (Alg_exec.mode_to_string exec))
        invs)
 
 let run_with_cache_capacity cap invs =
