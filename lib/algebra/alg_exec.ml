@@ -261,14 +261,9 @@ let run_mode ?cost_rows mode sources plan =
   | Parallel { domains; chunk } -> fst (run_parallel ~domains ~chunk ?cost_rows sources plan)
 
 let run_partial_mode ?cost_rows mode sources plan =
-  match mode with
-  | Tuple -> run_partial sources plan
-  | Parallel { domains; chunk } ->
-    let skipped = ref [] in
-    let envs, _ =
-      run_parallel ~domains ~chunk ?cost_rows (partial_guard skipped sources) plan
-    in
-    (envs, List.rev !skipped)
+  let skipped = ref [] in
+  let envs = run_mode ?cost_rows mode (partial_guard skipped sources) plan in
+  (envs, List.rev !skipped)
 
 (* Scan resolution against a prefetched buffer: scatter-gather fetches
    every access up front, and scans then pull from the buffer instead of

@@ -27,6 +27,11 @@ val run_partial :
     returned list names the sources that were skipped, so the caller can
     annotate the answer as incomplete. *)
 
+val partial_guard : string list ref -> source_fn -> source_fn
+(** The source side of {!run_partial}, for either engine: a scan whose
+    source raises {!Source_unavailable} contributes no rows, and the
+    source's name is consed onto the list (once). *)
+
 (** {1 Engines}
 
     Two engines evaluate the same physical plans with the same answers,

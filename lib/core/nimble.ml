@@ -20,11 +20,15 @@ type t = {
 let create ?(name = "nimble") ?(cache_capacity = 64) ?cache_ttl_ms ?(frag_capacity = 0)
     ?frag_ttl_ms ?(sem_budget_bytes = 0) () =
   let cat = Med_catalog.create ?frag_ttl_ms ~frag_capacity ~sem_budget_bytes () in
+  let results = Mat_cache.create ?ttl_ms:cache_ttl_ms ~capacity:cache_capacity () in
+  (* Whole-query results hear every catalog change: a redefined or
+     dropped view, a new source, an out-of-band update. *)
+  Med_catalog.on_mutation cat (fun name -> ignore (Mat_cache.invalidate_source results name));
   {
     sys_name = name;
     cat;
     mat = Mat_store.create cat;
-    results = Mat_cache.create ?ttl_ms:cache_ttl_ms ~capacity:cache_capacity ();
+    results;
     accounts = Fe_auth.create ();
     lenses = Hashtbl.create 8;
     cleaners = Hashtbl.create 4;
@@ -276,19 +280,13 @@ let rec source_closure t q =
     (Xq_ast.all_sources_of q)
   |> List.sort_uniq String.compare
 
-(* Both cache levels: whole-query results above, raw source fragments
-   below.  The return counts query-level entries (the historical
-   contract); fragment drops are visible in the fragcache counters. *)
+(* Every cache level hears the catalog's one invalidation path.  The
+   return counts query-level entries (the historical contract); fragment
+   drops are visible in the fragcache counters. *)
 let invalidate_source t source_name =
-  let frag_dropped =
-    Frag_cache.invalidate_source (Med_catalog.frag_cache t.cat) source_name
-  in
-  ignore frag_dropped;
-  let dropped = Mat_cache.invalidate_source t.results source_name in
-  (* Catalog subscribers (the concurrency server's plan cache) evict
-     their own artifacts for this source. *)
+  let before = Mat_cache.size t.results in
   Med_catalog.notify_invalidation t.cat source_name;
-  dropped
+  before - Mat_cache.size t.results
 
 (* ------------------------------------------------------------------ *)
 (* Fetch scheduling                                                    *)

@@ -66,7 +66,9 @@ val invalidate_source : t -> string -> int
 (** Drop cached results computed from the named source (call after
     out-of-band updates); returns how many query-level entries were
     dropped.  Fragment-cache and semantic-cache entries for the source
-    are dropped too (two-level invalidation). *)
+    are dropped too: this is {!Med_catalog.notify_invalidation}, the
+    path every catalog mutation (defining or dropping a view,
+    registering a source) also takes. *)
 
 (** {1 Fetch scheduling} *)
 

@@ -40,13 +40,14 @@ let create ?frag_ttl_ms ?(frag_capacity = 0) ?(sem_budget_bytes = 0) () =
 
 let on_mutation t f = t.listeners <- t.listeners @ [ f ]
 
-(* Mutations invalidate the semantic cache and the source's document
-   indexes before the subscribers hear about them: a plan cache
-   re-compiling against the new catalog must not find stale extents or
-   stale index epochs.  XML stores re-register from their live trees so
-   the next probe rebuilds; anything else just loses its entries and
-   the engines fall back to walking. *)
+(* Mutations invalidate the fragment and semantic caches and the
+   source's document indexes before the subscribers hear about them: a
+   plan cache re-compiling against the new catalog must not find stale
+   fragments, extents or index epochs.  XML stores re-register from
+   their live trees so the next probe rebuilds; anything else just loses
+   its entries and the engines fall back to walking. *)
 let notify_invalidation t name =
+  ignore (Frag_cache.invalidate_source t.frag name);
   ignore (Sem_cache.invalidate_name t.sem name);
   Idx_manager.drop_prefix ("src:" ^ name ^ "/");
   (* Local XML stores re-register straight from their live trees — not

@@ -37,8 +37,11 @@ val on_mutation : t -> (string -> unit) -> unit
     cache) use it to evict artifacts compiled against stale metadata. *)
 
 val notify_invalidation : t -> string -> unit
-(** Tell subscribers that cached artifacts derived from [name] are
-    stale — the hook the facade's [invalidate_source] fires after an
+(** The one invalidation path: drop the fragment-cache, semantic-cache
+    and index entries derived from [name], then tell subscribers (the
+    facade's result cache, the server's plan cache) that their artifacts
+    derived from it are stale.  Every catalog mutation runs it; the
+    facade's [invalidate_source] is a single call to it after an
     out-of-band source update. *)
 
 val feedback : t -> Obs_feedback.t

@@ -271,15 +271,13 @@ let frag_key_doc doc = "doc:" ^ doc
 (* One remote call through the fragment cache: a hit skips the wire
    (and the network simulator) entirely; only successful results are
    cached, so rejections and outages keep their live semantics. *)
-let frag_fetch catalog (src : Source.t) ~fragment q =
+let frag_call catalog (src : Source.t) ~fragment call =
   let frag = Med_catalog.frag_cache catalog in
   match Frag_cache.get frag ~source:src.Source.name ~fragment with
   | Some r -> r
   | None -> (
     let retry = Med_catalog.retry catalog in
-    match
-      Src_retry.call retry ~source:src.Source.name (fun () -> src.Source.execute q)
-    with
+    match Src_retry.call retry ~source:src.Source.name call with
     | r ->
       Frag_cache.put frag ~source:src.Source.name ~fragment r;
       r
@@ -296,6 +294,9 @@ let frag_fetch catalog (src : Source.t) ~fragment q =
         Src_retry.note_stale retry ~source:src.Source.name;
         r
       | None -> raise e))
+
+let frag_fetch catalog (src : Source.t) ~fragment q =
+  frag_call catalog src ~fragment (fun () -> src.Source.execute q)
 
 (* SQL fragments key the exact-key cache by their canonical rendering
    (stable alias numbering, sorted conjuncts) rather than the shipped
@@ -369,7 +370,8 @@ let require_available catalog (src : Source.t) =
          src.Source.is_available)
   then raise (Source.Unavailable src.Source.name)
 
-(* Fetch one SQL access's raw result through both cache layers. *)
+(* Fetch one SQL access's raw result through both cache layers, with the
+   semantic layer's verdict when it was consulted. *)
 let fetch_sql catalog (src : Source.t) access =
   let select, sql_text =
     match access with
@@ -381,41 +383,26 @@ let fetch_sql catalog (src : Source.t) access =
   in
   if matches_nothing select then begin
     require_available catalog src;
-    Source.R_rows ([], [])
+    (Source.R_rows ([], []), None)
   end
   else
     match sem_plan catalog src access with
-    | Some (Sem_rewrite.P_local r) -> r
+    | Some (Sem_rewrite.P_local (r, hit)) -> (r, Some hit)
     | Some (Sem_rewrite.P_ship { ship_sql; finish }) ->
       (* Remainder queries key the exact cache by their own text; the
          original fragment keeps its canonical key. *)
       let key = if ship_sql = sql_text then frag_key_sql select else ship_sql in
       finish (frag_fetch catalog src ~fragment:key (Source.Q_sql ship_sql))
-    | None -> frag_fetch catalog src ~fragment:(frag_key_sql select) (Source.Q_sql sql_text)
+    | None ->
+      (frag_fetch catalog src ~fragment:(frag_key_sql select) (Source.Q_sql sql_text), None)
 
 let frag_documents catalog (src : Source.t) doc =
-  let frag = Med_catalog.frag_cache catalog in
-  let fragment = frag_key_doc doc in
-  match Frag_cache.get frag ~source:src.Source.name ~fragment with
-  | Some (Source.R_trees trees) -> trees
-  | Some _ | None -> (
-    let retry = Med_catalog.retry catalog in
-    match
-      Src_retry.call retry ~source:src.Source.name (fun () -> src.Source.documents doc)
-    with
-    | trees ->
-      Frag_cache.put frag ~source:src.Source.name ~fragment (Source.R_trees trees);
-      trees
-    | exception (Source.Unavailable _ as e) ->
-      (match
-         if Src_retry.stale_ok retry then
-           Frag_cache.get_stale frag ~source:src.Source.name ~fragment
-         else None
-       with
-      | Some (Source.R_trees trees) ->
-        Src_retry.note_stale retry ~source:src.Source.name;
-        trees
-      | Some _ | None -> raise e))
+  match
+    frag_call catalog src ~fragment:(frag_key_doc doc) (fun () ->
+        Source.R_trees (src.Source.documents doc))
+  with
+  | Source.R_trees trees -> trees
+  | Source.R_rows _ | Source.R_batch _ -> fail "unexpected rows for document %s" doc
 
 (* The XML view of an export, shipping rows (not trees) for tabular
    sources and rebuilding the document client-side. *)
@@ -450,14 +437,67 @@ type fetch_info = {
   fi_round : int;
   fi_shared : bool;
   fi_cache_hits : int;
-  fi_bind : bind_outcome option;
-  fi_idx : int * int * int;
 }
+
+let fetch_cells fi =
+  Obs_report.fetch_cells ~round:fi.fi_round ~shared:fi.fi_shared ~cache_hits:fi.fi_cache_hits
 
 type prefetched = {
   pf_result : (Alg_env.t list, exn) Stdlib.result;
   pf_info : fetch_info;
 }
+
+type access_stat = {
+  stat_id : string;
+  stat_access : Med_planner.access;
+  stat_est_rows : float;
+  mutable stat_calls : int;
+  mutable stat_rows : int;
+  mutable stat_ms : float;
+  mutable stat_fetch : fetch_info option;
+  mutable stat_bind : bind_outcome option;
+  mutable stat_sem : Sem_cache.outcome option;
+  mutable stat_idx : int * int * int;
+  mutable stat_retry : int * int * int;
+}
+
+(* The per-query record EXPLAIN ANALYZE reads: one entry per top-level
+   access id, each fact written where the executor learns it, plus the
+   engine's root statistics.  Only the top-level plan writes it: nested
+   view executions run without one (their access ids are their own), so
+   a view access's figures include its sub-plans' work. *)
+type record = {
+  rec_accesses : access_stat list;
+  mutable rec_root : (Alg_ops.op_stats * string list) option;
+}
+
+let entry record aid =
+  Option.bind record (fun r -> List.find_opt (fun st -> st.stat_id = aid) r.rec_accesses)
+
+(* The entries whose access has fetch key [key]: accesses sharing a key
+   share one fetch, and each reports it. *)
+let entries_of_key record key =
+  List.filter
+    (fun st -> Med_planner.access_key st.stat_access = key)
+    (match record with Some r -> r.rec_accesses | None -> [])
+
+let sem_sink sts verdict = List.iter (fun st -> st.stat_sem <- Some verdict) sts
+
+(* Run one fetch and charge the index outcomes (value probes, guide
+   probes, walker fallbacks) and retry-engine work (retries, give-ups,
+   breaker fast-fails) it caused to [sts].  Fetches run on the caller's
+   domain, so the counter deltas are this fetch's alone. *)
+let charged sts fetch =
+  let (g0, p0, m0), (r0, u0, f0) = (Idx_manager.counters (), Src_retry.counters ()) in
+  let x = fetch () in
+  let (g1, p1, m1), (r1, u1, f1) = (Idx_manager.counters (), Src_retry.counters ()) in
+  List.iter
+    (fun st ->
+      let (p, g, m), (r, u, f) = (st.stat_idx, st.stat_retry) in
+      st.stat_idx <- (p + p1 - p0, g + g1 - g0, m + m1 - m0);
+      st.stat_retry <- (r + r1 - r0, u + u1 - u0, f + f1 - f0))
+    sts;
+  x
 
 let bind_of = function
   | Med_planner.A_sql_bind { bind; _ } -> Some bind
@@ -472,12 +512,16 @@ let unbound = function
   | Med_planner.A_view r -> Med_planner.A_view { r with bind = None }
   | access -> access
 
-(* Execute one access; may recurse through the compiler for views. *)
-let rec run_access catalog ~opts ~view_lookup access : Alg_env.t list =
+(* Execute one access; may recurse through the compiler for views.
+   [sem] hears the semantic cache's verdict on a SQL fragment. *)
+let rec run_access ?(sem = ignore) catalog ~opts ~view_lookup access : Alg_env.t list =
   match access with
   | Med_planner.A_sql { source_name; export; fragment; pattern } -> (
     let src = Src_registry.find_exn (Med_catalog.registry catalog) source_name in
-    try envs_of_sql_access access (fetch_sql catalog src access)
+    try
+      let r, verdict = fetch_sql catalog src access in
+      Option.iter sem verdict;
+      envs_of_sql_access access r
     with Source.Query_rejected _ ->
       (* Capability miss at runtime: ship the whole export and re-apply
          the conditions the fragment would have evaluated (they left the
@@ -492,7 +536,9 @@ let rec run_access catalog ~opts ~view_lookup access : Alg_env.t list =
         envs)
   | Med_planner.A_sql_join { source_name; fragment; exports = _ } -> (
     let src = Src_registry.find_exn (Med_catalog.registry catalog) source_name in
-    match fetch_sql catalog src access with
+    let r, verdict = fetch_sql catalog src access in
+    Option.iter sem verdict;
+    match r with
     | Source.R_rows (_, rows) ->
       List.map
         (fun row ->
@@ -532,7 +578,7 @@ let rec run_access catalog ~opts ~view_lookup access : Alg_env.t list =
        the prefetch buffer missed): ship the unbound fragment — always a
        correct superset of the bound fetch.  Likewise for a bound view
        below. *)
-    run_access catalog ~opts ~view_lookup (unbound access)
+    run_access ~sem catalog ~opts ~view_lookup (unbound access)
   | Med_planner.A_view { view; pattern; composed; bind = _ } -> (
     match view_lookup view with
     | Some trees ->
@@ -598,7 +644,8 @@ and run_composed catalog ~opts ~view_lookup pattern (c : Med_planner.composed) =
    single batched round trip (one latency charge).  Cache hits resolve
    locally; a source without batch capability falls back to individual
    calls inside the same scheduling lane. *)
-and run_sql_batch catalog ~opts ~view_lookup source_name members =
+and run_sql_batch ?record catalog ~opts ~view_lookup source_name members =
+  let sem key = sem_sink (entries_of_key record key) in
   let frag = Med_catalog.frag_cache catalog in
   let src = Src_registry.find_exn (Med_catalog.registry catalog) source_name in
   let classified =
@@ -624,10 +671,12 @@ and run_sql_batch catalog ~opts ~view_lookup source_name members =
     List.map
       (fun (key, access, sql, ckey, _) ->
         match sem_plan catalog src access with
-        | Some (Sem_rewrite.P_local r) -> (key, access, sql, ckey, `Local r)
+        | Some (Sem_rewrite.P_local (r, hit)) ->
+          sem key hit;
+          (key, access, sql, ckey, `Local r)
         | Some (Sem_rewrite.P_ship { ship_sql; finish }) ->
           (key, access, sql, ckey, `Ship (ship_sql, finish))
-        | None -> (key, access, sql, ckey, `Ship (sql, Fun.id)))
+        | None -> (key, access, sql, ckey, `Ship (sql, fun r -> (r, None))))
       missing
   in
   let missing_envs : (string, (Alg_env.t list, exn) Stdlib.result) Hashtbl.t =
@@ -651,7 +700,7 @@ and run_sql_batch catalog ~opts ~view_lookup source_name members =
   in
   let solo (key, access, _sql, _ckey, _ship, _finish) =
     Hashtbl.replace missing_envs key
-      (try Ok (run_access catalog ~opts ~view_lookup access) with e -> Error e)
+      (try Ok (run_access ~sem:(sem key) catalog ~opts ~view_lookup access) with e -> Error e)
   in
   let land_result (key, access, sql, ckey, ship_sql, finish) r =
     (* Raw remainder results cache under their own text; an untouched
@@ -659,7 +708,11 @@ and run_sql_batch catalog ~opts ~view_lookup source_name members =
     let putkey = if ship_sql = sql then ckey else ship_sql in
     Frag_cache.put frag ~source:source_name ~fragment:putkey r;
     Hashtbl.replace missing_envs key
-      (try Ok (envs_of_sql_access access (finish r)) with e -> Error e)
+      (try
+         let r, verdict = finish r in
+         Option.iter (sem key) verdict;
+         Ok (envs_of_sql_access access r)
+       with e -> Error e)
   in
   (match to_ship with
   | [] -> ()
@@ -696,7 +749,7 @@ and run_sql_batch catalog ~opts ~view_lookup source_name members =
    rounds; the returned buffer (keyed by access key) then resolves
    scans without touching the wire.  View accesses recurse through the
    compiler and stay lazy. *)
-and prefetch catalog ~opts ~view_lookup (compiled : Med_planner.compiled) =
+and prefetch ?record catalog ~opts ~view_lookup (compiled : Med_planner.compiled) =
   let fo = Med_catalog.fetch_options catalog in
   match fo.Fetch_sched.mode with
   | Fetch_sched.Sequential -> None
@@ -757,7 +810,11 @@ and prefetch catalog ~opts ~view_lookup (compiled : Med_planner.compiled) =
             let st = Frag_cache.stats (Med_catalog.frag_cache catalog) in
             let h0 = st.Frag_cache.frag_hits in
             let r =
-              try Ok (run_access catalog ~opts ~view_lookup access) with e -> Error e
+              try
+                Ok
+                  (run_access ~sem:(sem_sink (entries_of_key record key)) catalog ~opts
+                     ~view_lookup access)
+              with e -> Error e
             in
             [ (key, r, st.Frag_cache.frag_hits - h0) ]);
       }
@@ -768,7 +825,7 @@ and prefetch catalog ~opts ~view_lookup (compiled : Med_planner.compiled) =
           "batch|" ^ source ^ "|" ^ String.concat "\x00" (List.map fst members);
         task_run =
           (fun () ->
-            try run_sql_batch catalog ~opts ~view_lookup source members
+            try run_sql_batch ?record catalog ~opts ~view_lookup source members
             with e -> List.map (fun (key, _) -> (key, Error e, 0)) members);
       }
     in
@@ -799,19 +856,17 @@ and prefetch catalog ~opts ~view_lookup (compiled : Med_planner.compiled) =
         | Ok entries ->
           List.iter
             (fun (key, pf_result, cache_hits) ->
-              if not (Hashtbl.mem buffer key) then
-                Hashtbl.replace buffer key
+              if not (Hashtbl.mem buffer key) then begin
+                let info =
                   {
-                    pf_result;
-                    pf_info =
-                      {
-                        fi_round = o.Fetch_sched.round;
-                        fi_shared = o.Fetch_sched.shared;
-                        fi_cache_hits = cache_hits;
-                        fi_bind = None;
-                        fi_idx = (0, 0, 0);
-                      };
-                  })
+                    fi_round = o.Fetch_sched.round;
+                    fi_shared = o.Fetch_sched.shared;
+                    fi_cache_hits = cache_hits;
+                  }
+                in
+                Hashtbl.replace buffer key { pf_result; pf_info = info };
+                List.iter (fun st -> st.stat_fetch <- Some info) (entries_of_key record key)
+              end)
             entries
         | Error _ ->
           (* Tasks capture their own failures; an escape here means the
@@ -835,24 +890,12 @@ and prefetch catalog ~opts ~view_lookup (compiled : Med_planner.compiled) =
    order, and drivers come earlier, so a bound access can drive a later
    one.  Runs under both fetch modes — sequential execution creates a
    buffer here just for the bound accesses and their drivers. *)
-and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
+and resolve_binds ?record catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
     buffer =
   let accesses = compiled.Med_planner.accesses in
   if not (List.exists (fun (_, a) -> bind_of a <> None) accesses) then buffer
   else begin
     let buf = match buffer with Some b -> b | None -> Hashtbl.create 8 in
-    let no_fetch =
-      { fi_round = 0; fi_shared = false; fi_cache_hits = 0; fi_bind = None; fi_idx = (0, 0, 0) }
-    in
-    (* The fetch and the index probes it made, as (value, guide, miss)
-       deltas: EXPLAIN ANALYZE attributes them to the access, whose scan
-       later reads the buffer without probing. *)
-    let run access =
-      let g0, p0, m0 = Idx_manager.counters () in
-      let r = try Ok (run_access catalog ~opts ~view_lookup access) with e -> Error e in
-      let g1, p1, m1 = Idx_manager.counters () in
-      (r, (p1 - p0, g1 - g0, m1 - m0))
-    in
     let narrow access v keys =
       match access with
       | Med_planner.A_view { view; _ } when view_lookup view <> None -> Error "materialized"
@@ -866,14 +909,23 @@ and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
         match Hashtbl.find_opt buf key with
         | Some p -> p.pf_result
         | None ->
-          let r, info =
+          (* The scan later reads the buffer without fetching, so the
+             fetch's cache hits, index and retry work are charged here. *)
+          let sts = entries_of_key record key in
+          let run a =
+            let hits () = (Frag_cache.stats (Med_catalog.frag_cache catalog)).Frag_cache.frag_hits in
+            let h0 = hits () in
+            let r =
+              charged sts (fun () ->
+                  try Ok (run_access ~sem:(sem_sink sts) catalog ~opts ~view_lookup a)
+                  with e -> Error e)
+            in
+            (r, hits () - h0)
+          in
+          let (r, cache_hits), bind =
             match bind_of access with
-            | None ->
-              let r, idx = run access in
-              (r, { no_fetch with fi_idx = idx })
-            | Some { Med_planner.bind_driver; bind_var } ->
-              let st = Frag_cache.stats (Med_catalog.frag_cache catalog) in
-              let h0 = st.Frag_cache.frag_hits in
+            | None -> (run access, None)
+            | Some { Med_planner.bind_driver; bind_var } -> (
               let narrowed =
                 match result bind_driver with
                 | Error _ -> Error "driver-failed"
@@ -883,18 +935,17 @@ and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
                   | Some keys ->
                     Result.map (fun a -> (a, List.length keys)) (narrow access bind_var keys))
               in
-              let (r, idx), outcome =
-                match narrowed with
-                | Ok (a, n) -> (run a, Narrowed n)
-                | Error why -> (run (unbound access), Unbound why)
-              in
-              ( r,
-                { no_fetch with
-                  fi_cache_hits = st.Frag_cache.frag_hits - h0;
-                  fi_bind = Some outcome;
-                  fi_idx = idx } )
+              match narrowed with
+              | Ok (a, n) -> (run a, Some (Narrowed n))
+              | Error why -> (run (unbound access), Some (Unbound why)))
           in
+          let info = { fi_round = 0; fi_shared = false; fi_cache_hits = cache_hits } in
           Hashtbl.replace buf key { pf_result = r; pf_info = info };
+          List.iter
+            (fun st ->
+              st.stat_fetch <- Some info;
+              st.stat_bind <- bind)
+            sts;
           r)
     in
     List.iter
@@ -910,8 +961,8 @@ and resolve_binds catalog ~opts ~view_lookup (compiled : Med_planner.compiled)
 (* Plan execution                                                      *)
 (* ------------------------------------------------------------------ *)
 
-and source_fn_of catalog ~opts ~view_lookup ?buffer (compiled : Med_planner.compiled) :
-    Alg_exec.source_fn =
+and source_fn_of ?record catalog ~opts ~view_lookup ?buffer
+    (compiled : Med_planner.compiled) : Alg_exec.source_fn =
   let find_access aid =
     match List.assoc_opt aid compiled.Med_planner.accesses with
     | None -> fail "internal: unknown access id %s" aid
@@ -926,22 +977,21 @@ and source_fn_of catalog ~opts ~view_lookup ?buffer (compiled : Med_planner.comp
     Alg_exec.buffered
       (fun aid -> Option.map (fun p -> p.pf_result) (buffer_entry (find_access aid)))
       (fun aid _binding ->
-        List.to_seq (run_access catalog ~opts ~view_lookup (find_access aid)))
+        List.to_seq
+          (run_access
+             ~sem:(sem_sink (Option.to_list (entry record aid)))
+             catalog ~opts ~view_lookup (find_access aid)))
   in
-  fun access_id binding ->
+  let traced access_id binding =
     let access = find_access access_id in
     let target = access_target access in
     Obs_trace.with_span "mediator.access" (fun span ->
         Obs_span.set span "id" access_id;
         Obs_span.set span "target" target;
         Obs_span.set span "push" (access_push access);
-        (match buffer_entry access with
-        | Some p ->
-          List.iter
-            (fun (k, v) -> Obs_span.set span k v)
-            (Obs_report.fetch_cells ~round:p.pf_info.fi_round
-               ~shared:p.pf_info.fi_shared ~cache_hits:p.pf_info.fi_cache_hits)
-        | None -> ());
+        Option.iter
+          (fun p -> List.iter (fun (k, v) -> Obs_span.set span k v) (fetch_cells p.pf_info))
+          (buffer_entry access);
         Obs_metrics.inc
           (Obs_metrics.counter (Printf.sprintf "source.%s.accesses" target));
         try
@@ -971,50 +1021,47 @@ and source_fn_of catalog ~opts ~view_lookup ?buffer (compiled : Med_planner.comp
           Obs_metrics.inc
             (Obs_metrics.counter (Printf.sprintf "source.%s.unavailable" target));
           raise (Alg_exec.Source_unavailable name))
-
-(* Prefetch (under the catalog's fetch options), then hand back the
-   scan resolver and a per-access fetch-info lookup for reporting. *)
-and prepare catalog ~opts ~view_lookup compiled =
-  let buffer = prefetch catalog ~opts ~view_lookup compiled in
-  let buffer = resolve_binds catalog ~opts ~view_lookup compiled buffer in
-  let info access =
-    match buffer with
-    | None -> None
-    | Some b ->
-      Option.map
-        (fun p -> p.pf_info)
-        (Hashtbl.find_opt b (Med_planner.access_key access))
   in
-  (source_fn_of catalog ~opts ~view_lookup ?buffer compiled, info)
+  fun access_id binding ->
+    match entry record access_id with
+    | None -> traced access_id binding
+    | Some st ->
+      let t0 = Obs_clock.wall_ms () in
+      let envs = charged [ st ] (fun () -> List.of_seq (traced access_id binding)) in
+      st.stat_calls <- st.stat_calls + 1;
+      st.stat_rows <- st.stat_rows + List.length envs;
+      st.stat_ms <- st.stat_ms +. (Obs_clock.wall_ms () -. t0);
+      List.to_seq envs
 
-and exec catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compiled) =
+and exec ?record catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compiled) =
   (* The whole execution runs under one retry-budget context: nested
      view executions inherit the enclosing query's deadline, and the
      sources served stale (partial mode only) surface in the result. *)
   let (trees, envs, skipped), stale =
     Src_retry.with_query (Med_catalog.retry catalog) ~partial (fun () ->
-        exec_body catalog ~opts ~partial ~view_lookup compiled)
+        let envs, skipped = run_plan ?record catalog ~opts ~partial ~view_lookup compiled in
+        (* Instantiate the CONSTRUCT template per binding.  Correlated
+           subqueries re-enter through the direct resolver. *)
+        let resolver = direct_resolver catalog in
+        ( List.concat_map
+            (fun env -> Xq_eval.instantiate resolver env compiled.Med_planner.construct)
+            envs,
+          envs,
+          skipped ))
   in
   { trees; bindings = envs; skipped_sources = skipped; stale_sources = stale }
 
-and exec_body catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compiled) =
-  let envs, skipped = run_plan catalog ~opts ~partial ~view_lookup compiled in
-  (* Instantiate the CONSTRUCT template per binding.  Correlated
-     subqueries re-enter through the direct resolver. *)
-  let resolver = direct_resolver catalog in
-  let trees =
-    List.concat_map
-      (fun env -> Xq_eval.instantiate resolver env compiled.Med_planner.construct)
-      envs
-  in
-  (trees, envs, skipped)
-
 (* Fetch and run the plan: the bindings and the sources partial mode
-   skipped. *)
-and run_plan catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compiled) =
+   skipped.  With a [record], the engine runs instrumented and the record
+   receives each access's facts and the root operator statistics. *)
+and run_plan ?record catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compiled) =
   Obs_trace.with_span "query" (fun qspan ->
-      let sources, _fetch_info = prepare catalog ~opts ~view_lookup compiled in
-      let mode = Med_catalog.exec_mode catalog in
+      let buffer = prefetch ?record catalog ~opts ~view_lookup compiled in
+      let buffer = resolve_binds ?record catalog ~opts ~view_lookup compiled buffer in
+      let sources = source_fn_of ?record catalog ~opts ~view_lookup ?buffer compiled in
+      let skipped = ref [] in
+      let sources = if partial then Alg_exec.partial_guard skipped sources else sources in
+      let plan = compiled.Med_planner.plan in
       (* Feedback/statistics/index-backed cardinalities, so the parallel
          engine pre-sizes its per-partition join tables from real
          estimates instead of the blind scan default. *)
@@ -1025,11 +1072,25 @@ and run_plan catalog ~opts ~partial ~view_lookup (compiled : Med_planner.compile
         in
         (Alg_cost.estimate ~source_rows:src plan).Alg_cost.rows
       in
-      let envs, skipped =
-        if partial then
-          Alg_exec.run_partial_mode ~cost_rows mode sources compiled.Med_planner.plan
-        else (Alg_exec.run_mode ~cost_rows mode sources compiled.Med_planner.plan, [])
+      let mode = Med_catalog.exec_mode catalog in
+      let envs =
+        match record with
+        | None -> Alg_exec.run_mode ~cost_rows mode sources plan
+        | Some r ->
+          let envs, root, root_cells =
+            match mode with
+            | Alg_exec.Tuple ->
+              let envs, root = Alg_exec.run_instrumented sources plan in
+              (envs, root, [])
+            | Alg_exec.Parallel { domains; chunk } ->
+              let envs, pstats = Alg_exec.run_parallel ~domains ~chunk ~cost_rows sources plan in
+              (envs, pstats.Alg_par.root, Alg_par.root_cells pstats)
+          in
+          if Obs_trace.enabled () then Obs_trace.emit (Alg_ops.span_of_stats root);
+          r.rec_root <- Some (root, root_cells);
+          envs
       in
+      let skipped = List.rev !skipped in
       if skipped <> [] then begin
         (* Partial-result degradation (section 3.4): the answer shipped,
            but not all sources contributed. *)
@@ -1070,19 +1131,6 @@ let explain_text catalog text =
 (* EXPLAIN ANALYZE                                                     *)
 (* ------------------------------------------------------------------ *)
 
-type access_stat = {
-  stat_id : string;
-  stat_access : Med_planner.access;
-  stat_est_rows : float;
-  stat_calls : int;
-  stat_rows : int;
-  stat_ms : float;
-  stat_fetch : fetch_info option;
-  stat_sem : Sem_cache.outcome option;
-  stat_idx : int * int * int;
-  stat_retry : int * int * int;
-}
-
 type analysis = {
   analyzed_result : result;
   analyzed_compiled : Med_planner.compiled;
@@ -1103,139 +1151,44 @@ let run_analyzed ?(opts = Med_sqlgen.default_options) ?(view_lookup = no_lookup)
   (* Snapshot the estimates BEFORE executing: the whole point of the
      report is comparing what the planner believed going in against what
      the run measured (the run itself updates the feedback store). *)
-  let est_snapshot =
-    List.map
-      (fun (aid, _) ->
-        ( aid,
-          Med_planner.source_rows ~feedback:fb
-            ~stats:(Med_catalog.stats catalog) compiled aid ))
-      compiled.Med_planner.accesses
+  let est aid =
+    Med_planner.source_rows ~feedback:fb ~stats:(Med_catalog.stats catalog) compiled aid
   in
+  let fresh (aid, access) =
+    {
+      stat_id = aid;
+      stat_access = access;
+      stat_est_rows = est aid;
+      stat_calls = 0;
+      stat_rows = 0;
+      stat_ms = 0.0;
+      stat_fetch = None;
+      stat_bind = None;
+      stat_sem = None;
+      stat_idx = (0, 0, 0);
+      stat_retry = (0, 0, 0);
+    }
+  in
+  let record = { rec_accesses = List.map fresh compiled.Med_planner.accesses; rec_root = None } in
   let source_rows aid =
-    match List.assoc_opt aid est_snapshot with
-    | Some rows -> rows
-    | None -> Alg_cost.default_scan_rows
-  in
-  (* Wrap the source function to tally per-access calls / rows / time
-     (the per-source-fragment half of the report; the operator half comes
-     from the instrumented executor). *)
-  let tally :
-      ( string,
-        int ref * int ref * float ref * (int * int * int) ref * (int * int * int) ref )
-      Hashtbl.t =
-    Hashtbl.create 8
+    Option.fold ~none:Alg_cost.default_scan_rows
+      ~some:(fun st -> st.stat_est_rows)
+      (entry (Some record) aid)
   in
   let t0 = Obs_clock.wall_ms () in
   let v0 = Obs_clock.virtual_ms () in
-  let analyze () =
-  let base, fetch_info = prepare catalog ~opts ~view_lookup compiled in
-  let sources aid binding =
-    let calls, rows, ms, idx, retry =
-      match Hashtbl.find_opt tally aid with
-      | Some cell -> cell
-      | None ->
-        let cell = (ref 0, ref 0, ref 0.0, ref (0, 0, 0), ref (0, 0, 0)) in
-        Hashtbl.add tally aid cell;
-        cell
-    in
-    let t0 = Obs_clock.wall_ms () in
-    (* Index-outcome deltas around the fetch attribute probe/guide/miss
-       counts to the access that triggered them (fetches run on the
-       caller's domain, so the deltas are this access's alone); retry
-       counter deltas attribute retries/give-ups/fast-fails the same
-       way. *)
-    let g0, p0, m0 = Idx_manager.counters () in
-    let r0, u0, f0 = Src_retry.counters () in
-    let envs = List.of_seq (base aid binding) in
-    let g1, p1, m1 = Idx_manager.counters () in
-    let r1, u1, f1 = Src_retry.counters () in
-    incr calls;
-    rows := !rows + List.length envs;
-    ms := !ms +. (Obs_clock.wall_ms () -. t0);
-    (let p, g, m = !idx in
-     idx := (p + p1 - p0, g + g1 - g0, m + m1 - m0));
-    (let r, u, f = !retry in
-     retry := (r + r1 - r0, u + u1 - u0, f + f1 - f0));
-    List.to_seq envs
-  in
-  let envs, root, root_cells =
-    Obs_trace.with_span "query" (fun qspan ->
-        let envs, root, root_cells =
-          match Med_catalog.exec_mode catalog with
-          | Alg_exec.Tuple ->
-            let envs, root = Alg_exec.run_instrumented sources compiled.Med_planner.plan in
-            (envs, root, [])
-          | Alg_exec.Parallel { domains; chunk } ->
-            let cost_rows plan = (Alg_cost.estimate ~source_rows plan).Alg_cost.rows in
-            let envs, pstats =
-              Alg_exec.run_parallel ~domains ~chunk ~cost_rows sources
-                compiled.Med_planner.plan
-            in
-            (envs, pstats.Alg_par.root, Alg_par.root_cells pstats)
-        in
-        Obs_span.set_int qspan "rows" (List.length envs);
-        if Obs_trace.enabled () then Obs_trace.emit (Alg_ops.span_of_stats root);
-        (envs, root, root_cells))
-  in
-  (envs, Alg_ops.actual_of_stats root, Alg_ops.cells_of_stats ~root_cells root, fetch_info)
-  in
-  (* Same retry-budget context as [exec]: the analyzed run is strict,
-     so no stale serving — but transient faults retry identically. *)
-  let (envs, actual, cells, fetch_info), _stale =
-    Src_retry.with_query (Med_catalog.retry catalog) ~partial:false analyze
-  in
-  let wall_ms = Obs_clock.wall_ms () -. t0 in
-  let virtual_ms = Obs_clock.virtual_ms () -. v0 in
-  let resolver = direct_resolver catalog in
-  let trees =
-    List.concat_map
-      (fun env -> Xq_eval.instantiate resolver env compiled.Med_planner.construct)
-      envs
-  in
-  let accesses =
-    List.map
-      (fun (aid, access) ->
-        let calls, rows, ms, idx, retry =
-          match Hashtbl.find_opt tally aid with
-          | Some (c, r, m, i, rt) -> (!c, !r, !m, !i, !rt)
-          | None -> (0, 0, 0.0, (0, 0, 0), (0, 0, 0))
-        in
-        {
-          stat_id = aid;
-          stat_access = access;
-          stat_est_rows = source_rows aid;
-          stat_calls = calls;
-          stat_rows = rows;
-          stat_ms = ms;
-          stat_idx =
-            (let p, g, m = idx in
-             match fetch_info access with
-             | Some { fi_idx = p', g', m'; _ } -> (p + p', g + g', m + m')
-             | None -> idx);
-          stat_retry = retry;
-          stat_fetch = fetch_info access;
-          stat_sem =
-            (let sem = Med_catalog.sem_cache catalog in
-             match access with
-             | Med_planner.A_sql { fragment; _ } ->
-               Sem_cache.last_outcome sem ~sql:fragment.Med_sqlgen.sql_text
-             | Med_planner.A_sql_join { fragment; _ } ->
-               Sem_cache.last_outcome sem ~sql:fragment.Med_sqlgen.jf_sql_text
-             | _ -> None);
-        })
-      compiled.Med_planner.accesses
-  in
+  let result = exec ~record catalog ~opts ~partial:false ~view_lookup compiled in
+  let root, root_cells = Option.get record.rec_root in
   {
-    analyzed_result =
-      { trees; bindings = envs; skipped_sources = []; stale_sources = [] };
+    analyzed_result = result;
     analyzed_compiled = compiled;
     analyzed_source_rows = source_rows;
-    analyzed_actual = actual;
-    analyzed_cells = cells;
+    analyzed_actual = Alg_ops.actual_of_stats root;
+    analyzed_cells = Alg_ops.cells_of_stats ~root_cells root;
     analyzed_mode = Med_catalog.exec_mode catalog;
-    analyzed_accesses = accesses;
-    analyzed_wall_ms = wall_ms;
-    analyzed_virtual_ms = virtual_ms;
+    analyzed_accesses = record.rec_accesses;
+    analyzed_wall_ms = Obs_clock.wall_ms () -. t0;
+    analyzed_virtual_ms = Obs_clock.virtual_ms () -. v0;
   }
 
 let run_analyzed_text ?opts ?view_lookup catalog text =
@@ -1257,24 +1210,14 @@ let analysis_to_string a =
   Buffer.add_string buf "accesses:\n";
   List.iter
     (fun st ->
-      let fetch =
-        match st.stat_fetch with
-        | None -> []
-        | Some fi ->
-          Obs_report.fetch_cells ~round:fi.fi_round ~shared:fi.fi_shared
-            ~cache_hits:fi.fi_cache_hits
-      in
+      let fetch = Option.fold ~none:[] ~some:fetch_cells st.stat_fetch in
       let bind =
-        match Option.bind st.stat_fetch (fun fi -> fi.fi_bind) with
+        match st.stat_bind with
         | None -> []
         | Some (Narrowed n) -> [ Obs_report.int_cell "keys" n ]
         | Some (Unbound why) -> [ ("unbound", why) ]
       in
-      let sem =
-        match st.stat_sem with
-        | None -> []
-        | Some o -> Sem_cache.outcome_cells o
-      in
+      let sem = Option.fold ~none:[] ~some:Sem_cache.outcome_cells st.stat_sem in
       let idx =
         let p, g, m = st.stat_idx in
         if p + g = 0 then []

@@ -63,10 +63,12 @@ val explain_text : Med_catalog.t -> string -> string
 
 (** {1 EXPLAIN ANALYZE}
 
-    Instrumented execution: the query runs for real (strict mode),
-    counting rows and inclusive wall time per plan operator and per
-    source fragment, and recording observed cardinalities into the
-    catalog's feedback store for the next compilation. *)
+    The query runs through the same executor as {!run} (strict mode),
+    with a per-query record: each access's facts are written into it
+    where the executor learns them, and the engine runs instrumented,
+    counting rows and inclusive wall time per plan operator.  Observed
+    cardinalities reach the catalog's feedback store for the next
+    compilation, as on every run. *)
 
 type bind_outcome =
   | Narrowed of int
@@ -86,11 +88,6 @@ type fetch_info = {
   fi_round : int;      (** scatter-gather round the fetch rode in *)
   fi_shared : bool;    (** served by another access's execution (dedup) *)
   fi_cache_hits : int; (** fragment-cache hits while fetching it *)
-  fi_bind : bind_outcome option;  (** [Some] exactly on bound accesses *)
-  fi_idx : int * int * int;
-      (** (value probes, guide probes, walker fallbacks) the index
-          subsystem answered while a bind join or its driver was fetched
-          ahead of its scan; zero for gather-mode prefetches *)
 }
 (** How an access was fetched when the catalog's {!Fetch_sched.options}
     select gather mode, or when it was a bind join or a bind join's
@@ -100,22 +97,28 @@ type access_stat = {
   stat_id : string;                  (** Scan-leaf access id *)
   stat_access : Med_planner.access;
   stat_est_rows : float;             (** planner's estimate {e before} the run *)
-  stat_calls : int;                  (** times the executor opened the access *)
-  stat_rows : int;                   (** rows shipped, total over calls *)
-  stat_ms : float;                   (** wall time inside the access *)
-  stat_fetch : fetch_info option;    (** [None] under sequential fetching *)
-  stat_sem : Sem_cache.outcome option;
-      (** semantic-cache verdict for the access's fragment this run
-          ([None] when the cache is off or the access is ineligible) *)
-  stat_idx : int * int * int;
+  mutable stat_calls : int;          (** times the executor opened the access *)
+  mutable stat_rows : int;           (** rows shipped, total over calls *)
+  mutable stat_ms : float;           (** wall time inside the access *)
+  mutable stat_fetch : fetch_info option;
+      (** [None] under sequential fetching, unless the access is a bind
+          join or a bind join's driver *)
+  mutable stat_bind : bind_outcome option;  (** [Some] exactly on bound accesses *)
+  mutable stat_sem : Sem_cache.outcome option;
+      (** the semantic cache's verdict on the access's own fetch this
+          run ([None] when the cache is off, the access is ineligible,
+          or the exact-key cache answered first) *)
+  mutable stat_idx : int * int * int;
       (** (value probes, guide probes, walker fallbacks) the index
           subsystem answered inside this access's fetches — non-zero
           only for path accesses against indexed XML stores *)
-  stat_retry : int * int * int;
+  mutable stat_retry : int * int * int;
       (** (retries, give-ups, breaker fast-fails) the retry engine spent
           inside this access's fetches — all zero with the default inert
           policy *)
 }
+(** One entry of the per-query record: the executor fills it in while
+    the query runs. *)
 
 type analysis = {
   analyzed_result : result;

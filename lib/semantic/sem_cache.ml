@@ -22,7 +22,6 @@ type t = {
   mutable used : int;
   mutable tick : int;
   st : stats;
-  outcomes : (string, outcome) Hashtbl.t;
 }
 
 (* Counters are process-global (get-or-create by name), so several
@@ -58,7 +57,6 @@ let create ?(budget_bytes = 0) () =
         sem_fallbacks = 0;
         sem_view_hits = 0;
       };
-    outcomes = Hashtbl.create 16;
   }
 
 let enabled t = t.budget_bytes > 0
@@ -151,8 +149,7 @@ let invalidate_name t name =
 
 let clear t =
   t.entry_list <- [];
-  t.used <- 0;
-  Hashtbl.reset t.outcomes
+  t.used <- 0
 
 let set_budget t b =
   t.budget_bytes <- max 0 b;
@@ -197,9 +194,6 @@ let outcome_cells = function
       ("remainder", Printf.sprintf "%S" remainder);
     ]
   | O_miss -> [ ("sem", "miss") ]
-
-let record_outcome t ~sql o = Hashtbl.replace t.outcomes sql o
-let last_outcome t ~sql = Hashtbl.find_opt t.outcomes sql
 
 let report t =
   if not (enabled t) then "semantic cache: off"

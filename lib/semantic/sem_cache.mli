@@ -81,10 +81,5 @@ val outcome_cells : outcome -> (string * string) list
 (** Report cells for EXPLAIN ANALYZE's access lines: [sem=hit local=N],
     [sem=partial local=N shipped=N remainder="..."], or [sem=miss]. *)
 
-val record_outcome : t -> sql:string -> outcome -> unit
-val last_outcome : t -> sql:string -> outcome option
-(** The most recent outcome per fragment text, kept for EXPLAIN ANALYZE
-    cells (the report renders what the fetch layer decided). *)
-
 val report : t -> string
 (** One-paragraph summary for the repl's [\sem]. *)

@@ -11,10 +11,10 @@ type request = {
 }
 
 type plan =
-  | P_local of Source.result
+  | P_local of Source.result * Sem_cache.outcome
   | P_ship of {
       ship_sql : string;
-      finish : Source.result -> Source.result;
+      finish : Source.result -> Source.result * Sem_cache.outcome option;
     }
 
 let scope_of (s : Sql_ast.select) =
@@ -147,7 +147,7 @@ let colmap_of_result shape names =
 
 (* ------------------------------------------------------------------ *)
 
-let passthrough req = P_ship { ship_sql = req.req_sql_text; finish = Fun.id }
+let passthrough req = P_ship { ship_sql = req.req_sql_text; finish = (fun r -> (r, None)) }
 
 let miss_plan cache req shape =
   P_ship
@@ -158,13 +158,10 @@ let miss_plan cache req shape =
           (match raw with
           | Source.R_rows (names, rows) ->
             Sem_cache.note_miss cache ~shipped:(List.length rows);
-            Sem_cache.record_outcome cache ~sql:req.req_sql_text Sem_cache.O_miss;
             admit_extent cache req ~scope:(scope_of req.req_select)
               ~colmap:(colmap_of_result shape names) ~columns:names ~rows
-          | _ ->
-            Sem_cache.note_miss cache ~shipped:0;
-            Sem_cache.record_outcome cache ~sql:req.req_sql_text Sem_cache.O_miss);
-          raw);
+          | _ -> Sem_cache.note_miss cache ~shipped:0);
+          (raw, Some Sem_cache.O_miss));
     }
 
 let full_hit cache req entry shape =
@@ -181,9 +178,8 @@ let full_hit cache req entry shape =
   entry.entry_hits <- entry.entry_hits + 1;
   Sem_cache.touch cache entry;
   Sem_cache.note_hit cache ~rows:(List.length projected);
-  Sem_cache.record_outcome cache ~sql:req.req_sql_text
-    (Sem_cache.O_hit { local = List.length projected });
-  P_local (Source.R_rows (names, projected))
+  P_local
+    (Source.R_rows (names, projected), Sem_cache.O_hit { local = List.length projected })
 
 let partial_hit cache ~reship req entry shape order_col =
   let open Sem_entry in
@@ -214,7 +210,7 @@ let partial_hit cache ~reship req entry shape order_col =
   let ship_sql = Sql_print.select_to_string ship_select in
   let fallback () =
     Sem_cache.note_fallback cache;
-    reship ()
+    (reship (), None)
   in
   let finish raw =
     match raw with
@@ -245,17 +241,17 @@ let partial_hit cache ~reship req entry shape order_col =
           Sem_cache.touch cache entry;
           Sem_cache.note_partial cache ~local:(List.length probe_proj)
             ~shipped:(List.length rows_r);
-          Sem_cache.record_outcome cache ~sql:req.req_sql_text
-            (Sem_cache.O_partial
-               {
-                 local = List.length probe_proj;
-                 shipped = List.length rows_r;
-                 remainder = ship_sql;
-               });
           admit_extent cache req ~scope:(scope_of s)
             ~colmap:(colmap_of_result shape' names_r) ~columns:names_r
             ~rows:merged;
-          Source.R_rows (names_r, merged))
+          ( Source.R_rows (names_r, merged),
+            Some
+              (Sem_cache.O_partial
+                 {
+                   local = List.length probe_proj;
+                   shipped = List.length rows_r;
+                   remainder = ship_sql;
+                 }) ))
     | _ -> fallback ()
   in
   P_ship { ship_sql; finish }

@@ -31,17 +31,19 @@ type request = {
 }
 
 type plan =
-  | P_local of Source.result
+  | P_local of Source.result * Sem_cache.outcome
       (** full hit: the filtered extent, projected to the request's
-          output columns; nothing ships *)
+          output columns, and the [O_hit] verdict; nothing ships *)
   | P_ship of {
       ship_sql : string;
           (** what to send: the remainder rendering on a partial hit,
               [req_sql_text] on a miss or when the cache sits out *)
-      finish : Source.result -> Source.result;
-          (** merge with the probe / admit the extent; on a partial hit
-              whose merge cannot be reproduced faithfully this re-ships
-              the original fragment via [reship] *)
+      finish : Source.result -> Source.result * Sem_cache.outcome option;
+          (** merge with the probe / admit the extent, returning the
+              rows with the verdict ([O_partial] or [O_miss]); on a
+              partial hit whose merge cannot be reproduced faithfully
+              this re-ships the original fragment via [reship] and
+              returns no verdict, as it does when the cache sits out *)
     }
 
 val plan :

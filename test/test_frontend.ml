@@ -213,6 +213,27 @@ let test_nimble_cache_serves_repeats () =
   check int_t "invalidate by source" 1 (Nimble.invalidate_source sys "crm");
   check int_t "fresh after invalidation" 4 (List.length (ok (Nimble.query sys text)))
 
+(* Redefining a view must not leave whole-query answers computed from
+   the old definition in the result cache: every catalog change reaches
+   it, not only an explicit [invalidate_source]. *)
+let test_nimble_redefined_view_flushes_results () =
+  let sys, _ = make_system () in
+  let define region =
+    ok
+      (Nimble.define_view sys "v"
+         (Printf.sprintf
+            {|WHERE <row><name>$n</name><region>"%s"</region></row> IN "crm.customers"
+              CONSTRUCT <c><n>$n</n></c>|}
+            region))
+  in
+  let q = {|WHERE <c><n>$n</n></c> IN "v" CONSTRUCT <r>$n</r>|} in
+  define "west";
+  check int_t "west customers" 2 (List.length (ok (Nimble.query sys q)));
+  ok (Nimble.drop_view sys "v");
+  define "east";
+  check int_t "east customers after redefinition" 1 (List.length (ok (Nimble.query sys q)));
+  check int_t "same text with a trailing space" 1 (List.length (ok (Nimble.query sys (q ^ " "))))
+
 let test_nimble_views_and_materialization () =
   let sys, db = make_system () in
   ok
@@ -529,6 +550,8 @@ let () =
           Alcotest.test_case "query" `Quick test_nimble_query;
           Alcotest.test_case "error reporting" `Quick test_nimble_error_reporting;
           Alcotest.test_case "cache + invalidation" `Quick test_nimble_cache_serves_repeats;
+          Alcotest.test_case "redefined view flushes results" `Quick
+            test_nimble_redefined_view_flushes_results;
           Alcotest.test_case "views + materialization" `Quick test_nimble_views_and_materialization;
           Alcotest.test_case "partial results" `Quick test_nimble_partial;
           Alcotest.test_case "lens end to end" `Quick test_nimble_lens_end_to_end;

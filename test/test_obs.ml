@@ -203,6 +203,77 @@ let test_analysis_report_shape () =
   check bool_t "has per-access cells" true (contains report "calls=1 rows=3");
   check bool_t "has total footer" true (contains report "-- 3 rows in")
 
+(* Analysis is execution: EXPLAIN ANALYZE runs the executor [run] runs,
+   so on a fresh federation it returns the same trees and bindings, in
+   the same order, under both engines.  The queries cover a pushed
+   selection, a relational x XML join over an indexed store, a composed
+   view joined on a key (a view bind join) and ORDER BY with LIMIT. *)
+let federation mode =
+  let db = Rel_db.create ~name:"crm" () in
+  List.iter
+    (fun s -> ignore (Rel_db.exec db s))
+    [
+      "CREATE TABLE customers (id INT PRIMARY KEY, name TEXT NOT NULL, region TEXT, tier INT)";
+      "CREATE TABLE orders (oid INT PRIMARY KEY, cust_id INT, amount FLOAT, item TEXT)";
+      "INSERT INTO customers VALUES (1, 'Acme Corp', 'west', 1), (2, 'Globex', 'east', 2), \
+       (3, 'Initech', 'west', 2), (4, 'Umbrella', 'south', 3)";
+      "INSERT INTO orders VALUES (100, 1, 250.0, 'widget'), (101, 1, 70.0, 'gadget'), \
+       (102, 2, 9000.0, 'server'), (103, 3, 120.0, 'widget'), (104, 9, 5.0, 'scrap')";
+    ];
+  let cat = Med_catalog.create () in
+  Med_catalog.register_source cat (Rel_source.make db);
+  Med_catalog.register_source cat
+    (Xml_source.of_xml_strings ~name:"products"
+       [
+         ( "catalog",
+           {|<catalog>
+               <product sku="widget"><price>25</price></product>
+               <product sku="gadget"><price>70</price></product>
+               <product sku="server"><price>4500</price></product>
+             </catalog>|} );
+       ]);
+  Med_catalog.define_view_text cat "big"
+    {|WHERE <row><cust_id>$c</cust_id><amount>$a</amount></row> IN "crm.orders", $a > 100
+      CONSTRUCT <big><c>$c</c><a>$a</a></big>|};
+  Med_catalog.set_exec_mode cat mode;
+  cat
+
+let analysis_queries =
+  [
+    {|WHERE <row><name>$n</name><tier>$t</tier></row> IN "crm.customers", $t >= 2
+      CONSTRUCT <c>$n</c>|};
+    {|WHERE <row><cust_id>$c</cust_id><item>$i</item></row> IN "crm.orders",
+            <product sku=$i><price>$p</price></product> IN "products"
+      CONSTRUCT <o><c>$c</c><p>$p</p></o>|};
+    {|WHERE <row><id>$i</id><name>$n</name><region>"west"</region></row> IN "crm.customers",
+            <big><c>$i</c><a>$a</a></big> IN "big"
+      CONSTRUCT <r><n>$n</n><a>$a</a></r>|};
+    {|WHERE <row><name>$n</name><tier>$t</tier></row> IN "crm.customers"
+      CONSTRUCT <c><n>$n</n><t>$t</t></c> ORDER BY $t DESC, $n LIMIT 3|};
+  ]
+
+let test_analysis_is_execution () =
+  let show (r : Med_exec.result) =
+    List.map Dtree.to_string r.Med_exec.trees
+    @ List.map Alg_env.to_string r.Med_exec.bindings
+  in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun text ->
+          let query = Xq_parser.parse_exn text in
+          let analyzed = Med_exec.run_analyzed (federation mode) query in
+          let cat = federation mode in
+          let run =
+            Med_exec.run_compiled cat
+              (Med_exec.compile ~feedback:(Med_catalog.feedback cat) cat query)
+          in
+          check (Alcotest.list string_t)
+            (Alg_exec.mode_to_string mode ^ ": " ^ text)
+            (show run) (show analyzed.Med_exec.analyzed_result))
+        analysis_queries)
+    [ Alg_exec.Tuple; Alg_exec.Parallel { domains = 2; chunk = Alg_exec.default_chunk } ]
+
 let () =
   Alcotest.run "obs"
     [
@@ -228,5 +299,6 @@ let () =
           Alcotest.test_case "store" `Quick test_feedback_store;
           Alcotest.test_case "run_analyzed feeds the planner" `Quick test_run_analyzed_feedback;
           Alcotest.test_case "analysis report shape" `Quick test_analysis_report_shape;
+          Alcotest.test_case "analysis is execution" `Quick test_analysis_is_execution;
         ] );
     ]
