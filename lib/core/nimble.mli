@@ -160,9 +160,8 @@ val optimizer_report : t -> string
 val analyze_stats : t -> (string, string) result
 (** Collect exact per-source statistics (row counts, distincts,
     histograms) by scanning every relational export — the repl's bare
-    [\analyze].  Bumps the statistics epoch, so plans cached against
-    older statistics re-optimize.  Returns the refreshed catalog
-    listing. *)
+    [\analyze]; every later compile plans with them.  Returns the
+    refreshed catalog listing. *)
 
 val stats_catalog_report : t -> string
 (** The current statistics catalog listing without re-scanning. *)

@@ -143,13 +143,13 @@ let query_names lens = List.map fst lens.queries
 
 (* A rebindable value is one whose sentinel stand-in parses to the same
    AST shape as the real value, and whose real value can be written into
-   the compiled plan without consulting the lexer again:
+   the parsed query without consulting the lexer again:
    - strings without backslashes (the lexer's escape rules are the
      identity on them, modulo the quote escaping [literal_of_value]
      adds and the lexer removes);
    - non-negative integers (negative literals parse as [Neg (Const n)]
      in condition position and are rejected outright in attribute
-     position, so their plans are value-specific);
+     position, so their parses are value-specific);
    - non-negative floats whose rendering is plain [digits.digits] and
      parses back to the identical float (no exponent forms — the lexer
      has none — and no precision loss). *)
@@ -181,14 +181,10 @@ let class_tag = function
   | Value.Float _ -> "float"
   | _ -> invalid_arg "Fe_lens.class_tag"
 
-let shape_of ~inline_all lens query_name args =
-  let resolved = resolve_args lens query_name args in
+let param_shape lens query_name resolved =
   let cell (name, v) =
-    if (not inline_all) && rebindable v then name ^ ":" ^ class_tag v
+    if rebindable v then name ^ ":" ^ class_tag v
     else name ^ "=" ^ String.escaped (literal_of_value v)
   in
   Printf.sprintf "%s/%s?%s" lens.lens_name query_name
     (String.concat "&" (List.map cell resolved))
-
-let param_shape lens query_name args = shape_of ~inline_all:false lens query_name args
-let param_shape_exact lens query_name args = shape_of ~inline_all:true lens query_name args

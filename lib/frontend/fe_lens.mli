@@ -55,13 +55,13 @@ val placeholders : string -> string list
 
     Two invocations share a {e shape} when they name the same lens and
     query and their resolved parameters differ only in {e rebindable}
-    values — values a cached plan can swap in without re-parsing or
-    re-planning.  Rebindable classes are backslash-free strings,
+    values — values a cached parse can swap in without running the
+    parser again.  Rebindable classes are backslash-free strings,
     non-negative integers, and non-negative floats whose literal
     rendering round-trips through the XML-QL lexer; everything else
     (booleans, dates, NULLs, negatives, exotic floats) is {e inlined}:
     its rendered literal becomes part of the shape, so such values get a
-    plan of their own. *)
+    parse of their own. *)
 
 val resolve_args :
   t -> string -> (string * string) list -> (string * Value.t) list
@@ -77,22 +77,19 @@ val instantiate_values : t -> string -> (string * Value.t) list -> Xq_ast.query
     fails to parse. *)
 
 val rebindable : Value.t -> bool
-(** Can a cached plan compiled against a sentinel stand-in of this value
-    be re-bound to it without changing what a cold parse would build? *)
+(** Can a query parsed with a sentinel stand-in of this value have the
+    value written into its AST without changing what a direct parse
+    would build? *)
 
 val sentinel_for : int -> Value.t -> Value.t
 (** [sentinel_for i v] is a distinct stand-in of [v]'s class for the
     [i]-th parameter: a string, integer or float that cannot
-    plausibly occur in real data, so a plan compiled with it can later
+    plausibly occur in a template, so a query parsed with it can later
     be searched for the parameter's landing sites.
     @raise Invalid_argument when [v] is not {!rebindable}. *)
 
-val param_shape : t -> string -> (string * string) list -> string
-(** The canonical plan-cache key of an invocation:
-    [lens/query?name:class&name=literal&…] — rebindable parameters
-    contribute their class, inlined ones their rendered literal.
-    @raise Lens_error as {!resolve_args}. *)
-
-val param_shape_exact : t -> string -> (string * string) list -> string
-(** Like {!param_shape} but with {e every} parameter inlined — the key
-    under which a non-parametric (value-keyed) plan is cached. *)
+val param_shape : t -> string -> (string * Value.t) list -> string
+(** The canonical plan-cache key of an invocation from its
+    {!resolve_args} values: [lens/query?name:class&name=literal&…] —
+    rebindable parameters contribute their class, inlined ones their
+    rendered literal. *)

@@ -5,8 +5,8 @@
     at registration time in [Eager] mode, on first probe in [Auto] mode;
     value indexes are always built on first value probe.  Invalidation
     is by name (view refresh/drop) or prefix (source mutation), and
-    every change of index availability bumps {!epoch} so cached plans
-    can detect staleness.
+    every change of index availability bumps {!epoch}, which the index
+    report prints.
 
     Probes are safe from any domain: registry snapshots are read through
     an [Atomic], built guides and value indexes are immutable, and all
@@ -39,8 +39,8 @@ val clear : unit -> unit
 (** Bumped on every planning-visible change: a guide or value index is
     built, an entry something was built from is replaced or dropped, or
     the mode changes.  (Registering or dropping a never-built entry
-    moves nothing — no estimate could have depended on it.)  Plan caches
-    record it and recompile when it moves. *)
+    moves nothing — no estimate could have depended on it.)  The index
+    report prints it. *)
 val epoch : unit -> int
 
 (** Force-build the guide for [name]; [Some (paths, nodes, bytes)] on

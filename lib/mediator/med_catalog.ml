@@ -16,7 +16,8 @@ type t = {
   mutable fetch : Fetch_sched.options;
   mutable exec : Alg_exec.mode;
   mutable listeners : (string -> unit) list;
-      (* mutation subscribers (plan caches), fired with the affected name *)
+      (* mutation subscribers (the facade's result cache), fired with the
+         affected name *)
 }
 
 exception Catalog_error of string
@@ -42,8 +43,8 @@ let on_mutation t f = t.listeners <- t.listeners @ [ f ]
 
 (* Mutations invalidate the fragment and semantic caches and the
    source's document indexes before the subscribers hear about them: a
-   plan cache re-compiling against the new catalog must not find stale
-   fragments, extents or index epochs.  XML stores re-register from
+   query re-run against the new catalog must not find stale fragments,
+   extents or index entries.  XML stores re-register from
    their live trees so the next probe rebuilds; anything else just loses
    its entries and the engines fall back to walking. *)
 let notify_invalidation t name =
@@ -64,17 +65,14 @@ let feedback t = t.fb
 
 let stats t = t.stats
 
-let stats_epoch t = Med_stats.epoch t.stats
-
 let optimizer t = t.optimizer
 
 let set_optimizer t mode = t.optimizer <- mode
 
 let analyze_counter = Obs_metrics.counter "opt.analyze_runs"
 
-(* Collect exact statistics for every relational export.  Bumping the
-   statistics epoch is what makes plan caches drop (rather than
-   silently reuse) plans optimized against the old numbers. *)
+(* Collect exact statistics for every relational export; the planner
+   reads them on its next compile. *)
 let analyze t =
   Obs_metrics.inc analyze_counter;
   Med_stats.analyze t.stats t.reg

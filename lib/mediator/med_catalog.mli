@@ -33,14 +33,14 @@ val on_mutation : t -> (string -> unit) -> unit
 (** Subscribe to catalog changes: the callback fires with the affected
     source or view name after every {!register_source},
     {!define_view}/{!define_union_view}, {!drop_view}, and every
-    explicit {!notify_invalidation}.  Consumers (the server's plan
-    cache) use it to evict artifacts compiled against stale metadata. *)
+    explicit {!notify_invalidation}.  Consumers (the facade's result
+    cache) use it to evict artifacts derived from stale metadata. *)
 
 val notify_invalidation : t -> string -> unit
 (** The one invalidation path: drop the fragment-cache, semantic-cache
     and index entries derived from [name], then tell subscribers (the
-    facade's result cache, the server's plan cache) that their artifacts
-    derived from it are stale.  Every catalog mutation runs it; the
+    facade's result cache) that their artifacts derived from it are
+    stale.  Every catalog mutation runs it; the
     facade's [invalidate_source] is a single call to it after an
     out-of-band source update. *)
 
@@ -58,14 +58,10 @@ val stats : t -> Med_stats.t
     histograms feeding the cost-based optimizer.  Scoped to the catalog
     like {!feedback}. *)
 
-val stats_epoch : t -> int
-(** Current statistics epoch ({!Med_stats.epoch}); plan caches record
-    it so plans optimized against stale statistics re-optimize. *)
-
 val analyze : t -> (string * int) list
 (** Collect exact statistics for every relational export of every
-    registered source (the repl's bare [\analyze]).  Bumps the
-    statistics epoch; returns [(table, rows)] per export analyzed. *)
+    registered source (the repl's bare [\analyze]); the next compile
+    plans with them.  Returns [(table, rows)] per export analyzed. *)
 
 val optimizer : t -> Med_optimize.mode
 (** Join-order strategy used by {!Med_planner.compile} against this
@@ -102,7 +98,7 @@ val sem_cache : t -> Sem_cache.t
     cached with their defining predicates, probed by containment in
     {!Med_exec}'s SQL fetch path.  Budget 0 — the default — disables
     it.  Catalog mutations ({!notify_invalidation}) drop affected
-    extents before plan-cache subscribers run. *)
+    extents before subscribers run. *)
 
 val configure_sem_cache : t -> budget_bytes:int -> unit -> unit
 (** Replace the semantic cache (dropping its contents). *)

@@ -268,53 +268,64 @@ let frag_key_path export path =
 let frag_key_scan export = "scan:" ^ export
 let frag_key_doc doc = "doc:" ^ doc
 
-(* One remote call through the fragment cache: a hit skips the wire
-   (and the network simulator) entirely; only successful results are
-   cached, so rejections and outages keep their live semantics. *)
-let frag_call catalog (src : Source.t) ~fragment call =
+(* The wire half of [frag_call], for a fragment whose exact-key probe
+   already missed: only successful results are cached, so rejections and
+   outages keep their live semantics. *)
+let frag_ship catalog (src : Source.t) ~fragment call =
   let frag = Med_catalog.frag_cache catalog in
-  match Frag_cache.get frag ~source:src.Source.name ~fragment with
-  | Some r -> r
-  | None -> (
-    let retry = Med_catalog.retry catalog in
-    match Src_retry.call retry ~source:src.Source.name call with
-    | r ->
-      Frag_cache.put frag ~source:src.Source.name ~fragment r;
+  let retry = Med_catalog.retry catalog in
+  match Src_retry.call retry ~source:src.Source.name call with
+  | r ->
+    Frag_cache.put frag ~source:src.Source.name ~fragment r;
+    r
+  | exception (Source.Unavailable _ as e) ->
+    (* Partial-mode degradation: once the retry budget is spent, a
+       stale extent beats losing the source's whole contribution.
+       Strict mode never degrades — the exception propagates. *)
+    (match
+       if Src_retry.stale_ok retry then
+         Frag_cache.get_stale frag ~source:src.Source.name ~fragment
+       else None
+     with
+    | Some r ->
+      Src_retry.note_stale retry ~source:src.Source.name;
       r
-    | exception (Source.Unavailable _ as e) ->
-      (* Partial-mode degradation: once the retry budget is spent, a
-         stale extent beats losing the source's whole contribution.
-         Strict mode never degrades — the exception propagates. *)
-      (match
-         if Src_retry.stale_ok retry then
-           Frag_cache.get_stale frag ~source:src.Source.name ~fragment
-         else None
-       with
-      | Some r ->
-        Src_retry.note_stale retry ~source:src.Source.name;
-        r
-      | None -> raise e))
+    | None -> raise e)
+
+(* One remote call through the fragment cache: a hit skips the wire
+   (and the network simulator) entirely. *)
+let frag_call catalog (src : Source.t) ~fragment call =
+  match Frag_cache.get (Med_catalog.frag_cache catalog) ~source:src.Source.name ~fragment with
+  | Some r -> r
+  | None -> frag_ship catalog src ~fragment call
 
 let frag_fetch catalog (src : Source.t) ~fragment q =
   frag_call catalog src ~fragment (fun () -> src.Source.execute q)
 
 (* SQL fragments key the exact-key cache by their canonical rendering
    (stable alias numbering, sorted conjuncts) rather than the shipped
-   text, so cosmetically different renderings of one fragment — e.g. a
-   plan-cache rebind that re-renders the AST — share an entry. *)
+   text, so cosmetically different renderings of one fragment share an
+   entry. *)
 let frag_key_sql select = Sql_print.canonical_select select
 
 (* ------------------------------------------------------------------ *)
 (* Semantic cache plumbing                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The semantic layer sits above the exact-key cache: it may answer the
-   whole fragment from a cached extent (ship nothing), rewrite it to a
-   remainder query, or pass it through untouched; whatever still ships
-   goes through the normal exact-key + wire path.  Only relational
-   sources participate — their fragments have SQL ASTs to reason
-   about. *)
-let sem_plan catalog (src : Source.t) access =
+(* The SQL AST and shipped text of a SQL access's fragment. *)
+let sql_of_access = function
+  | Med_planner.A_sql { fragment; _ } ->
+    (fragment.Med_sqlgen.sql, fragment.Med_sqlgen.sql_text)
+  | Med_planner.A_sql_join { fragment; _ } ->
+    (fragment.Med_sqlgen.jf_sql, fragment.Med_sqlgen.jf_sql_text)
+  | _ -> fail "internal: not a SQL access"
+
+(* The semantic layer sits below the exact-key cache: it is asked only
+   about a fragment whose exact key missed, and may answer it from a
+   cached extent (ship nothing), rewrite it to a remainder query, or
+   pass it through untouched.  Only relational sources participate —
+   their fragments have SQL ASTs to reason about. *)
+let sem_plan catalog (src : Source.t) ~key access =
   if src.Source.kind <> Source.Relational then None
   else
     let mk select sql_text exports =
@@ -322,13 +333,12 @@ let sem_plan catalog (src : Source.t) access =
         Obs_feedback.samples (Med_catalog.feedback catalog)
           (Med_planner.access_key access)
       in
+      (* The exact key already missed: a reship goes straight to the wire. *)
       let reship () =
-        frag_fetch catalog src ~fragment:(frag_key_sql select)
-          (Source.Q_sql sql_text)
+        frag_ship catalog src ~fragment:key (fun () ->
+            src.Source.execute (Source.Q_sql sql_text))
       in
-      Sem_rewrite.plan
-        (Med_catalog.sem_cache catalog)
-        ~reship
+      Sem_rewrite.plan (Med_catalog.sem_cache catalog) ~reship
         {
           Sem_rewrite.req_source = src.Source.name;
           req_select = select;
@@ -343,6 +353,28 @@ let sem_plan catalog (src : Source.t) access =
     | Med_planner.A_sql_join { fragment; exports; _ } ->
       Some (mk fragment.Med_sqlgen.jf_sql fragment.Med_sqlgen.jf_sql_text exports)
     | _ -> None
+
+(* How a SQL fragment whose canonical [key] missed ships, as the
+   semantic layer planned it ([None]: it sat out): the text sent, the key
+   its raw result caches under — a remainder query's own text, or [key]
+   — and how the result comes back. *)
+let shipment access ~key plan =
+  let _, sql_text = sql_of_access access in
+  match plan with
+  | Some (Sem_rewrite.P_ship { ship_sql; finish }) when ship_sql <> sql_text ->
+    (ship_sql, ship_sql, finish)
+  | Some (Sem_rewrite.P_ship { finish; _ }) -> (sql_text, key, finish)
+  | Some (Sem_rewrite.P_local _) | None -> (sql_text, key, fun r -> (r, None))
+
+(* Ship one such fragment alone, with the semantic layer's verdict. *)
+let ship_sql catalog (src : Source.t) access ~key plan =
+  match plan with
+  | Some (Sem_rewrite.P_local (r, hit)) -> (r, Some hit)
+  | _ ->
+    let text, putkey, finish = shipment access ~key plan in
+    finish
+      (frag_ship catalog src ~fragment:putkey (fun () ->
+           src.Source.execute (Source.Q_sql text)))
 
 (* A path narrowed by no keys matches nothing, like [col IN ()]. *)
 let path_matches_nothing (path : Xml_path.t) =
@@ -370,31 +402,20 @@ let require_available catalog (src : Source.t) =
          src.Source.is_available)
   then raise (Source.Unavailable src.Source.name)
 
-(* Fetch one SQL access's raw result through both cache layers, with the
+(* Fetch one SQL access's raw result through both cache layers — the
+   exact key first, the semantic layer only on a miss — with the
    semantic layer's verdict when it was consulted. *)
 let fetch_sql catalog (src : Source.t) access =
-  let select, sql_text =
-    match access with
-    | Med_planner.A_sql { fragment; _ } ->
-      (fragment.Med_sqlgen.sql, fragment.Med_sqlgen.sql_text)
-    | Med_planner.A_sql_join { fragment; _ } ->
-      (fragment.Med_sqlgen.jf_sql, fragment.Med_sqlgen.jf_sql_text)
-    | _ -> fail "internal: not a SQL access"
-  in
+  let select, _ = sql_of_access access in
   if matches_nothing select then begin
     require_available catalog src;
     (Source.R_rows ([], []), None)
   end
   else
-    match sem_plan catalog src access with
-    | Some (Sem_rewrite.P_local (r, hit)) -> (r, Some hit)
-    | Some (Sem_rewrite.P_ship { ship_sql; finish }) ->
-      (* Remainder queries key the exact cache by their own text; the
-         original fragment keeps its canonical key. *)
-      let key = if ship_sql = sql_text then frag_key_sql select else ship_sql in
-      finish (frag_fetch catalog src ~fragment:key (Source.Q_sql ship_sql))
-    | None ->
-      (frag_fetch catalog src ~fragment:(frag_key_sql select) (Source.Q_sql sql_text), None)
+    let key = frag_key_sql select in
+    match Frag_cache.get (Med_catalog.frag_cache catalog) ~source:src.Source.name ~fragment:key with
+    | Some r -> (r, None)
+    | None -> ship_sql catalog src access ~key (sem_plan catalog src ~key access)
 
 let frag_documents catalog (src : Source.t) doc =
   match
@@ -499,6 +520,29 @@ let charged sts fetch =
     sts;
   x
 
+(* A plain SQL access's environments from [fetch]'s raw result and
+   verdict ([sem] hears the verdict). *)
+let sql_envs ~sem catalog (src : Source.t) access fetch =
+  match access with
+  | Med_planner.A_sql { export; fragment; pattern; _ } -> (
+    try
+      let r, verdict = fetch () in
+      Option.iter sem verdict;
+      envs_of_sql_access access r
+    with Source.Query_rejected _ ->
+      (* Capability miss at runtime: ship the whole export and re-apply
+         the conditions the fragment would have evaluated (they left the
+         residual pool at plan time). *)
+      Obs_metrics.inc capability_fallbacks;
+      let envs = match_documents pattern (export_documents catalog src export) in
+      List.filter
+        (fun env ->
+          List.for_all
+            (fun cond -> Alg_expr.eval_pred env cond)
+            fragment.Med_sqlgen.pushed_conditions)
+        envs)
+  | _ -> fail "internal: not a plain SQL access"
+
 let bind_of = function
   | Med_planner.A_sql_bind { bind; _ } -> Some bind
   | Med_planner.A_view { bind; _ } -> bind
@@ -516,24 +560,9 @@ let unbound = function
    [sem] hears the semantic cache's verdict on a SQL fragment. *)
 let rec run_access ?(sem = ignore) catalog ~opts ~view_lookup access : Alg_env.t list =
   match access with
-  | Med_planner.A_sql { source_name; export; fragment; pattern } -> (
+  | Med_planner.A_sql { source_name; _ } ->
     let src = Src_registry.find_exn (Med_catalog.registry catalog) source_name in
-    try
-      let r, verdict = fetch_sql catalog src access in
-      Option.iter sem verdict;
-      envs_of_sql_access access r
-    with Source.Query_rejected _ ->
-      (* Capability miss at runtime: ship the whole export and re-apply
-         the conditions the fragment would have evaluated (they left the
-         residual pool at plan time). *)
-      Obs_metrics.inc capability_fallbacks;
-      let envs = match_documents pattern (export_documents catalog src export) in
-      List.filter
-        (fun env ->
-          List.for_all
-            (fun cond -> Alg_expr.eval_pred env cond)
-            fragment.Med_sqlgen.pushed_conditions)
-        envs)
+    sql_envs ~sem catalog src access (fun () -> fetch_sql catalog src access)
   | Med_planner.A_sql_join { source_name; fragment; exports = _ } -> (
     let src = Src_registry.find_exn (Med_catalog.registry catalog) source_name in
     let r, verdict = fetch_sql catalog src access in
@@ -641,84 +670,70 @@ and run_composed catalog ~opts ~view_lookup pattern (c : Med_planner.composed) =
     c.Med_planner.defs
 
 (* Several SQL fragments bound for one relational source, shipped as a
-   single batched round trip (one latency charge).  Cache hits resolve
-   locally; a source without batch capability falls back to individual
-   calls inside the same scheduling lane. *)
-and run_sql_batch ?record catalog ~opts ~view_lookup source_name members =
+   single batched round trip (one latency charge).  Each member's exact
+   key is probed once; the semantic layer is asked about the misses,
+   whose full hits resolve locally; the rest ship in one batch —
+   possibly as remainder queries, merged back on arrival.  A source
+   without batch capability falls back to individual calls inside the
+   same scheduling lane. *)
+and run_sql_batch ?record catalog source_name members =
   let sem key = sem_sink (entries_of_key record key) in
   let frag = Med_catalog.frag_cache catalog in
   let src = Src_registry.find_exn (Med_catalog.registry catalog) source_name in
-  let classified =
+  let envs access r = try Ok (envs_of_sql_access access r) with e -> Error e in
+  let probed =
     List.map
       (fun (key, access) ->
-        match access with
-        | Med_planner.A_sql { fragment; _ } ->
-          let sql = fragment.Med_sqlgen.sql_text in
-          let ckey = frag_key_sql fragment.Med_sqlgen.sql in
-          ( key,
-            access,
-            sql,
-            ckey,
-            Frag_cache.get frag ~source:source_name ~fragment:ckey )
-        | _ -> fail "internal: non-SQL access in a batch")
+        let ckey = frag_key_sql (fst (sql_of_access access)) in
+        (key, access, ckey, Frag_cache.get frag ~source:source_name ~fragment:ckey))
       members
   in
-  let missing = List.filter (fun (_, _, _, _, c) -> c = None) classified in
-  (* Ask the semantic layer about each member the exact-key cache
-     missed: full hits resolve locally; the rest ship in one batch —
-     possibly as remainder queries, merged back on arrival. *)
-  let planned =
-    List.map
-      (fun (key, access, sql, ckey, _) ->
-        match sem_plan catalog src access with
-        | Some (Sem_rewrite.P_local (r, hit)) ->
-          sem key hit;
-          (key, access, sql, ckey, `Local r)
-        | Some (Sem_rewrite.P_ship { ship_sql; finish }) ->
-          (key, access, sql, ckey, `Ship (ship_sql, finish))
-        | None -> (key, access, sql, ckey, `Ship (sql, fun r -> (r, None))))
-      missing
+  let settled : (string, (Alg_env.t list, exn) Stdlib.result) Hashtbl.t =
+    Hashtbl.create (max 1 (List.length members))
   in
-  let missing_envs : (string, (Alg_env.t list, exn) Stdlib.result) Hashtbl.t =
-    Hashtbl.create (max 1 (List.length missing))
-  in
-  List.iter
-    (fun (key, access, _, _, outcome) ->
-      match outcome with
-      | `Local r ->
-        Hashtbl.replace missing_envs key
-          (try Ok (envs_of_sql_access access r) with e -> Error e)
-      | `Ship _ -> ())
-    planned;
   let to_ship =
     List.filter_map
-      (fun (key, access, sql, ckey, outcome) ->
-        match outcome with
-        | `Ship (ship_sql, finish) -> Some (key, access, sql, ckey, ship_sql, finish)
-        | `Local _ -> None)
-      planned
+      (fun (key, access, ckey, cached) ->
+        match cached with
+        | Some _ -> None
+        | None -> (
+          match sem_plan catalog src ~key:ckey access with
+          | Some (Sem_rewrite.P_local (r, hit)) ->
+            sem key hit;
+            Hashtbl.replace settled key (envs access r);
+            None
+          | plan -> Some (key, access, ckey, plan)))
+      probed
   in
-  let solo (key, access, _sql, _ckey, _ship, _finish) =
-    Hashtbl.replace missing_envs key
-      (try Ok (run_access ~sem:(sem key) catalog ~opts ~view_lookup access) with e -> Error e)
+  let solo (key, access, ckey, plan) =
+    Hashtbl.replace settled key
+      (try
+         Ok
+           (sql_envs ~sem:(sem key) catalog src access (fun () ->
+                ship_sql catalog src access ~key:ckey plan))
+       with e -> Error e)
   in
-  let land_result (key, access, sql, ckey, ship_sql, finish) r =
-    (* Raw remainder results cache under their own text; an untouched
-       fragment caches under its canonical key as before. *)
-    let putkey = if ship_sql = sql then ckey else ship_sql in
+  let land_result (key, access, ckey, plan) r =
+    let _, putkey, finish = shipment access ~key:ckey plan in
     Frag_cache.put frag ~source:source_name ~fragment:putkey r;
-    Hashtbl.replace missing_envs key
+    Hashtbl.replace settled key
       (try
          let r, verdict = finish r in
          Option.iter (sem key) verdict;
-         Ok (envs_of_sql_access access r)
+         envs access r
        with e -> Error e)
   in
   (match to_ship with
   | [] -> ()
   | [ m ] -> solo m
   | _ -> (
-    let queries = List.map (fun (_, _, _, _, s, _) -> Source.Q_sql s) to_ship in
+    let queries =
+      List.map
+        (fun (_, access, ckey, plan) ->
+          let text, _, _ = shipment access ~key:ckey plan in
+          Source.Q_sql text)
+        to_ship
+    in
     match
       Src_retry.call (Med_catalog.retry catalog) ~source:source_name (fun () ->
           src.Source.execute (Source.Q_batch queries))
@@ -735,15 +750,13 @@ and run_sql_batch ?record catalog ~opts ~view_lookup source_name members =
     | exception e ->
       (* The whole round trip failed (e.g. the source is offline):
          every member shares the outcome, as one call would have. *)
-      List.iter
-        (fun (key, _, _, _, _, _) -> Hashtbl.replace missing_envs key (Error e))
-        to_ship));
+      List.iter (fun (key, _, _, _) -> Hashtbl.replace settled key (Error e)) to_ship));
   List.map
-    (fun (key, access, _sql, _ckey, cached) ->
+    (fun (key, access, _, cached) ->
       match cached with
-      | Some r -> (key, (try Ok (envs_of_sql_access access r) with e -> Error e), 1)
-      | None -> (key, Hashtbl.find missing_envs key, 0))
-    classified
+      | Some r -> (key, envs access r, 1)
+      | None -> (key, Hashtbl.find settled key, 0))
+    probed
 
 (* Collect the plan's source accesses and issue them as overlapped
    rounds; the returned buffer (keyed by access key) then resolves
@@ -825,7 +838,7 @@ and prefetch ?record catalog ~opts ~view_lookup (compiled : Med_planner.compiled
           "batch|" ^ source ^ "|" ^ String.concat "\x00" (List.map fst members);
         task_run =
           (fun () ->
-            try run_sql_batch ?record catalog ~opts ~view_lookup source members
+            try run_sql_batch ?record catalog source members
             with e -> List.map (fun (key, _) -> (key, Error e, 0)) members);
       }
     in

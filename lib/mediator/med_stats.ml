@@ -7,10 +7,7 @@
    - [analyze] scans every relational export through the source's own
      [Q_scan] path and computes exact statistics (marked [ts_exact]);
    - [observe_rows] seeds or corrects the row count from execution
-     feedback (full-table fetches the mediator happens to run anyway).
-
-   Every material change bumps [epoch]; plan caches record the epoch at
-   compile time and re-optimize when it moves (stale-plan invalidation). *)
+     feedback (full-table fetches the mediator happens to run anyway). *)
 
 type bucket = {
   b_lo : Value.t;
@@ -32,14 +29,9 @@ type table_stats = {
   ts_cols : (string * col_stats) list;
 }
 
-type t = {
-  tables : (string, table_stats) Hashtbl.t;
-  mutable epoch : int;
-}
+type t = { tables : (string, table_stats) Hashtbl.t }
 
-let create () = { tables = Hashtbl.create 16; epoch = 0 }
-
-let epoch t = t.epoch
+let create () = { tables = Hashtbl.create 16 }
 
 let table_key ~source ~export = source ^ "." ^ export
 
@@ -49,11 +41,11 @@ let table_names t =
   Hashtbl.fold (fun k _ acc -> k :: acc) t.tables [] |> List.sort String.compare
 
 let set_table t ~source ~export stats =
-  Hashtbl.replace t.tables (table_key ~source ~export) stats;
-  t.epoch <- t.epoch + 1
+  Hashtbl.replace t.tables (table_key ~source ~export) stats
 
 (* A row-count change is "material" when it crosses a 2x ratio: small
-   drift does not change join orders, so it must not thrash plan caches. *)
+   drift does not change join orders, so the planner keeps seeing the
+   count it last chose by, and plans stay stable across runs. *)
 let material_drift old_rows new_rows =
   let lo = min old_rows new_rows and hi = max old_rows new_rows in
   if lo = hi then false
@@ -63,14 +55,10 @@ let material_drift old_rows new_rows =
 let observe_rows t ~source ~export rows =
   let key = table_key ~source ~export in
   match Hashtbl.find_opt t.tables key with
-  | None ->
-    Hashtbl.replace t.tables key { ts_rows = rows; ts_exact = false; ts_cols = [] };
-    t.epoch <- t.epoch + 1
+  | None -> Hashtbl.replace t.tables key { ts_rows = rows; ts_exact = false; ts_cols = [] }
   | Some prev ->
-    if material_drift prev.ts_rows rows then begin
-      Hashtbl.replace t.tables key { prev with ts_rows = rows; ts_exact = false };
-      t.epoch <- t.epoch + 1
-    end
+    if material_drift prev.ts_rows rows then
+      Hashtbl.replace t.tables key { prev with ts_rows = rows; ts_exact = false }
 
 (* ------------------------------------------------------------------ *)
 (* Building statistics from scanned rows                               *)
@@ -141,16 +129,12 @@ let analyze_source t (src : Source.t) =
     (src.Source.relations ())
 
 let analyze t registry =
-  let analyzed =
-    List.concat_map
-      (fun name ->
-        match Src_registry.find registry name with
-        | Some src -> analyze_source t src
-        | None -> [])
-      (Src_registry.names registry)
-  in
-  if analyzed <> [] then t.epoch <- t.epoch + 1;
-  analyzed
+  List.concat_map
+    (fun name ->
+      match Src_registry.find registry name with
+      | Some src -> analyze_source t src
+      | None -> [])
+    (Src_registry.names registry)
 
 (* ------------------------------------------------------------------ *)
 (* Estimation primitives                                               *)
@@ -227,7 +211,7 @@ let distinct_of ts column =
 
 let report t =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "statistics epoch %d\n" t.epoch);
+  Buffer.add_string buf "statistics:\n";
   let names = table_names t in
   if names = [] then Buffer.add_string buf "  (no statistics collected)\n"
   else

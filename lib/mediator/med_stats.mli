@@ -4,8 +4,8 @@
     count, null count, min/max and an equi-height histogram.  Exact
     entries come from {!analyze} (a [Q_scan] of every relational export);
     approximate entries are seeded from execution feedback through
-    {!observe_rows}.  Material changes bump {!epoch}, which plan caches
-    record so stale plans re-optimize instead of being silently reused. *)
+    {!observe_rows}.  The planner reads them on every compile, so a
+    refresh shows in the next plan. *)
 
 type bucket = {
   b_lo : Value.t;
@@ -31,9 +31,6 @@ type t
 
 val create : unit -> t
 
-val epoch : t -> int
-(** Monotonic counter bumped on every material statistics change. *)
-
 val table_key : source:string -> export:string -> string
 
 val find : t -> source:string -> export:string -> table_stats option
@@ -41,13 +38,13 @@ val find : t -> source:string -> export:string -> table_stats option
 val table_names : t -> string list
 
 val set_table : t -> source:string -> export:string -> table_stats -> unit
-(** Install exact statistics and bump the epoch. *)
+(** Install exact statistics. *)
 
 val observe_rows : t -> source:string -> export:string -> int -> unit
 (** Seed (or correct) a table's row count from an observed full-table
-    fetch.  The epoch only bumps on {e material} drift — a first
+    fetch.  The count only moves on {e material} drift — a first
     observation or a row count crossing a 2x ratio — so steady-state
-    execution does not thrash plan caches. *)
+    execution does not keep changing the estimates plans are chosen by. *)
 
 val of_rows : schema:Dschema.relational -> Tuple.t list -> table_stats
 (** Exact statistics for one table's rows. *)
@@ -55,12 +52,10 @@ val of_rows : schema:Dschema.relational -> Tuple.t list -> table_stats
 val analyze_source : t -> Source.t -> (string * int) list
 (** Scan every relational export of one source through [Q_scan] and
     install exact statistics; unavailable or scan-rejecting sources are
-    skipped.  Returns [(table, rows)] for each export analyzed.  Does not
-    bump the epoch (callers batch via {!analyze}). *)
+    skipped.  Returns [(table, rows)] for each export analyzed. *)
 
 val analyze : t -> Src_registry.t -> (string * int) list
-(** {!analyze_source} over every registered source; bumps the epoch once
-    when anything was analyzed. *)
+(** {!analyze_source} over every registered source. *)
 
 (** {1 Estimation primitives} *)
 

@@ -16,9 +16,8 @@ val canonical_select : Sql_ast.select -> string
     [t0..tn] in FROM order (dropped entirely for a single unaliased
     table), WHERE/HAVING conjuncts sorted by rendered text with exact
     duplicates removed, no redundant whitespace.  Structurally identical
-    fragments that differ only in alias choice or conjunct order — e.g.
-    the re-renderings produced by [Srv_plancache] rebinding — map to the
-    same string.  Not semantics-preserving as SQL to {e execute} (alias
+    fragments that differ only in alias choice or conjunct order map to
+    the same string.  Not semantics-preserving as SQL to {e execute} (alias
     renaming changes qualified output names); keys only. *)
 
 val value_literal : Value.t -> string

@@ -1,41 +1,28 @@
-(** The lens plan cache: repeated lens invocations skip XML-QL parsing
-    and mediator planning, re-binding only their parameter values.
+(** The lens plan cache: repeated lens invocations skip XML-QL parsing;
+    every invocation is planned fresh.
 
     Entries are keyed by {!Fe_lens.param_shape} — (lens, query, which
     parameters are rebindable, the rendered literals of those that are
-    not).  A {e parametric} entry holds a plan compiled once against
-    sentinel stand-ins for the rebindable parameters; a lookup
-    substitutes the actual values structurally (plan expressions,
-    residual conditions, SQL fragments re-rendered from their ASTs, the
-    carried source query and construct template) — no parser, no
-    planner.
+    not).  An entry holds the shape's query parsed once against sentinel
+    stand-ins for the rebindable parameters; a lookup writes the actual
+    values over the sentinels in the AST and hands the result to
+    {!Med_planner.compile}.  An entry depends on no catalog state, so no
+    mutation, statistics refresh or index change can make it stale, and
+    every returned plan is a cold compile.
 
-    Honesty guard: a parametric entry is only admitted after its rebound
-    plan for the first valuation compares structurally equal to a cold
-    compile of the same valuation.  Shapes that fail — sentinel text
-    leaking into an opaque artifact (a SQL join fragment's text, a
-    pushed path), a [Dep_join] closure, any structural drift — are
-    {e poisoned}: such invocations fall back to exact (value-keyed)
-    entries, still skipping parse+plan on repeats of identical values.
+    Honesty guard: an entry is only admitted when the first valuation
+    written over its sentinels gives exactly the AST a direct parse of
+    that valuation gives.  Shapes that fail — or whose parameter lands
+    inside a clause source ([IN "…"]) — are {e poisoned}: they parse
+    cold on every invocation.
 
-    Eviction is LRU; mutation events from {!Med_catalog.on_mutation}
-    (source registration, view definition/drop, explicit invalidation)
-    evict every entry whose transitive source closure contains the
-    mutated name.
-
-    Each entry also records the catalog's statistics epoch
-    ({!Med_catalog.stats_epoch}) at compile time.  A lookup that finds
-    an entry compiled under an older epoch — the statistics were
-    refreshed by [\analyze] or drifted materially since — drops it and
-    recompiles, so cached plans never outlive the estimates that chose
-    their join order. *)
+    Eviction is LRU. *)
 
 type t
 
 val create : ?capacity:int -> Med_catalog.t -> t
-(** Default capacity 32.  0 disables caching: every {!lookup} compiles
-    cold and reports a miss.  Subscribes to the catalog's mutation
-    events for invalidation. *)
+(** Default capacity 32.  0 disables caching: every {!lookup} parses
+    cold and reports a miss. *)
 
 val capacity : t -> int
 val size : t -> int
@@ -46,30 +33,24 @@ val lookup :
   query:string ->
   args:(string * string) list ->
   Med_planner.compiled * bool
-(** The compiled plan bound to the invocation's actual parameter
-    values, and whether it came from the cache ([true] = parse and
-    planning were skipped).  Raises as {!Fe_lens.instantiate} /
+(** The invocation's plan, compiled against the catalog as it is now,
+    and whether its query came from the cache ([true] = parsing was
+    skipped).  Raises as {!Fe_lens.instantiate} /
     {!Med_planner.compile} on bad invocations. *)
-
-val invalidate : t -> string -> int
-(** Drop entries whose source closure contains the name (also invoked
-    automatically via the catalog's mutation hook); returns how many
-    were dropped. *)
-
-val clear : t -> unit
 
 type stats = {
   hits : int;
   misses : int;
   evictions : int;
   invalidations : int;
-      (** entries dropped by mutation events or a stale statistics
-          epoch *)
-  fallbacks : int;      (** shapes poisoned to exact-keyed entries *)
+      (** always 0: entries hold parsed queries, which no catalog change
+          makes stale; kept so existing consumers of the record build *)
+  fallbacks : int;  (** poisoned shapes, parsed cold on every invocation *)
 }
 
 val stats : t -> stats
 
 val report : t -> string
-(** [plan cache: size=3/32 hits=10 misses=4 evictions=0 invalidations=1
-    fallbacks=0] plus one line per cached shape, LRU order. *)
+(** [plan cache: size=3/32 hits=10 misses=4 evictions=0 fallbacks=0]
+    plus one [param <shape>] line per cached shape, LRU order, then one
+    [cold <shape>] line per poisoned shape. *)

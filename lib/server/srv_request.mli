@@ -53,7 +53,7 @@ type report = {
   rep_submit_ms : float;     (** virtual clock at submission *)
   rep_start_ms : float;      (** virtual clock when an engine took it *)
   rep_service_ms : float;    (** virtual service time (network + overhead) *)
-  rep_plan_hit : bool;       (** served from the plan cache *)
+  rep_plan_hit : bool;       (** its parse came from the plan cache *)
   rep_rows : int;            (** result trees produced *)
   rep_skipped : string list; (** partial mode: unavailable sources *)
   rep_output : string;       (** device-formatted result *)

@@ -1,5 +1,5 @@
 (* The cost-based optimizer: statistics catalog, cardinality estimation,
-   DPsize join-order enumeration, bind joins, and plan-cache staleness.
+   DPsize join-order enumeration, bind joins, and fresh plans after analysis.
 
    The central property: the DP optimizer (with bind-join conversion)
    returns byte-identical answers to the greedy walk across both
@@ -64,16 +64,21 @@ let test_stats_single_value_domain () =
   check (Alcotest.option float_t) "null probe" (Some 0.0)
     (Med_stats.eq_fraction ts "x" Value.Null)
 
-let test_stats_epoch_material_drift () =
+let test_stats_material_drift () =
   let st = Med_stats.create () in
-  let e0 = Med_stats.epoch st in
-  Med_stats.observe_rows st ~source:"s" ~export:"t" 100;
-  let e1 = Med_stats.epoch st in
-  check bool_t "first observation bumps" true (e1 > e0);
-  Med_stats.observe_rows st ~source:"s" ~export:"t" 150;
-  check int_t "small drift does not bump" e1 (Med_stats.epoch st);
-  Med_stats.observe_rows st ~source:"s" ~export:"t" 300;
-  check bool_t "2x drift bumps" true (Med_stats.epoch st > e1)
+  let observe rows = Med_stats.observe_rows st ~source:"s" ~export:"t" rows in
+  let rows () =
+    Option.map (fun ts -> ts.Med_stats.ts_rows) (Med_stats.find st ~source:"s" ~export:"t")
+  in
+  check (Alcotest.option int_t) "unobserved" None (rows ());
+  observe 100;
+  check (Alcotest.option int_t) "first observation seeds" (Some 100) (rows ());
+  observe 150;
+  check (Alcotest.option int_t) "small drift keeps the count" (Some 100) (rows ());
+  observe 300;
+  check (Alcotest.option int_t) "2x drift moves it" (Some 300) (rows ());
+  observe 140;
+  check (Alcotest.option int_t) "2x shrink moves it" (Some 140) (rows ())
 
 (* ------------------------------------------------------------------ *)
 (* DPsize enumerator                                                   *)
@@ -141,7 +146,7 @@ let test_mode_of_string () =
 (* Fixture: two identical federations, one per optimizer mode          *)
 (* ------------------------------------------------------------------ *)
 
-let build_catalog ~mode ~seed ~ncust ~norders ~offline =
+let build_catalog ?(analyze = true) ~mode ~seed ~ncust ~norders ~offline () =
   let cat = Med_catalog.create () in
   Med_catalog.set_optimizer cat mode;
   let g = Prng.create seed in
@@ -176,7 +181,7 @@ let build_catalog ~mode ~seed ~ncust ~norders ~offline =
   let wrapped, stats = Net_sim.wrap ~seed:7 profile (Rel_source.make sales) in
   Med_catalog.register_source cat (Rel_source.make crm);
   Med_catalog.register_source cat wrapped;
-  ignore (Med_catalog.analyze cat);
+  if analyze then ignore (Med_catalog.analyze cat);
   (cat, stats)
 
 let queries =
@@ -228,10 +233,10 @@ let prop_dp_equals_greedy =
     ~count:40 gen_case
     (fun (seed, ncust, norders, offline, engine, strict, qidx) ->
       let cat_g, _ =
-        build_catalog ~mode:Med_optimize.Greedy ~seed ~ncust ~norders ~offline
+        build_catalog ~mode:Med_optimize.Greedy ~seed ~ncust ~norders ~offline ()
       in
       let cat_d, _ =
-        build_catalog ~mode:Med_optimize.dp ~seed ~ncust ~norders ~offline
+        build_catalog ~mode:Med_optimize.dp ~seed ~ncust ~norders ~offline ()
       in
       Med_catalog.set_exec_mode cat_g (engine_of engine);
       Med_catalog.set_exec_mode cat_d (engine_of engine);
@@ -260,7 +265,7 @@ let prop_dp_equals_greedy =
 let test_dp_converts_to_bind_join () =
   let cat, stats =
     build_catalog ~mode:Med_optimize.dp ~seed:3 ~ncust:12 ~norders:200
-      ~offline:false
+      ~offline:false ()
   in
   let q = Xq_parser.parse_exn queries.(0) in
   let compiled = Med_planner.compile cat q in
@@ -276,7 +281,7 @@ let test_dp_converts_to_bind_join () =
      scan on the greedy side. *)
   let cat_g, stats_g =
     build_catalog ~mode:Med_optimize.Greedy ~seed:3 ~ncust:12 ~norders:200
-      ~offline:false
+      ~offline:false ()
   in
   let s0 = stats.Net_sim.tuples_shipped and g0 = stats_g.Net_sim.tuples_shipped in
   let out_d = render (Med_exec.run cat q) in
@@ -289,7 +294,7 @@ let test_dp_converts_to_bind_join () =
 let test_explain_analyze_reports_estimates () =
   let cat, _ =
     build_catalog ~mode:Med_optimize.dp ~seed:5 ~ncust:10 ~norders:80
-      ~offline:false
+      ~offline:false ()
   in
   let q = Xq_parser.parse_exn queries.(0) in
   let a = Med_exec.run_analyzed cat q in
@@ -300,33 +305,44 @@ let test_explain_analyze_reports_estimates () =
   check bool_t "per-fragment estimates" true (contains report "est=")
 
 (* ------------------------------------------------------------------ *)
-(* Plan cache: statistics-epoch staleness                              *)
+(* Plan cache: fresh statistics                                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_plan_cache_stale_epoch_invalidates () =
-  Obs_clock.reset_virtual ();
-  let sys = Srv_workload.demo_system () in
-  let cat = Nimble.catalog sys in
-  let pc = Srv_plancache.create cat in
+let test_plan_cache_replans_after_analyze () =
+  let cat, _ =
+    build_catalog ~analyze:false ~mode:Med_optimize.dp ~seed:5 ~ncust:10 ~norders:80
+      ~offline:false ()
+  in
   let lens =
-    match Nimble.find_lens sys "sales" with
-    | Some l -> l
-    | None -> Alcotest.fail "demo system has no sales lens"
+    Fe_lens.make ~name:"tiered"
+      ~params:[ Fe_lens.param "tier" Value.TInt ]
+      [ ( "orders",
+          {|WHERE <row><oid>$o</oid><cust_id>$c</cust_id></row> IN "sales.orders",
+                  <row><id>$c</id><name>$n</name><tier>$t</tier></row> IN "crm.customers",
+                  $t = %tier%
+            CONSTRUCT <r><o>$o</o><n>$n</n></r> ORDER BY $o|} ) ]
   in
-  let look region =
-    snd (Srv_plancache.lookup pc ~lens ~query:"by_region" ~args:[ ("region", region) ])
+  let pc = Srv_plancache.create cat in
+  (* Every plan the cache hands out is the cold compile of the same
+     invocation against the catalog as it is at that moment. *)
+  let look tier =
+    let compiled, hit =
+      Srv_plancache.lookup pc ~lens ~query:"orders" ~args:[ ("tier", tier) ]
+    in
+    let cold = Med_planner.compile cat (Fe_lens.instantiate lens "orders" [ ("tier", tier) ]) in
+    check bool_t ("tier " ^ tier ^ ": plan = cold compile") true (compiled = cold);
+    (compiled, hit)
   in
-  check bool_t "cold miss" false (look "west");
-  check bool_t "warm hit" true (look "east");
-  (* \analyze refreshes statistics and bumps the epoch: the cached plan
-     was optimized against stale estimates and must not be reused. *)
+  check bool_t "cold miss" false (snd (look "1"));
+  let before, hit = look "2" in
+  check bool_t "warm hit" true hit;
+  (* \analyze refreshes statistics: the next plan is chosen by them,
+     and the cached parse still serves it. *)
   ignore (Med_catalog.analyze cat);
-  check bool_t "stale plan recompiles" false (look "north");
-  let s = Srv_plancache.stats pc in
-  check int_t "stale entry invalidated" 1 s.Srv_plancache.invalidations;
-  check int_t "two misses total" 2 s.Srv_plancache.misses;
-  (* The re-stored entry carries the new epoch and hits again. *)
-  check bool_t "fresh entry hits" true (look "south")
+  let after, hit = look "2" in
+  check bool_t "hit after analyze" true hit;
+  check bool_t "refreshed statistics reach the plan" true (before <> after);
+  check int_t "one miss total" 1 (Srv_plancache.stats pc).Srv_plancache.misses
 
 let () =
   let props = List.map QCheck_alcotest.to_alcotest [ prop_dp_equals_greedy ] in
@@ -337,8 +353,8 @@ let () =
           Alcotest.test_case "empty table" `Quick test_stats_empty_table;
           Alcotest.test_case "all-null column" `Quick test_stats_all_null_column;
           Alcotest.test_case "single-value domain" `Quick test_stats_single_value_domain;
-          Alcotest.test_case "epoch: material drift only" `Quick
-            test_stats_epoch_material_drift;
+          Alcotest.test_case "row counts: material drift only" `Quick
+            test_stats_material_drift;
         ] );
       ( "dpsize",
         [
@@ -358,8 +374,8 @@ let () =
         ] );
       ( "plan-cache",
         [
-          Alcotest.test_case "stale statistics epoch invalidates" `Quick
-            test_plan_cache_stale_epoch_invalidates;
+          Alcotest.test_case "analyze re-plans, parse still hits" `Quick
+            test_plan_cache_replans_after_analyze;
         ]
         @ props );
     ]

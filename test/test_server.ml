@@ -5,9 +5,11 @@
    - any interleaving of admitted requests produces byte-identical
      per-request results to serial execution (one request at a time),
      including Partial-mode requests against an offline source;
-   - executing through a warm plan cache with fresh parameter values
-     is byte-identical to cold parse+plan+execute, across both
-     execution engines (tuple; parallel at one and two domains). *)
+   - executing through a warm plan cache with fresh parameter values,
+     and catalog mutations between invocations, is byte-identical to
+     cold parse+plan+execute, across both execution engines (tuple;
+     parallel at one and two domains), and every plan the cache hands
+     out is the cold compile of its invocation. *)
 
 let check = Alcotest.check
 let bool_t = Alcotest.bool
@@ -213,63 +215,124 @@ let prop_interleaving_serial_equiv =
 (* QCheck: warm plan cache == cold compile                             *)
 (* ------------------------------------------------------------------ *)
 
+(* A lens over a view the run redefines: the view's two definitions
+   keep its shape and change which customers it holds. *)
+let vip_defs =
+  [|
+    {|WHERE <row><name>$n</name><region>$r</region><tier>$t</tier></row> IN "crm.customers", $t = 1
+      CONSTRUCT <vip><name>$n</name><region>$r</region></vip>|};
+    {|WHERE <row><name>$n</name><region>$r</region><tier>$t</tier></row> IN "crm.customers", $t >= 2
+      CONSTRUCT <vip><name>$n</name><region>$r</region></vip>|};
+  |]
+
+let vips_lens =
+  Fe_lens.make ~name:"vips"
+    ~params:[ Fe_lens.param "region" Value.TString ]
+    [ ( "in_region",
+        {|WHERE <vip><name>$n</name><region>%region%</region></vip> IN "vip"
+          CONSTRUCT <v>$n</v> ORDER BY $n|} ) ]
+
+let ok_or_fail what = function Ok _ -> () | Error m -> Alcotest.failf "%s: %s" what m
+
+(* One step of a plan-cache run: an invocation, or a catalog mutation
+   between invocations. *)
+type pc_step =
+  | Invoke of string * string * (string * string) list * Alg_exec.mode
+  | Redefine of int  (** redefine view "vip" as [vip_defs.(i)] *)
+  | Analyze  (** refresh the optimizer's statistics *)
+
 (* A stream of invocations with fresh parameter values and varying
-   execution engines; the warm server reuses cached plans (rebinding
-   parameters), the cold server re-parses and re-plans every time. *)
-let gen_invocations =
+   execution engines, interleaved with catalog mutations; the warm
+   server reuses cached parses, the cold server re-parses every
+   time. *)
+let gen_steps =
   let open QCheck2.Gen in
+  let invoke =
+    let* lens, query =
+      oneofl
+        [
+          ("sales", "by_region");
+          ("sales", "big_orders");
+          ("catalog", "all");
+          ("vips", "in_region");
+        ]
+    in
+    let* region = oneofl [ "west"; "east"; "north"; "south"; "x&y<z" ] in
+    let* min = map string_of_int (int_bound 500) in
+    let* exec =
+      oneofl
+        [
+          Alg_exec.Tuple;
+          Alg_exec.Parallel { domains = 1; chunk = 3 };
+          Alg_exec.Parallel { domains = 2; chunk = 2 };
+        ]
+    in
+    let args = if lens = "vips" then [ ("region", region) ] else [ ("region", region); ("min", min) ] in
+    pure (Invoke (lens, query, args, exec))
+  in
   let* n = int_range 2 10 in
   list_size (pure n)
-    (let* lens, query =
-       oneofl [ ("sales", "by_region"); ("sales", "big_orders"); ("catalog", "all") ]
-     in
-     let* region = oneofl [ "west"; "east"; "north"; "south"; "x&y<z" ] in
-     let* min = map string_of_int (int_bound 500) in
-     let* exec =
-       oneofl
-         [
-           Alg_exec.Tuple;
-           Alg_exec.Parallel { domains = 1; chunk = 3 };
-           Alg_exec.Parallel { domains = 2; chunk = 2 };
-         ]
-     in
-     pure (lens, query, [ ("region", region); ("min", min) ], exec))
+    (frequency
+       [ (6, invoke); (1, map (fun i -> Redefine i) (int_bound 1)); (1, pure Analyze) ])
 
-let print_invocations invs =
+let print_steps steps =
   String.concat "; "
     (List.map
-       (fun (lens, query, args, exec) ->
-         Printf.sprintf "%s.%s %s %s" lens query
-           (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) args))
-           (Alg_exec.mode_to_string exec))
-       invs)
+       (function
+         | Invoke (lens, query, args, exec) ->
+           Printf.sprintf "%s.%s %s %s" lens query
+             (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) args))
+             (Alg_exec.mode_to_string exec)
+         | Redefine i -> Printf.sprintf "redefine vip %d" i
+         | Analyze -> "analyze")
+       steps)
 
-let run_with_cache_capacity cap invs =
+(* Run the steps through a server with the given plan-cache capacity.
+   Beside the server, a second cache on the same catalog looks every
+   invocation up just before it runs; its plan must be the cold compile
+   of the same invocation against the catalog at that moment. *)
+let run_with_cache_capacity cap steps =
   let sys = fresh_system () in
+  ok_or_fail "add lens" (Nimble.add_lens sys vips_lens);
+  ok_or_fail "define vip" (Nimble.define_view sys "vip" vip_defs.(0));
+  let cat = Nimble.catalog sys in
   let config = { (roomy 1) with Srv_dispatch.plan_cache_capacity = cap } in
   let srv = Srv_dispatch.create ~config sys in
+  let direct = Srv_plancache.create ~capacity:cap cat in
   open_demo_sessions srv;
+  let plans_fresh = ref true in
   List.iter
-    (fun (lens, query, args, exec) ->
-      (match
-         Srv_dispatch.submit srv ~session:"admin" ~lens ~query ~args ~exec ()
-       with
-      | Ok _ -> ()
-      | Error m -> Alcotest.failf "submit: %s" m);
-      Srv_dispatch.drain srv)
-    invs;
+    (function
+      | Invoke (lens_name, query, args, exec) ->
+        let lens = Option.get (Nimble.find_lens sys lens_name) in
+        let compiled, _ = Srv_plancache.lookup direct ~lens ~query ~args in
+        if compiled <> Med_planner.compile cat (Fe_lens.instantiate lens query args) then
+          plans_fresh := false;
+        (match
+           Srv_dispatch.submit srv ~session:"admin" ~lens:lens_name ~query ~args ~exec ()
+         with
+        | Ok _ -> ()
+        | Error m -> Alcotest.failf "submit: %s" m);
+        Srv_dispatch.drain srv
+      | Redefine i ->
+        ok_or_fail "drop vip" (Nimble.drop_view sys "vip");
+        ok_or_fail "redefine vip" (Nimble.define_view sys "vip" vip_defs.(i))
+      | Analyze -> ok_or_fail "analyze" (Nimble.analyze_stats sys))
+    steps;
   let outs = List.map (fun (id, o) -> (id, essence o)) (Srv_dispatch.outcomes srv) in
-  (outs, Srv_plancache.stats (Srv_dispatch.plan_cache srv))
+  (outs, !plans_fresh, Srv_plancache.stats (Srv_dispatch.plan_cache srv))
 
 let prop_plan_cache_warm_equals_cold =
   QCheck2.Test.make ~name:"warm plan cache == cold compile (all exec modes)"
-    ~count:60 ~print:print_invocations gen_invocations (fun invs ->
-      let warm, warm_stats = run_with_cache_capacity 32 invs in
-      let cold, cold_stats = run_with_cache_capacity 0 invs in
-      warm = cold
+    ~count:60 ~print:print_steps gen_steps (fun steps ->
+      let invocations =
+        List.length (List.filter (function Invoke _ -> true | _ -> false) steps)
+      in
+      let warm, warm_fresh, warm_stats = run_with_cache_capacity 32 steps in
+      let cold, cold_fresh, cold_stats = run_with_cache_capacity 0 steps in
+      warm = cold && warm_fresh && cold_fresh
       && cold_stats.Srv_plancache.hits = 0
-      && warm_stats.Srv_plancache.hits + warm_stats.Srv_plancache.misses
-         = List.length invs)
+      && warm_stats.Srv_plancache.hits + warm_stats.Srv_plancache.misses = invocations)
 
 (* ------------------------------------------------------------------ *)
 (* Admission control                                                   *)
@@ -381,19 +444,33 @@ let invoke srv lens query args =
   Srv_dispatch.drain srv
 
 let test_plan_cache_hits_and_shapes () =
-  let srv = Srv_dispatch.create (fresh_system ()) in
+  let sys = fresh_system () in
+  (* The parameter lands in an attribute the planner pushes into the
+     products path ([product[@sku='…']]): the parse is cached all the
+     same. *)
+  ok_or_fail "add lens"
+    (Nimble.add_lens sys
+       (Fe_lens.make ~name:"prices"
+          ~params:[ Fe_lens.param "sku" Value.TString ]
+          [ ( "of_sku",
+              {|WHERE <product sku=%sku%><price>$p</price></product> IN "products.catalog"
+                CONSTRUCT <price>$p</price>|} ) ]));
+  let srv = Srv_dispatch.create sys in
   open_demo_sessions srv;
   let pc = Srv_dispatch.plan_cache srv in
   invoke srv "sales" "by_region" [ ("region", "west") ];
   invoke srv "sales" "by_region" [ ("region", "east") ];
   invoke srv "sales" "by_region" [ ("region", "north") ];
+  invoke srv "prices" "of_sku" [ ("sku", "widget") ];
+  invoke srv "prices" "of_sku" [ ("sku", "gizmo") ];
   let s = Srv_plancache.stats pc in
-  check int_t "one miss" 1 s.misses;
-  check int_t "rebinds hit" 2 s.hits;
-  check int_t "one parametric entry" 1 (Srv_plancache.size pc);
+  check int_t "one miss per shape" 2 s.misses;
+  check int_t "fresh values hit" 3 s.hits;
+  check int_t "no fallback" 0 s.fallbacks;
+  check int_t "one entry per shape" 2 (Srv_plancache.size pc);
   check bool_t "shape keyed by class" true
     (contains (Srv_plancache.report pc) "sales/by_region?region:str");
-  (* Fresh values through the rebound plan match a cold system. *)
+  (* Fresh values through the cached parse match a cold system. *)
   let cold = Srv_dispatch.create (fresh_system ()) in
   open_demo_sessions cold;
   invoke cold "sales" "by_region" [ ("region", "north") ];
@@ -402,8 +479,12 @@ let test_plan_cache_hits_and_shapes () =
     | Some (Srv_request.Completed r) -> r.Srv_request.rep_output
     | _ -> Alcotest.fail "expected completion"
   in
-  check string_t "rebound output == cold output" (out cold 0) (out srv 2)
+  check string_t "warm output == cold output" (out cold 0) (out srv 2);
+  check bool_t "the fresh sku reaches the path" true (contains (out srv 4) "64")
 
+(* Entries hold parsed queries, which no catalog change makes stale:
+   a source invalidation drops nothing, and the next plan is compiled
+   against the catalog as it is then. *)
 let test_plan_cache_invalidation_and_lru () =
   let sys = fresh_system () in
   let config = { Srv_dispatch.default_config with plan_cache_capacity = 1 } in
@@ -416,15 +497,15 @@ let test_plan_cache_invalidation_and_lru () =
   let s = Srv_plancache.stats pc in
   check int_t "lru evicted" 1 s.evictions;
   check int_t "size capped" 1 (Srv_plancache.size pc);
-  (* Catalog mutation drops entries depending on the mutated source. *)
   ignore (Nimble.invalidate_source sys "products");
-  let s = Srv_plancache.stats pc in
-  check int_t "mutation invalidated" 1 s.invalidations;
-  check int_t "empty after invalidation" 0 (Srv_plancache.size pc);
-  (* Untouched sources leave entries alone. *)
-  invoke srv "sales" "by_region" [ ("region", "west") ];
-  ignore (Nimble.invalidate_source sys "products");
-  check int_t "crm entry survives products invalidation" 1 (Srv_plancache.size pc)
+  check int_t "invalidation drops nothing" 1 (Srv_plancache.size pc);
+  let cat = Nimble.catalog sys in
+  let lens = Option.get (Nimble.find_lens sys "catalog") in
+  let compiled, hit = Srv_plancache.lookup pc ~lens ~query:"all" ~args:[] in
+  check bool_t "still hits" true hit;
+  check bool_t "plan = cold compile" true
+    (compiled = Med_planner.compile cat (Fe_lens.instantiate lens "all" []));
+  check int_t "no invalidations" 0 (Srv_plancache.stats pc).invalidations
 
 let test_plan_cache_inlines_nonrebindable () =
   (* A negative integer is not rebindable: it must be inlined into the
@@ -440,8 +521,8 @@ let test_plan_cache_inlines_nonrebindable () =
   check int_t "distinct inlined values miss" 2 s.misses
 
 (* A lens over a two-level view: the parameter lands as a literal the
-   composition pushes into the bottom level's SQL, and a rebind maps it
-   there, through the composed access's sub-plans. *)
+   composition pushes into the bottom level's SQL, and a fresh value
+   reaches it there through the cached parse. *)
 let test_plan_cache_rebinds_through_views () =
   let sys = fresh_system () in
   let cat = Nimble.catalog sys in
@@ -462,29 +543,30 @@ let test_plan_cache_rebinds_through_views () =
   let lookup region =
     Srv_plancache.lookup pc ~lens ~query:"in_region" ~args:[ ("region", region) ]
   in
+  let cold region =
+    Med_planner.compile cat (Fe_lens.instantiate lens "in_region" [ ("region", region) ])
+  in
   let _, first_hit = lookup "west" in
-  let rebound, hit = lookup "east" in
-  check bool_t "first compiles" false first_hit;
-  check bool_t "second rebinds" true hit;
+  let warm, hit = lookup "east" in
+  check bool_t "first parses" false first_hit;
+  check bool_t "second hits" true hit;
   let s = Srv_plancache.stats pc in
   check int_t "no fallback" 0 s.fallbacks;
-  check bool_t "parametric entry" true (contains (Srv_plancache.report pc) "param people/");
-  let cold =
-    Med_planner.compile cat (Fe_lens.instantiate lens "in_region" [ ("region", "east") ])
-  in
-  check bool_t "rebound plan = cold compile" true (rebound = cold);
+  check bool_t "cached shape" true (contains (Srv_plancache.report pc) "param people/");
+  check bool_t "warm plan = cold compile" true (warm = cold "east");
   check bool_t "the value reaches the source" true
-    (contains (Med_planner.explain rebound) "FROM customers WHERE region = 'east'");
-  (* "" is also the text of NULL, so it cannot become [region = '']: the
-     rebind refuses, and the invocation compiles to the tree path. *)
+    (contains (Med_planner.explain warm) "FROM customers WHERE region = 'east'");
+  (* "" is also the text of NULL, so it cannot become [region = '']:
+     the planner takes the tree path, from the cached parse too. *)
   let empty, hit = lookup "" in
-  check bool_t "empty value recompiles" false hit;
-  check bool_t "empty value plan = cold compile" true
-    (empty = Med_planner.compile cat (Fe_lens.instantiate lens "in_region" [ ("region", "") ]))
+  check bool_t "empty value hits" true hit;
+  check bool_t "empty value plan = cold compile" true (empty = cold "");
+  check bool_t "empty value is not pushed" false
+    (contains (Med_planner.explain empty) "region = ''")
 
 (* A lens query joining two views: the second view is a bind join on
-   the first, and a parametric hit rebinds the driver's literal while
-   the bind itself passes through. *)
+   the first, and every hit plans the driver's fresh literal and the
+   bind exactly as a cold compile does. *)
 let test_plan_cache_rebinds_view_bind_join () =
   let sys = fresh_system () in
   let cat = Nimble.catalog sys in
@@ -513,16 +595,16 @@ let test_plan_cache_rebinds_view_bind_join () =
   check bool_t "first compiles" false first_hit;
   List.iter
     (fun region ->
-      let rebound, hit = lookup region in
-      check bool_t (region ^ " rebinds") true hit;
+      let warm, hit = lookup region in
+      check bool_t (region ^ " hits") true hit;
       let cold =
         Med_planner.compile cat (Fe_lens.instantiate lens "bought" [ ("region", region) ])
       in
-      check bool_t (region ^ ": rebound plan = cold compile") true (rebound = cold);
+      check bool_t (region ^ ": warm plan = cold compile") true (warm = cold);
       check bool_t (region ^ ": the view is bound") true
-        (contains (Med_planner.explain rebound) "[narrowed by keys of a0.$c]");
+        (contains (Med_planner.explain warm) "[narrowed by keys of a0.$c]");
       check (Alcotest.list Alcotest.string) (region ^ ": answers = cold compile")
-        (render cold) (render rebound))
+        (render cold) (render warm))
     [ "east"; "west"; "north" ];
   check int_t "no fallback" 0 (Srv_plancache.stats pc).fallbacks
 
@@ -661,7 +743,6 @@ let test_metrics_hygiene () =
       "srv.plancache.hits";
       "srv.plancache.misses";
       "srv.plancache.evictions";
-      "srv.plancache.invalidations";
       "srv.plancache.size";
       "srv.requests.submitted";
       "srv.requests.completed";
