@@ -10,12 +10,26 @@
 let params : (string * string) list ref = ref []
 let rows = ref 0
 
+(* Virtual time an experiment accrued before it reset the clock. *)
+let banked_virtual_ms = ref 0.0
+
 let reset () =
   params := [];
-  rows := 0
+  rows := 0;
+  banked_virtual_ms := 0.0
 
 let note_param key value = params := !params @ [ (key, value) ]
 let note_rows n = rows := !rows + n
+
+(* Experiments that restart the virtual clock between configurations
+   call this instead of [Obs_clock.reset_virtual], so the record's
+   [virtual_ms] is the sum of the intervals between resets rather than
+   a delta across them. *)
+let reset_virtual () =
+  banked_virtual_ms := !banked_virtual_ms +. Obs_clock.virtual_ms ();
+  Obs_clock.reset_virtual ()
+
+let virtual_since v0 = !banked_virtual_ms +. Obs_clock.virtual_ms () -. v0
 
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -32,8 +46,8 @@ let escape s =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Well-formedness check (the bench-smoke alias runs it on E13's       *)
-(* output).  A tiny recursive-descent JSON reader — we avoid a JSON    *)
+(* Well-formedness check (the bench-smoke alias runs it on every       *)
+(* record).  A tiny recursive-descent JSON reader — we avoid a JSON    *)
 (* dependency for the same reason [emit] writes by hand.               *)
 (* ------------------------------------------------------------------ *)
 
@@ -85,6 +99,7 @@ let validate_text text =
     Buffer.contents buf
   in
   let parse_number () =
+    let start = !pos in
     let digits () =
       let saw = ref false in
       while (match peek () with Some '0' .. '9' -> true | _ -> false) do
@@ -100,15 +115,17 @@ let validate_text text =
       advance ();
       digits ()
     | _ -> ());
-    match peek () with
+    (match peek () with
     | Some ('e' | 'E') ->
       advance ();
       (match peek () with Some ('+' | '-') -> advance () | _ -> ());
       digits ()
-    | _ -> ()
+    | _ -> ());
+    float_of_string (String.sub text start (!pos - start))
   in
-  (* Returns the keys when the value is an object, [] otherwise: the
-     caller only inspects the top level. *)
+  (* Returns the members (key, number if the value is one) when the
+     value is an object, [] otherwise: the caller only inspects the top
+     level. *)
   let rec parse_value () =
     skip_ws ();
     match peek () with
@@ -125,11 +142,13 @@ let validate_text text =
         let rec members () =
           skip_ws ();
           let k = parse_string () in
-          if List.mem k !keys then fail (Printf.sprintf "duplicate key %S" k);
-          keys := k :: !keys;
+          if List.mem_assoc k !keys then fail (Printf.sprintf "duplicate key %S" k);
           skip_ws ();
           expect ':';
-          ignore (parse_value ());
+          skip_ws ();
+          let number = match peek () with Some ('-' | '0' .. '9') -> true | _ -> false in
+          let v = if number then Some (parse_number ()) else (ignore (parse_value ()); None) in
+          keys := (k, v) :: !keys;
           skip_ws ();
           match peek () with
           | Some ',' ->
@@ -163,7 +182,7 @@ let validate_text text =
       String.iter (fun c -> if peek () = Some c then advance () else fail "bad literal") lit;
       []
     | Some _ ->
-      parse_number ();
+      ignore (parse_number ());
       []
     | None -> fail "unexpected end of input"
   in
@@ -173,9 +192,14 @@ let validate_text text =
     if !pos <> len then Error (Printf.sprintf "trailing garbage at byte %d" !pos)
     else begin
       let required = [ "name"; "params"; "virtual_ms"; "wall_ms"; "rows" ] in
-      match List.filter (fun k -> not (List.mem k keys)) required with
-      | [] -> Ok ()
-      | missing -> Error ("missing keys: " ^ String.concat ", " missing)
+      match List.filter (fun k -> not (List.mem_assoc k keys)) required with
+      | _ :: _ as missing -> Error ("missing keys: " ^ String.concat ", " missing)
+      | [] -> (
+        (* Virtual time only moves forward. *)
+        match List.assoc "virtual_ms" keys with
+        | Some v when v < 0.0 -> Error (Printf.sprintf "negative virtual_ms %g" v)
+        | Some _ -> Ok ()
+        | None -> Error "virtual_ms is not a number")
     end
   with Bad msg -> Error msg
 

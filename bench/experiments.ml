@@ -1003,14 +1003,15 @@ let e15 () =
   section "E15"
     "concurrency server: closed-loop lens workload, plan cache cold vs warm";
   let requests = if !quick then 48 else 480 in
+  let passes = if !quick then 3 else 9 in
   let spec = { Srv_workload.demo_spec with requests } in
-  (* One configuration = fresh federation + server.  Both run one
-     untimed pass first — it populates the warm cache, and it leaves
-     engines and session counters in the same mid-stream state either
-     way, so the measured passes differ only in whether requests pay
-     the parse.  Every request is planned in both. *)
-  let run_config ~label ~capacity =
-    Obs_clock.reset_virtual ();
+  (* One measured pass = fresh federation + server.  Both configurations
+     run one untimed pass first — it populates the warm cache, and it
+     leaves engines and session counters in the same mid-stream state
+     either way, so the measured passes differ only in whether requests
+     pay the parse.  Every request is planned in both. *)
+  let run_pass ~capacity =
+    Bench_json.reset_virtual ();
     let sys = Srv_workload.demo_system () in
     (* A roomy queue: the experiment measures plan-cache economics, so
        requests should reach the planner instead of being shed. *)
@@ -1029,43 +1030,74 @@ let e15 () =
         | Error m -> failwith ("E15: open_session: " ^ m))
       Srv_workload.demo_users;
     ignore (Srv_workload.run srv spec);
-    let summary, wall =
-      Workloads.time_ms (fun () -> Srv_workload.run srv spec)
-    in
-    let completed = summary.Srv_workload.ws_completed in
-    let hit_rate =
-      if completed = 0 then 0.0
-      else float_of_int summary.ws_plan_hits /. float_of_int completed
-    in
-    let throughput = if wall > 0.0 then float_of_int completed /. wall else 0.0 in
-    row "%-24s %10.1f %10.2f %9.0f%% %10d %12.1f\n" label wall throughput
-      (100.0 *. hit_rate) completed summary.ws_elapsed_ms;
-    (wall, hit_rate, summary)
+    let summary, wall = Workloads.time_ms (fun () -> Srv_workload.run srv spec) in
+    (wall, summary)
   in
-  row "requests per pass: %d (seed %d)\n" requests spec.Srv_workload.seed;
-  row "%-24s %10s %10s %10s %10s %12s\n" "configuration" "wall ms" "req/ms"
-    "hit rate" "completed" "virtual ms";
-  let cold_ms, cold_hits, cold = run_config ~label:"cold (cache off)" ~capacity:0 in
-  let warm_ms, warm_hits, warm = run_config ~label:"warm (cache 32)" ~capacity:32 in
-  (* The cache must change costs, never results: both configurations see
-     the same deterministic request stream and must settle it the same
+  (* Cold and warm passes alternate, so drift on a shared host lands on
+     both configurations alike. *)
+  let pairs =
+    List.init passes (fun _ ->
+        let cold = run_pass ~capacity:0 in
+        (cold, run_pass ~capacity:32))
+  in
+  (* The cache must change costs, never results: every pass sees the
+     same deterministic request stream and must settle it the same
      way. *)
-  if
-    cold.Srv_workload.ws_completed <> warm.Srv_workload.ws_completed
-    || cold.ws_rejected <> warm.ws_rejected
-    || cold.ws_elapsed_ms <> warm.ws_elapsed_ms
-  then failwith "E15: warm and cold runs disagree on outcomes";
-  let speedup = if warm_ms > 0.0 then cold_ms /. warm_ms else 0.0 in
+  let _, first = fst (List.hd pairs) in
+  List.iter
+    (fun ((_, (c : Srv_workload.summary)), (_, (w : Srv_workload.summary))) ->
+      List.iter
+        (fun (s : Srv_workload.summary) ->
+          if
+            c.ws_completed <> s.ws_completed
+            || c.ws_rejected <> s.ws_rejected
+            || c.ws_elapsed_ms <> s.ws_elapsed_ms
+          then failwith "E15: warm and cold runs disagree on outcomes")
+        [ first; w ])
+    pairs;
+  let median xs =
+    let a = Array.of_list (List.sort compare xs) in
+    let n = Array.length a in
+    if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+  in
+  let hit_rate (s : Srv_workload.summary) =
+    if s.ws_completed = 0 then 0.0
+    else float_of_int s.ws_plan_hits /. float_of_int s.ws_completed
+  in
+  let completed = first.Srv_workload.ws_completed in
+  row "requests per pass: %d (seed %d), %d measured passes per configuration\n" requests
+    spec.Srv_workload.seed passes;
+  row "%-24s %10s %13s %10s %10s %10s %12s\n" "configuration" "median ms" "range ms"
+    "req/ms" "hit rate" "completed" "virtual ms";
+  let summarize label pick =
+    let walls = List.map (fun p -> fst (pick p)) pairs in
+    let summary = snd (pick (List.hd pairs)) in
+    let wall = median walls in
+    let lo = List.fold_left min infinity walls and hi = List.fold_left max 0.0 walls in
+    row "%-24s %10.1f %13s %10.2f %9.0f%% %10d %12.1f\n" label wall
+      (Printf.sprintf "%.1f-%.1f" lo hi)
+      (if wall > 0.0 then float_of_int completed /. wall else 0.0)
+      (100.0 *. hit_rate summary) completed summary.Srv_workload.ws_elapsed_ms;
+    (wall, lo, hi, hit_rate summary)
+  in
+  let cold_ms, cold_lo, cold_hi, cold_hits = summarize "cold (cache off)" fst in
+  let warm_ms, warm_lo, warm_hi, warm_hits = summarize "warm (cache 32)" snd in
+  let speedup =
+    median (List.map (fun ((c, _), (w, _)) -> if w > 0.0 then c /. w else 0.0) pairs)
+  in
   row "warm outcomes identical to cold: yes\n";
-  row "parse skipped on warm pass: %.0f%% of completions (%.2fx wall speedup)\n"
+  row "parse skipped on warm pass: %.0f%% of completions (median %.2fx wall speedup)\n"
     (100.0 *. warm_hits) speedup;
   Bench_json.note_param "requests" (string_of_int requests);
+  Bench_json.note_param "passes" (string_of_int passes);
   Bench_json.note_param "cold_ms" (Printf.sprintf "%.1f" cold_ms);
+  Bench_json.note_param "cold_range_ms" (Printf.sprintf "%.1f-%.1f" cold_lo cold_hi);
   Bench_json.note_param "warm_ms" (Printf.sprintf "%.1f" warm_ms);
+  Bench_json.note_param "warm_range_ms" (Printf.sprintf "%.1f-%.1f" warm_lo warm_hi);
   Bench_json.note_param "speedup" (Printf.sprintf "%.2fx" speedup);
   Bench_json.note_param "cold_hit_rate" (Printf.sprintf "%.2f" cold_hits);
   Bench_json.note_param "warm_hit_rate" (Printf.sprintf "%.2f" warm_hits);
-  Bench_json.note_rows (cold.ws_completed + warm.Srv_workload.ws_completed)
+  Bench_json.note_rows (2 * passes * completed)
 
 (* ------------------------------------------------------------------ *)
 (* E16: semantic caching — containment hits and remainder shipping     *)
@@ -1479,7 +1511,7 @@ let e19 () =
      think time.  Virtual cost counts only query time (retries,
      backoffs, latencies), not the think time. *)
   let run_config ~availability ~retries =
-    Obs_clock.reset_virtual ();
+    Bench_json.reset_virtual ();
     let faults =
       Net_sim.availability_schedule ~seed:7 ~availability ~period_ms:40.0
         ~horizon_ms:1.0e7
@@ -1526,7 +1558,7 @@ let e19 () =
      per-fragment retry timeouts pay latency plus backoff on every
      query; a breaker pays them once, then fails fast. *)
   let dead_run ~breaker =
-    Obs_clock.reset_virtual ();
+    Bench_json.reset_virtual ();
     let cat = Med_catalog.create () in
     let src, _ =
       Net_sim.wrap ~seed:7

@@ -38,13 +38,14 @@ let experiments : (string * (unit -> unit)) list =
 
 (* Experiments run behind this wrapper so every one of them emits its
    BENCH_E<N>.json record: wall time around the whole experiment, the
-   virtual (simulated-network) time as the global clock delta, and
+   the virtual (simulated-network) time it advanced, summed across any
+   clock resets, and
    whatever rows/params the experiment noted while running. *)
 let run_experiment id f =
   Bench_json.reset ();
   let v0 = Obs_clock.virtual_ms () in
   let (), wall_ms = Workloads.time_ms f in
-  Bench_json.emit ~name:id ~virtual_ms:(Obs_clock.virtual_ms () -. v0) ~wall_ms
+  Bench_json.emit ~name:id ~virtual_ms:(Bench_json.virtual_since v0) ~wall_ms
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per core engine path       *)

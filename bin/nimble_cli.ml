@@ -72,32 +72,6 @@ let demo_federation () =
   in
   [ Rel_source.make db; products ]
 
-(* --fetch-mode/--fetch-fanout/--frag-cache plus the resilience knobs
-   (--retry/--retry-deadline/--breaker/--flaky), collected into one
-   value so every subcommand threads them identically. *)
-let apply_fetch sys (mode, fanout, frag_capacity, sem_budget, retries, deadline, breaker, _flaky)
-    =
-  (match Fetch_sched.mode_of_string mode with
-  | Some m -> Nimble.set_fetch_options sys { Fetch_sched.mode = m; fanout = max 1 fanout }
-  | None -> failwith (Printf.sprintf "unknown fetch mode %S (seq, gather)" mode));
-  if frag_capacity > 0 then Nimble.configure_frag_cache sys ~capacity:frag_capacity ();
-  if sem_budget > 0 then Nimble.configure_sem_cache sys ~budget_bytes:sem_budget ();
-  if retries < 0 then failwith "--retry must be non-negative";
-  if deadline < 0.0 then failwith "--retry-deadline must be non-negative";
-  let breaker =
-    match breaker with
-    | "on" -> true
-    | "off" -> false
-    | s -> failwith (Printf.sprintf "unknown breaker mode %S (on, off)" s)
-  in
-  Nimble.set_retry_policy sys
-    {
-      Src_retry.default_policy with
-      max_retries = retries;
-      call_deadline_ms = (if deadline > 0.0 then Some deadline else None);
-      breaker;
-    }
-
 (* --flaky NAME=SPEC[,SPEC...]: wrap an already-registered source in a
    deterministic fault schedule (windows in virtual ms). *)
 let parse_fault spec =
@@ -141,25 +115,16 @@ let apply_flaky sys spec =
       Src_registry.remove reg name;
       Src_registry.register reg wrapped)
 
-(* --parallel/--chunk-size/--optimize/--index: tuple or morsel-driven
-   plan evaluation (--parallel N > 0 selects the latter with N domains),
-   the join-order strategy, and the path/value index mode. *)
-let apply_exec sys (chunk, par, omode, imode) =
-  if chunk <= 0 then failwith "chunk size must be positive";
-  if par < 0 then failwith "parallelism must be non-negative";
-  (match Med_optimize.mode_of_string omode with
-  | Some m -> Nimble.set_optimizer sys m
-  | None -> failwith (Printf.sprintf "unknown optimizer mode %S (greedy, dp, dp:N)" omode));
-  (match Idx_manager.mode_of_string imode with
-  | Ok m -> Nimble.set_index_mode sys m
-  | Error m -> failwith m);
-  Nimble.set_exec_mode sys
-    (if par > 0 then Alg_exec.Parallel { domains = par; chunk } else Alg_exec.Tuple)
-
-let build_system csvs xmls sqls fetch exec =
+(* Knob settings come first, so an eager index mode sees the sources
+   register. *)
+let build_system csvs xmls sqls settings flaky =
   let sys = Nimble.create () in
-  apply_fetch sys fetch;
-  apply_exec sys exec;
+  List.iter
+    (fun ((k : Nimble.t Nimble.knob), v) ->
+      match k.set sys v with
+      | Ok () -> ()
+      | Error m -> failwith m)
+    settings;
   let sources =
     List.map load_csv_source csvs
     @ List.map load_xml_source xmls
@@ -172,8 +137,7 @@ let build_system csvs xmls sqls fetch exec =
       | Ok () -> ()
       | Error m -> failwith m)
     sources;
-  (let _, _, _, _, _, _, _, flaky = fetch in
-   List.iter (apply_flaky sys) flaky);
+  List.iter (apply_flaky sys) flaky;
   sys
 
 (* ------------------------------------------------------------------ *)
@@ -194,9 +158,9 @@ let with_setup f =
   | Xml_parser.Parse_error e -> `Error (false, Xml_parser.error_to_string e)
   | Rel_db.Sql_error m -> `Error (false, m)
 
-let run_query csvs xmls sqls fetch exec partial device text =
+let run_query setup partial device text =
   with_setup @@ fun () ->
-  let sys = build_system csvs xmls sqls fetch exec in
+  let sys = setup () in
   let device = device_of_flag device in
   if partial then begin
     match Nimble.query_partial_ex sys text with
@@ -217,24 +181,24 @@ let run_query csvs xmls sqls fetch exec partial device text =
     | Error m -> `Error (false, m)
   end
 
-let run_explain csvs xmls sqls fetch exec text =
+let run_explain setup text =
   with_setup @@ fun () ->
-  let sys = build_system csvs xmls sqls fetch exec in
+  let sys = setup () in
   match Nimble.explain sys text with
   | Ok plan ->
     print_string plan;
     `Ok ()
   | Error m -> `Error (false, m)
 
-let run_report csvs xmls sqls fetch exec =
+let run_report setup =
   with_setup @@ fun () ->
-  let sys = build_system csvs xmls sqls fetch exec in
+  let sys = setup () in
   print_string (Nimble.report sys);
   `Ok ()
 
-let run_explain_analyze csvs xmls sqls fetch exec repeat text =
+let run_explain_analyze setup repeat text =
   with_setup @@ fun () ->
-  let sys = build_system csvs xmls sqls fetch exec in
+  let sys = setup () in
   match Nimble.explain_analyze sys ~repeat text with
   | Ok report ->
     print_string report;
@@ -243,9 +207,9 @@ let run_explain_analyze csvs xmls sqls fetch exec repeat text =
 
 (* Run the queries (warming counters, caches and the feedback store),
    then print the metrics registry and the per-source breakdown. *)
-let run_stats csvs xmls sqls fetch exec texts =
+let run_stats setup texts =
   with_setup @@ fun () ->
-  let sys = build_system csvs xmls sqls fetch exec in
+  let sys = setup () in
   let rec go = function
     | [] ->
       print_string (Nimble.stats_report sys);
@@ -257,9 +221,9 @@ let run_stats csvs xmls sqls fetch exec texts =
   in
   go texts
 
-let run_trace csvs xmls sqls fetch exec text =
+let run_trace setup text =
   with_setup @@ fun () ->
-  let sys = build_system csvs xmls sqls fetch exec in
+  let sys = setup () in
   Nimble.set_tracing true;
   match Nimble.query sys text with
   | Ok _ ->
@@ -270,9 +234,9 @@ let run_trace csvs xmls sqls fetch exec text =
 (* The concurrency server, driven by a request script (see Srv_script
    for the directive set).  Scripts against the built-in demo
    federation start with [demo] to install its users and lenses. *)
-let run_serve csvs xmls sqls fetch exec path =
+let run_serve setup path =
   with_setup @@ fun () ->
-  let sys = build_system csvs xmls sqls fetch exec in
+  let sys = setup () in
   let env = Srv_script.create ~print:print_endline sys in
   match Srv_script.run env (read_file path) with
   | Ok () -> `Ok ()
@@ -282,7 +246,40 @@ let run_serve csvs xmls sqls fetch exec path =
 (* REPL                                                                *)
 (* ------------------------------------------------------------------ *)
 
-let exec_usage = "usage: \\exec | \\exec tuple | \\exec parallel [DOMAINS]"
+let exec_usage = "\\exec | \\exec tuple | \\exec parallel [DOMAINS]"
+
+(* The report commands: bare, each prints its view; with arguments, a
+   shorthand for [\set] (below) or its usage line. *)
+let views =
+  [
+    ("\\fetch", (Nimble.fetch_report, "\\fetch | \\fetch seq|gather [FANOUT] | \\fetch cache N"));
+    ("\\sem", (Nimble.sem_report, "\\sem | \\sem budget BYTES"));
+    ( "\\retry",
+      ( Nimble.retry_report,
+        "\\retry | \\retry N | \\retry deadline MS | \\retry breaker on|off | \\retry stale on|off" ) );
+    ("\\exec", (Nimble.exec_report, exec_usage));
+    ("\\optimize", (Nimble.optimizer_report, "\\optimize | \\set optimize MODE"));
+    ("\\index", (Nimble.index_report, "\\index | \\index off|auto|eager | \\index build VIEW"));
+  ]
+
+(* The setting forms the report commands had before [\set], kept for
+   existing scripts: each stands for one or two [\set]s. *)
+let shorthand cmd args =
+  let positive n = Option.fold ~none:false ~some:(fun d -> d > 0) (int_of_string_opt n) in
+  match (cmd, args) with
+  | "\\fetch", [ "cache"; n ] -> Some [ ("frag-cache", n) ]
+  | "\\fetch", [ mode ] -> Some [ ("fetch-mode", mode) ]
+  | "\\fetch", [ mode; n ] when positive n -> Some [ ("fetch-mode", mode); ("fetch-fanout", n) ]
+  | "\\sem", [ "budget"; n ] -> Some [ ("sem-cache", n) ]
+  | "\\retry", [ "deadline"; ms ] -> Some [ ("retry-deadline", ms) ]
+  | "\\retry", [ "breaker"; v ] -> Some [ ("breaker", v) ]
+  | "\\retry", [ "stale"; v ] -> Some [ ("retry-stale", v) ]
+  | "\\retry", [ n ] -> Some [ ("retry", n) ]
+  | "\\exec", [ "tuple" ] -> Some [ ("parallel", "0") ]
+  | "\\exec", [ "parallel" ] -> Some [ ("parallel", string_of_int (Alg_par.default_domains ())) ]
+  | "\\exec", [ "parallel"; n ] when positive n -> Some [ ("parallel", n) ]
+  | "\\index", [ mode ] -> Some [ ("index", mode) ]
+  | _ -> None
 
 let repl_help =
   {|commands:
@@ -298,29 +295,23 @@ let repl_help =
   \stats                      metrics registry and per-source breakdown
   \trace QUERY                run with tracing on and print the span tree
   \partial QUERY              run in partial-results mode
+  \set NAME VALUE             set an execution knob (\show lists them)
+  \show [NAME]                show every knob's value, or one
   \fetch                      show fetch mode and fragment-cache state
-  \fetch seq|gather [FANOUT]  switch source fetching (gather = overlapped rounds)
-  \fetch cache N              enable a fragment result cache of N entries
   \sem                        show the semantic fragment cache state
-  \sem budget BYTES           (re)budget the semantic cache (0 = off)
   \retry                      show the retry/breaker policy and breaker states
-  \retry N                    retry failed source calls up to N times
-  \retry deadline MS          per-call retry budget in virtual ms (0 = none)
-  \retry breaker on|off       per-source circuit breakers
-  \retry stale on|off         partial mode may serve stale cached fragments
   \exec                       show the plan execution engine
-  \exec tuple                 switch to tuple-at-a-time execution (the default)
-  \exec parallel [DOMAINS]    switch to morsel-driven execution (1 = sequential)
   \optimize                   show the join-order strategy
-  \optimize greedy|dp[:N]     switch optimizers (dp = cost-based DPsize)
   \index                      show path/value index registrations
-  \index off|auto|eager       switch the index mode
   \index build VIEW           force-build a view's structural guide
-  \save FILE                  write views/materializations as a script
+  \save FILE                  write knobs, views and materializations as a script
   \load FILE                  replay a saved script
   \serve FILE                 run a concurrency-server request script
   \quit                       exit
-anything else is run as an XML-QL query (end with ';' to span lines)|}
+anything else is run as an XML-QL query (end with ';' to span lines)
+shorthands for \set: \fetch seq|gather [FANOUT], \fetch cache N,
+  \sem budget BYTES, \retry N, \retry deadline|breaker|stale VALUE,
+  \exec tuple|parallel [DOMAINS], \index off|auto|eager|}
 
 let read_statement () =
   (* Accumulate lines until one ends with ';' or the first line is a
@@ -341,274 +332,122 @@ let read_statement () =
   in
   go ""
 
-let starts_with prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+let words s = String.split_on_char ' ' s |> List.filter (fun w -> w <> "")
 
-let run_repl csvs xmls sqls fetch exec =
+let print_result print = function
+  | Ok v -> print v
+  | Error m -> Printf.printf "error: %s\n" m
+
+let with_file f path = try f path with Sys_error m -> print_result ignore (Error m)
+
+let view sys cmd args =
+  let report, usage = List.assoc cmd views in
+  match (cmd, args, shorthand cmd args) with
+  | _, [], _ -> print_string (report sys)
+  | "\\index", [ "build"; name ], _ -> print_result print_string (Nimble.build_index sys name)
+  | _, _, Some settings ->
+    print_result
+      (fun () -> print_string (report sys))
+      (List.fold_left
+         (fun acc (name, v) -> Result.bind acc (fun () -> Nimble.set_knob sys name v))
+         (Ok ()) settings)
+  | _, _, None -> Printf.printf "usage: %s\n" usage
+
+(* One line of input: a backslash command or a query. *)
+let repl_command sys line =
+  let cmd, arg =
+    match String.index_opt line ' ' with
+    | Some i -> (String.sub line 0 i, String.sub line (i + 1) (String.length line - i - 1))
+    | None -> (line, "")
+  in
+  let show (k : Nimble.t Nimble.knob) = Printf.printf "%s = %s\n" k.name (k.get sys) in
+  let render trees = print_string (Fe_format.render Fe_format.Text trees) in
+  if line = "" then ()
+  else if line.[0] <> '\\' then print_result render (Nimble.query sys line)
+  else
+    match (cmd, arg) with
+    | "\\help", "" -> print_endline repl_help
+    | "\\report", "" -> print_string (Nimble.report sys)
+    | "\\exports", "" ->
+      List.iter print_endline (Src_registry.exports (Med_catalog.registry (Nimble.catalog sys)))
+    | "\\define", rest when rest <> "" -> (
+      match String.index_opt rest ':' with
+      | Some i when i + 1 < String.length rest && rest.[i + 1] = '=' ->
+        let vname = String.trim (String.sub rest 0 i) in
+        let body = String.trim (String.sub rest (i + 2) (String.length rest - i - 2)) in
+        print_result
+          (fun () -> Printf.printf "defined view %s\n" vname)
+          (Nimble.define_view sys vname body)
+      | _ -> print_endline "usage: \\define NAME := QUERY")
+    | "\\materialize", name when name <> "" ->
+      let name = String.trim name in
+      print_result
+        (fun () -> Printf.printf "materialized %s\n" name)
+        (Nimble.materialize_view sys name)
+    | "\\refresh", name when name <> "" ->
+      let name = String.trim name in
+      print_result (fun () -> Printf.printf "refreshed %s\n" name) (Nimble.refresh_view sys name)
+    | "\\save", path when path <> "" ->
+      with_file
+        (fun path ->
+          Out_channel.with_open_text path (fun oc ->
+              Out_channel.output_string oc (Nimble.save_config sys));
+          Printf.printf "saved configuration to %s\n" path)
+        (String.trim path)
+    | "\\load", path when path <> "" ->
+      with_file
+        (fun path ->
+          print_result
+            (fun () -> Printf.printf "loaded %s\n" path)
+            (Nimble.load_config sys (read_file path)))
+        (String.trim path)
+    | "\\serve", path when path <> "" ->
+      with_file
+        (fun path ->
+          let env = Srv_script.create ~print:print_endline sys in
+          print_result ignore (Srv_script.run env (read_file path)))
+        (String.trim path)
+    | "\\explain", text when text <> "" -> print_result print_string (Nimble.explain sys text)
+    | "\\analyze", "" -> print_result print_string (Nimble.analyze_stats sys)
+    | "\\analyze", text -> print_result print_string (Nimble.explain_analyze sys text)
+    | "\\stats", "" -> print_string (Nimble.stats_report sys)
+    | "\\trace", text when text <> "" ->
+      Nimble.set_tracing true;
+      print_result (fun _ -> print_string (Nimble.trace_report sys)) (Nimble.query sys text)
+    | "\\partial", text when text <> "" ->
+      print_result
+        (fun (trees, skipped, stale) ->
+          render trees;
+          if skipped <> [] then
+            Printf.printf "-- incomplete: %s unavailable\n" (String.concat ", " skipped);
+          if stale <> [] then
+            Printf.printf "-- stale: %s served from cache\n" (String.concat ", " stale))
+        (Nimble.query_partial_ex sys text)
+    | "\\set", arg -> (
+      match words arg with
+      | [ name; v ] ->
+        print_result show
+          (Result.bind (Nimble.find_knob name) (fun k -> Result.map (fun () -> k) (k.set sys v)))
+      | _ -> print_endline "usage: \\set NAME VALUE")
+    | "\\show", "" -> List.iter show Nimble.knobs
+    | "\\show", name -> print_result show (Nimble.find_knob (String.trim name))
+    | cmd, arg when List.mem_assoc cmd views -> view sys cmd (words arg)
+    (* Not an engine command: \exec parallel switches engines. *)
+    | "\\par", _ -> Printf.printf "usage: %s\n" exec_usage
+    | _ -> Printf.printf "unknown command %s (try \\help)\n" line
+
+let run_repl setup =
   with_setup @@ fun () ->
-  let sys = build_system csvs xmls sqls fetch exec in
+  let sys = setup () in
   Printf.printf "nimble repl — %d source(s) registered, \\help for commands\n"
     (List.length (Med_catalog.source_names (Nimble.catalog sys)));
   let rec loop () =
     print_string "nimble> ";
     flush stdout;
     match read_statement () with
-    | None -> ()
-    | Some "" -> loop ()
-    | Some "\\quit" -> ()
-    | Some "\\help" ->
-      print_endline repl_help;
-      loop ()
-    | Some "\\report" ->
-      print_string (Nimble.report sys);
-      loop ()
-    | Some "\\exports" ->
-      List.iter print_endline (Src_registry.exports (Med_catalog.registry (Nimble.catalog sys)));
-      loop ()
-    | Some line when starts_with "\\define " line -> (
-      let rest = String.sub line 8 (String.length line - 8) in
-      match String.index_opt rest ':' with
-      | Some i when i + 1 < String.length rest && rest.[i + 1] = '=' ->
-        let vname = String.trim (String.sub rest 0 i) in
-        let body = String.trim (String.sub rest (i + 2) (String.length rest - i - 2)) in
-        (match Nimble.define_view sys vname body with
-        | Ok () -> Printf.printf "defined view %s\n" vname
-        | Error m -> Printf.printf "error: %s\n" m);
-        loop ()
-      | _ ->
-        print_endline "usage: \\define NAME := QUERY";
-        loop ())
-    | Some line when starts_with "\\materialize " line ->
-      let vname = String.trim (String.sub line 13 (String.length line - 13)) in
-      (match Nimble.materialize_view sys vname with
-      | Ok () -> Printf.printf "materialized %s\n" vname
-      | Error m -> Printf.printf "error: %s\n" m);
-      loop ()
-    | Some line when starts_with "\\refresh " line ->
-      let vname = String.trim (String.sub line 9 (String.length line - 9)) in
-      (match Nimble.refresh_view sys vname with
-      | Ok () -> Printf.printf "refreshed %s\n" vname
-      | Error m -> Printf.printf "error: %s\n" m);
-      loop ()
-    | Some line when starts_with "\\save " line ->
-      let path = String.trim (String.sub line 6 (String.length line - 6)) in
-      (try
-         Out_channel.with_open_text path (fun oc ->
-             Out_channel.output_string oc (Nimble.save_config sys));
-         Printf.printf "saved configuration to %s\n" path
-       with Sys_error m -> Printf.printf "error: %s\n" m);
-      loop ()
-    | Some line when starts_with "\\load " line ->
-      let path = String.trim (String.sub line 6 (String.length line - 6)) in
-      (try
-         let script = read_file path in
-         match Nimble.load_config sys script with
-         | Ok () -> Printf.printf "loaded %s\n" path
-         | Error m -> Printf.printf "error: %s\n" m
-       with Sys_error m -> Printf.printf "error: %s\n" m);
-      loop ()
-    | Some line when starts_with "\\serve " line ->
-      let path = String.trim (String.sub line 7 (String.length line - 7)) in
-      (try
-         let script = read_file path in
-         let env = Srv_script.create ~print:print_endline sys in
-         match Srv_script.run env script with
-         | Ok () -> ()
-         | Error m -> Printf.printf "error: %s\n" m
-       with Sys_error m -> Printf.printf "error: %s\n" m);
-      loop ()
-    | Some line when starts_with "\\explain " line ->
-      let text = String.sub line 9 (String.length line - 9) in
-      (match Nimble.explain sys text with
-      | Ok plan -> print_string plan
-      | Error m -> Printf.printf "error: %s\n" m);
-      loop ()
-    | Some "\\analyze" ->
-      (match Nimble.analyze_stats sys with
-      | Ok report -> print_string report
-      | Error m -> Printf.printf "error: %s\n" m);
-      loop ()
-    | Some line when starts_with "\\analyze " line ->
-      let text = String.sub line 9 (String.length line - 9) in
-      (match Nimble.explain_analyze sys text with
-      | Ok report -> print_string report
-      | Error m -> Printf.printf "error: %s\n" m);
-      loop ()
-    | Some "\\optimize" ->
-      print_string (Nimble.optimizer_report sys);
-      loop ()
-    | Some line when starts_with "\\optimize " line ->
-      (let arg = String.trim (String.sub line 10 (String.length line - 10)) in
-       match Med_optimize.mode_of_string arg with
-       | Some m ->
-         Nimble.set_optimizer sys m;
-         print_string (Nimble.optimizer_report sys)
-       | None -> print_endline "usage: \\optimize greedy|dp[:N]");
-      loop ()
-    | Some "\\stats" ->
-      print_string (Nimble.stats_report sys);
-      loop ()
-    | Some line when starts_with "\\trace " line ->
-      let text = String.sub line 7 (String.length line - 7) in
-      Nimble.set_tracing true;
-      (match Nimble.query sys text with
-      | Ok _ -> print_string (Nimble.trace_report sys)
-      | Error m -> Printf.printf "error: %s\n" m);
-      loop ()
-    | Some "\\fetch" ->
-      print_string (Nimble.fetch_report sys);
-      loop ()
-    | Some line when starts_with "\\fetch " line ->
-      (let args =
-         String.split_on_char ' ' (String.trim (String.sub line 7 (String.length line - 7)))
-         |> List.filter (fun s -> s <> "")
-       in
-       match args with
-       | [ "cache"; n ] -> (
-         match int_of_string_opt n with
-         | Some capacity when capacity >= 0 ->
-           Nimble.configure_frag_cache sys ~capacity ();
-           print_string (Nimble.fetch_report sys)
-         | _ -> print_endline "usage: \\fetch cache N")
-       | mode :: rest -> (
-         match (Fetch_sched.mode_of_string mode, rest) with
-         | Some m, [] ->
-           Nimble.set_fetch_options sys
-             { (Nimble.fetch_options sys) with Fetch_sched.mode = m };
-           print_string (Nimble.fetch_report sys)
-         | Some m, [ n ] -> (
-           match int_of_string_opt n with
-           | Some fanout when fanout > 0 ->
-             Nimble.set_fetch_options sys { Fetch_sched.mode = m; fanout };
-             print_string (Nimble.fetch_report sys)
-           | _ -> print_endline "usage: \\fetch seq|gather [FANOUT]")
-         | _ -> print_endline "usage: \\fetch seq|gather [FANOUT] | \\fetch cache N")
-       | [] -> print_string (Nimble.fetch_report sys));
-      loop ()
-    | Some "\\sem" ->
-      print_string (Nimble.sem_report sys);
-      loop ()
-    | Some line when starts_with "\\sem " line ->
-      (let args =
-         String.split_on_char ' ' (String.trim (String.sub line 5 (String.length line - 5)))
-         |> List.filter (fun s -> s <> "")
-       in
-       match args with
-       | [ "budget"; n ] -> (
-         match int_of_string_opt n with
-         | Some budget_bytes when budget_bytes >= 0 ->
-           Nimble.configure_sem_cache sys ~budget_bytes ();
-           print_string (Nimble.sem_report sys)
-         | _ -> print_endline "usage: \\sem budget BYTES")
-       | [] -> print_string (Nimble.sem_report sys)
-       | _ -> print_endline "usage: \\sem | \\sem budget BYTES");
-      loop ()
-    | Some "\\retry" ->
-      print_string (Nimble.retry_report sys);
-      loop ()
-    | Some line when starts_with "\\retry " line ->
-      (let args =
-         String.split_on_char ' ' (String.trim (String.sub line 7 (String.length line - 7)))
-         |> List.filter (fun s -> s <> "")
-       in
-       let pol = Nimble.retry_policy sys in
-       let set p =
-         Nimble.set_retry_policy sys p;
-         print_string (Nimble.retry_report sys)
-       in
-       match args with
-       | [ n ] when int_of_string_opt n <> None -> (
-         match int_of_string_opt n with
-         | Some retries when retries >= 0 ->
-           set { pol with Src_retry.max_retries = retries }
-         | _ -> print_endline "usage: \\retry N")
-       | [ "deadline"; ms ] -> (
-         match float_of_string_opt ms with
-         | Some d when d >= 0.0 ->
-           set
-             {
-               pol with
-               Src_retry.call_deadline_ms = (if d > 0.0 then Some d else None);
-             }
-         | _ -> print_endline "usage: \\retry deadline MS")
-       | [ "breaker"; ("on" | "off") as v ] ->
-         set { pol with Src_retry.breaker = v = "on" }
-       | [ "stale"; ("on" | "off") as v ] ->
-         set { pol with Src_retry.serve_stale = v = "on" }
-       | _ ->
-         print_endline
-           "usage: \\retry | \\retry N | \\retry deadline MS | \\retry breaker \
-            on|off | \\retry stale on|off");
-      loop ()
-    | Some "\\exec" ->
-      print_string (Nimble.exec_report sys);
-      loop ()
-    | Some line when starts_with "\\exec " line ->
-      (let args =
-         String.split_on_char ' ' (String.trim (String.sub line 6 (String.length line - 6)))
-         |> List.filter (fun s -> s <> "")
-       in
-       let parallel domains =
-         Some (Alg_exec.Parallel { domains; chunk = Alg_exec.default_chunk })
-       in
-       let mode =
-         match args with
-         | [ "tuple" ] -> Some Alg_exec.Tuple
-         | [ "parallel" ] -> parallel (Alg_par.default_domains ())
-         | [ "parallel"; n ] -> (
-           match int_of_string_opt n with
-           | Some domains when domains > 0 -> parallel domains
-           | _ -> None)
-         | _ -> None
-       in
-       match mode with
-       | Some m ->
-         Nimble.set_exec_mode sys m;
-         print_string (Nimble.exec_report sys)
-       | None -> print_endline exec_usage);
-      loop ()
-    | Some line when line = "\\par" || starts_with "\\par " line ->
-      (* Not an engine command: \exec parallel switches engines. *)
-      print_endline exec_usage;
-      loop ()
-    | Some "\\index" ->
-      print_string (Nimble.index_report sys);
-      loop ()
-    | Some line when starts_with "\\index " line ->
-      (let args =
-         String.split_on_char ' ' (String.trim (String.sub line 7 (String.length line - 7)))
-         |> List.filter (fun s -> s <> "")
-       in
-       match args with
-       | [ ("off" | "auto" | "eager") as m ] ->
-         (match Idx_manager.mode_of_string m with
-         | Ok mode -> Nimble.set_index_mode sys mode
-         | Error e -> print_endline e);
-         print_string (Nimble.index_report sys)
-       | [ "build"; name ] -> (
-         match Nimble.build_index sys name with
-         | Ok msg -> print_string msg
-         | Error m -> Printf.printf "error: %s\n" m)
-       | _ -> print_endline "usage: \\index | \\index off|auto|eager | \\index build VIEW");
-      loop ()
-    | Some line when starts_with "\\partial " line ->
-      let text = String.sub line 9 (String.length line - 9) in
-      (match Nimble.query_partial_ex sys text with
-      | Ok (trees, skipped, stale) ->
-        print_string (Fe_format.render Fe_format.Text trees);
-        if skipped <> [] then
-          Printf.printf "-- incomplete: %s unavailable\n" (String.concat ", " skipped);
-        if stale <> [] then
-          Printf.printf "-- stale: %s served from cache\n" (String.concat ", " stale)
-      | Error m -> Printf.printf "error: %s\n" m);
-      loop ()
-    | Some line when starts_with "\\" line ->
-      Printf.printf "unknown command %s (try \\help)\n" line;
-      loop ()
-    | Some text ->
-      (match Nimble.query sys text with
-      | Ok trees -> print_string (Fe_format.render Fe_format.Text trees)
-      | Error m -> Printf.printf "error: %s\n" m);
+    | None | Some "\\quit" -> ()
+    | Some line ->
+      repl_command sys line;
       loop ()
   in
   loop ();
@@ -620,85 +459,22 @@ let run_repl csvs xmls sqls fetch exec =
 
 open Cmdliner
 
-let csv_opt =
-  Arg.(value & opt_all string [] & info [ "csv" ] ~docv:"NAME=PATH" ~doc:"Register a CSV flat-file source.")
+let sources_opt name doc =
+  Arg.(value & opt_all string [] & info [ name ] ~docv:"NAME=PATH" ~doc)
 
-let xml_opt =
-  Arg.(value & opt_all string [] & info [ "xml" ] ~docv:"NAME=PATH" ~doc:"Register an XML document source.")
-
-let sql_opt =
-  Arg.(value & opt_all string [] & info [ "sql" ] ~docv:"NAME=PATH" ~doc:"Load a .sql script into an in-memory relational source.")
-
-let query_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"XML-QL query text.")
-
-let partial_flag =
-  Arg.(value & flag & info [ "partial" ] ~doc:"Partial-results mode: skip unavailable sources and annotate.")
-
-let device_opt =
-  Arg.(value & opt string "text" & info [ "device" ] ~docv:"DEVICE" ~doc:"Output device: web, wireless, text or xml.")
-
-let fetch_mode_opt =
-  Arg.(
-    value & opt string "seq"
-    & info [ "fetch-mode" ] ~docv:"MODE"
-        ~doc:
-          "Source fetch scheduling: $(b,seq) (one access at a time) or \
-           $(b,gather) (scatter-gather rounds of --fetch-fanout overlapped \
-           accesses, with per-source batching and dedup).")
-
-let fetch_fanout_opt =
-  Arg.(
-    value & opt int Fetch_sched.default_fanout
-    & info [ "fetch-fanout" ] ~docv:"K"
-        ~doc:"Accesses per scatter-gather round (gather mode only).")
-
-let frag_cache_opt =
-  Arg.(
-    value & opt int 0
-    & info [ "frag-cache" ] ~docv:"N"
-        ~doc:
-          "Enable a fragment-level source result cache of N entries (0 \
-           disables; sits below the whole-query result cache).")
-
-let sem_cache_opt =
-  Arg.(
-    value & opt int 0
-    & info [ "sem-cache" ] ~docv:"BYTES"
-        ~doc:
-          "Enable the semantic fragment cache with a budget of $(docv) \
-           bytes (0 disables).  Cached extents answer repeated source \
-           fragments whose predicate is contained in a cached one \
-           without contacting the source, and overlapping predicates \
-           ship only the remainder.")
-
-let retry_opt =
-  Arg.(
-    value & opt int 0
-    & info [ "retry" ] ~docv:"N"
-        ~doc:
-          "Retry transiently unavailable source calls up to $(docv) \
-           times with capped exponential backoff and seeded jitter, \
-           charged to the virtual clock (0, the default, disables \
-           retries).")
-
-let retry_deadline_opt =
-  Arg.(
-    value & opt float 0.0
-    & info [ "retry-deadline" ] ~docv:"MS"
-        ~doc:
-          "Per-call retry budget in virtual milliseconds: a retry whose \
-           backoff would overshoot the budget gives up instead (0 \
-           disables the deadline).")
-
-let breaker_opt =
-  Arg.(
-    value & opt string "off"
-    & info [ "breaker" ] ~docv:"on|off"
-        ~doc:
-          "Per-source circuit breakers: after consecutive failures the \
-           breaker opens and calls fail fast (no latency paid) until a \
-           cool-down admits a half-open probe.")
+(* One flag per entry of [Nimble.knobs]; the value is the settings given,
+   in table order. *)
+let knob_settings =
+  List.fold_right
+    (fun (k : Nimble.t Nimble.knob) rest ->
+      let flag =
+        Arg.(
+          value
+          & opt (some ~none:(Nimble.knob_default k) string) None
+          & info [ k.name ] ~docv:k.docv ~doc:k.doc)
+      in
+      Term.(const (fun v rest -> Option.fold ~none:rest ~some:(fun v -> (k, v) :: rest) v) $ flag $ rest))
+    Nimble.knobs (Term.const [])
 
 let flaky_opt =
   Arg.(
@@ -712,68 +488,23 @@ let flaky_opt =
            $(b,slow:FROM:UNTIL:FACTOR) (latency multiplier window) and \
            $(b,mid:FROM:UNTIL:PREFIX) (ship PREFIX tuples, then die).")
 
-let fetch_term =
+(* Every subcommand's system: sources, knobs and fault schedules. *)
+let setup =
   Term.(
-    const (fun mode fanout frag sem retries deadline breaker flaky ->
-        (mode, fanout, frag, sem, retries, deadline, breaker, flaky))
-    $ fetch_mode_opt $ fetch_fanout_opt $ frag_cache_opt $ sem_cache_opt
-    $ retry_opt $ retry_deadline_opt $ breaker_opt $ flaky_opt)
+    const (fun csvs xmls sqls settings flaky () -> build_system csvs xmls sqls settings flaky)
+    $ sources_opt "csv" "Register a CSV flat-file source."
+    $ sources_opt "xml" "Register an XML document source."
+    $ sources_opt "sql" "Load a .sql script into an in-memory relational source."
+    $ knob_settings $ flaky_opt)
 
-let chunk_size_opt =
-  Arg.(
-    value & opt int Alg_exec.default_chunk
-    & info [ "chunk-size" ] ~docv:"N"
-        ~doc:"Rows per morsel on the morsel-driven engine (default 1024).")
+let query_arg =
+  Arg.(required & pos 0 (some string) None & info [] ~docv:"QUERY" ~doc:"XML-QL query text.")
 
-let parallel_opt =
-  Arg.(
-    value & opt int 0
-    & info [ "parallel" ] ~docv:"N"
-        ~doc:
-          "Run plans on the morsel-driven engine with $(docv) domains \
-           (the calling domain included; 1 is the sequential chunked \
-           mode); 0, the default, runs them tuple-at-a-time.  Answers \
-           are identical either way.")
+let partial_flag =
+  Arg.(value & flag & info [ "partial" ] ~doc:"Partial-results mode: skip unavailable sources and annotate.")
 
-let optimize_opt =
-  Arg.(
-    value & opt string "greedy"
-    & info [ "optimize" ] ~docv:"MODE"
-        ~doc:
-          "Join-order strategy: $(b,greedy) (connected cheapest-next \
-           walk, the default) or $(b,dp) (DPsize dynamic-programming \
-           enumeration over the statistics catalog and network \
-           profiles, converting large fragments to bind joins; \
-           $(b,dp:N) caps enumeration at N relations, falling back to \
-           greedy past it).  Answers are identical in both modes.")
-
-let index_opt =
-  Arg.(
-    value & opt string "auto"
-    & info [ "index" ] ~docv:"MODE"
-        ~doc:
-          "Path/value index mode: $(b,auto) (build structural guides on \
-           first probe, the default), $(b,eager) (build them when a view \
-           materializes or a document registers) or $(b,off) (always walk \
-           trees).  Answers are identical in all modes.")
-
-let exec_term =
-  Term.(
-    const (fun chunk par omode imode -> (chunk, par, omode, imode))
-    $ chunk_size_opt $ parallel_opt $ optimize_opt $ index_opt)
-
-let wrap f = Term.(ret (const f))
-
-let query_cmd =
-  Cmd.v
-    (Cmd.info "query" ~doc:"Run an XML-QL query against the registered sources")
-    Term.(
-      ret (const run_query $ csv_opt $ xml_opt $ sql_opt $ fetch_term $ exec_term $ partial_flag $ device_opt $ query_arg))
-
-let explain_cmd =
-  Cmd.v
-    (Cmd.info "explain" ~doc:"Show the physical plan and pushed fragments for a query")
-    Term.(ret (const run_explain $ csv_opt $ xml_opt $ sql_opt $ fetch_term $ exec_term $ query_arg))
+let device_opt =
+  Arg.(value & opt string "text" & info [ "device" ] ~docv:"DEVICE" ~doc:"Output device: web, wireless, text or xml.")
 
 let repeat_opt =
   Arg.(
@@ -789,38 +520,6 @@ let queries_arg =
     non_empty & pos_all string []
     & info [] ~docv:"QUERY" ~doc:"XML-QL query text (one or more).")
 
-let explain_analyze_cmd =
-  Cmd.v
-    (Cmd.info "explain-analyze"
-       ~doc:
-         "Execute a query instrumented: per-operator estimated vs actual rows \
-          and time, and a per-source-fragment table")
-    Term.(
-      ret (const run_explain_analyze $ csv_opt $ xml_opt $ sql_opt $ fetch_term $ exec_term $ repeat_opt $ query_arg))
-
-let stats_cmd =
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Run the given queries, then print the metrics registry and the \
-          per-source breakdown")
-    Term.(ret (const run_stats $ csv_opt $ xml_opt $ sql_opt $ fetch_term $ exec_term $ queries_arg))
-
-let trace_cmd =
-  Cmd.v
-    (Cmd.info "trace" ~doc:"Run a query with the trace sink enabled and print the span tree")
-    Term.(ret (const run_trace $ csv_opt $ xml_opt $ sql_opt $ fetch_term $ exec_term $ query_arg))
-
-let report_cmd =
-  Cmd.v
-    (Cmd.info "report" ~doc:"Print the system status report")
-    Term.(ret (const run_report $ csv_opt $ xml_opt $ sql_opt $ fetch_term $ exec_term))
-
-let repl_cmd =
-  Cmd.v
-    (Cmd.info "repl" ~doc:"Interactive shell: queries, view definitions, materialization")
-    Term.(ret (const run_repl $ csv_opt $ xml_opt $ sql_opt $ fetch_term $ exec_term))
-
 let script_arg =
   Arg.(
     required & pos 0 (some string) None
@@ -829,31 +528,39 @@ let script_arg =
           "Request script: sessions, lens invocations with priorities and \
            deadlines, clock advances, source availability toggles.")
 
-let serve_cmd =
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the concurrency server over a scripted request stream: \
-          multi-query sessions, admission control with deterministic load \
-          shedding, the lens plan cache, and load-balanced dispatch over N \
-          logical engines")
-    Term.(ret (const run_serve $ csv_opt $ xml_opt $ sql_opt $ fetch_term $ exec_term $ script_arg))
+let cmd name ~doc term = Cmd.v (Cmd.info name ~doc) Term.(ret term)
 
 let main =
   let doc = "the Nimble XML data integration system" in
   Cmd.group
     (Cmd.info "nimble" ~version:"1.0.0" ~doc)
     [
-      query_cmd;
-      explain_cmd;
-      explain_analyze_cmd;
-      stats_cmd;
-      trace_cmd;
-      report_cmd;
-      repl_cmd;
-      serve_cmd;
+      cmd "query" ~doc:"Run an XML-QL query against the registered sources"
+        Term.(const run_query $ setup $ partial_flag $ device_opt $ query_arg);
+      cmd "explain" ~doc:"Show the physical plan and pushed fragments for a query"
+        Term.(const run_explain $ setup $ query_arg);
+      cmd "explain-analyze"
+        ~doc:
+          "Execute a query instrumented: per-operator estimated vs actual rows \
+           and time, and a per-source-fragment table"
+        Term.(const run_explain_analyze $ setup $ repeat_opt $ query_arg);
+      cmd "stats"
+        ~doc:
+          "Run the given queries, then print the metrics registry and the \
+           per-source breakdown"
+        Term.(const run_stats $ setup $ queries_arg);
+      cmd "trace" ~doc:"Run a query with the trace sink enabled and print the span tree"
+        Term.(const run_trace $ setup $ query_arg);
+      cmd "report" ~doc:"Print the system status report" Term.(const run_report $ setup);
+      cmd "repl" ~doc:"Interactive shell: queries, view definitions, materialization"
+        Term.(const run_repl $ setup);
+      cmd "serve"
+        ~doc:
+          "Run the concurrency server over a scripted request stream: \
+           multi-query sessions, admission control with deterministic load \
+           shedding, the lens plan cache, and load-balanced dispatch over N \
+           logical engines"
+        Term.(const run_serve $ setup $ script_arg);
     ]
 
-let () =
-  ignore wrap;
-  exit (Cmd.eval main)
+let () = exit (Cmd.eval main)

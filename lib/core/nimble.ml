@@ -15,6 +15,9 @@ type t = {
   accounts : Fe_auth.t;
   lenses : (string, Fe_lens.t) Hashtbl.t;
   cleaners : (string, cleaner) Hashtbl.t;
+  (* The morsel size the [parallel] knob switches on with; kept here so
+     [chunk-size] holds its value while plans run tuple-at-a-time. *)
+  mutable chunk : int;
 }
 
 let create ?(name = "nimble") ?(cache_capacity = 64) ?cache_ttl_ms ?(frag_capacity = 0)
@@ -32,6 +35,7 @@ let create ?(name = "nimble") ?(cache_capacity = 64) ?cache_ttl_ms ?(frag_capaci
     accounts = Fe_auth.create ();
     lenses = Hashtbl.create 8;
     cleaners = Hashtbl.create 4;
+    chunk = Alg_exec.default_chunk;
   }
 
 let name t = t.sys_name
@@ -158,6 +162,290 @@ let cleaning_lineage t name =
 let report t =
   Fe_admin.system_report t.cat ~store:t.mat ~cache:t.results ()
 
+(* Source closure of a query: clause sources plus, through views, the
+   base sources they read — the invalidation tags of cached entries. *)
+let rec source_closure t q =
+  List.concat_map
+    (fun src_name ->
+      match Med_catalog.find_view t.cat src_name with
+      | Some v ->
+        src_name :: List.concat_map (source_closure t) v.Med_catalog.definitions
+      | None -> (
+        match Hashtbl.find_opt t.cleaners src_name with
+        (* Cleaned sources read through their base query, so updates to
+           the underlying sources must invalidate them too. *)
+        | Some cleaner -> src_name :: source_closure t cleaner.cl_query
+        | None -> (
+          match String.index_opt src_name '.' with
+          | Some i -> [ src_name; String.sub src_name 0 i ]
+          | None -> [ src_name ])))
+    (Xq_ast.all_sources_of q)
+  |> List.sort_uniq String.compare
+
+(* Every cache level hears the catalog's one invalidation path.  The
+   return counts query-level entries (the historical contract); fragment
+   drops are visible in the fragcache counters. *)
+let invalidate_source t source_name =
+  let before = Mat_cache.size t.results in
+  Med_catalog.notify_invalidation t.cat source_name;
+  before - Mat_cache.size t.results
+
+(* ------------------------------------------------------------------ *)
+(* Execution knobs                                                     *)
+(* ------------------------------------------------------------------ *)
+
+type 'a knob = {
+  name : string;
+  docv : string;
+  doc : string;
+  get : 'a -> string;
+  set : 'a -> string -> (unit, string) result;
+}
+
+(* [bad n] is the error text for a value out of range, if it is. *)
+let int_knob name docv doc ~get ~bad ~apply =
+  let set t v =
+    match int_of_string_opt v with
+    | None -> Error (Printf.sprintf "invalid value %S for %s (expected an integer)" v name)
+    | Some n -> (
+      match bad n with
+      | Some m -> Error m
+      | None -> Ok (apply t n))
+  in
+  { name; docv; doc; get = (fun t -> string_of_int (get t)); set }
+
+let on_off_knob name what doc ~get ~apply =
+  let set t = function
+    | "on" -> Ok (apply t true)
+    | "off" -> Ok (apply t false)
+    | s -> Error (Printf.sprintf "unknown %s mode %S (on, off)" what s)
+  in
+  { name; docv = "on|off"; doc; get = (fun t -> if get t then "on" else "off"); set }
+
+let fetch t = Med_catalog.fetch_options t.cat
+let set_fetch t f = Med_catalog.set_fetch_options t.cat (f (fetch t))
+let retry_policy t = Med_catalog.retry_policy t.cat
+let set_retry_policy t pol = Med_catalog.set_retry_policy t.cat pol
+
+(* Every retry knob edits one field of the one policy. *)
+let set_retry t f = set_retry_policy t (f (retry_policy t))
+
+let chunk t =
+  match Med_catalog.exec_mode t.cat with
+  | Alg_exec.Parallel { chunk; _ } -> chunk
+  | Alg_exec.Tuple -> t.chunk
+
+let non_negative what n = if n < 0 then Some (what ^ " must be non-negative") else None
+
+(* One entry per knob; the CLI flags, the repl's [\set]/[\show], the
+   saved scripts' [set] lines and the unit tests all read this list.
+   Each setter carries the knob's validation and its error text. *)
+let knobs =
+  [
+    {
+      name = "fetch-mode";
+      docv = "MODE";
+      doc =
+        "Source fetch scheduling: seq (one access at a time) or gather \
+         (scatter-gather rounds of --fetch-fanout overlapped accesses, with \
+         per-source batching and dedup).";
+      get = (fun t -> Fetch_sched.mode_to_string (fetch t).Fetch_sched.mode);
+      set =
+        (fun t v ->
+          match Fetch_sched.mode_of_string v with
+          | Some mode -> Ok (set_fetch t (fun o -> { o with mode }))
+          | None -> Error (Printf.sprintf "unknown fetch mode %S (seq, gather)" v));
+    };
+    int_knob "fetch-fanout" "K" "Accesses per scatter-gather round (gather mode only)."
+      ~get:(fun t -> (fetch t).Fetch_sched.fanout)
+      ~bad:(fun _ -> None)
+      ~apply:(fun t n -> set_fetch t (fun o -> { o with fanout = max 1 n }));
+    int_knob "frag-cache" "N"
+      "Enable a fragment-level source result cache of N entries (0 \
+       disables; sits below the whole-query result cache)."
+      ~get:(fun t -> Frag_cache.capacity (Med_catalog.frag_cache t.cat))
+      ~bad:(non_negative "fragment cache capacity")
+      ~apply:(fun t capacity ->
+        let ttl_ms = Frag_cache.ttl_ms (Med_catalog.frag_cache t.cat) in
+        Med_catalog.configure_frag_cache t.cat ?ttl_ms ~capacity ());
+    int_knob "sem-cache" "BYTES"
+      "Enable the semantic fragment cache with a budget of BYTES bytes (0 \
+       disables).  Cached extents answer repeated source fragments whose \
+       predicate is contained in a cached one without contacting the \
+       source, and overlapping predicates ship only the remainder."
+      ~get:(fun t -> Sem_cache.budget (Med_catalog.sem_cache t.cat))
+      ~bad:(non_negative "semantic cache budget")
+      ~apply:(fun t budget_bytes -> Med_catalog.configure_sem_cache t.cat ~budget_bytes ());
+    int_knob "retry" "N"
+      "Retry transiently unavailable source calls up to N times with \
+       capped exponential backoff and seeded jitter, charged to the \
+       virtual clock (0, the default, disables retries)."
+      ~get:(fun t -> (retry_policy t).Src_retry.max_retries)
+      ~bad:(non_negative "--retry")
+      ~apply:(fun t n -> set_retry t (fun p -> { p with Src_retry.max_retries = n }));
+    {
+      name = "retry-deadline";
+      docv = "MS";
+      doc =
+        "Per-call retry budget in virtual milliseconds: a retry whose \
+         backoff would overshoot the budget gives up instead (0 disables \
+         the deadline).";
+      get =
+        (fun t ->
+          Option.fold ~none:"0" ~some:(Printf.sprintf "%g")
+            (retry_policy t).Src_retry.call_deadline_ms);
+      set =
+        (fun t v ->
+          match float_of_string_opt v with
+          | None -> Error (Printf.sprintf "invalid value %S for retry-deadline (expected a number)" v)
+          | Some d when d < 0.0 -> Error "--retry-deadline must be non-negative"
+          | Some d ->
+            let call_deadline_ms = if d > 0.0 then Some d else None in
+            Ok (set_retry t (fun p -> { p with Src_retry.call_deadline_ms })));
+    };
+    on_off_knob "breaker" "breaker"
+      "Per-source circuit breakers: after consecutive failures the \
+       breaker opens and calls fail fast (no latency paid) until a \
+       cool-down admits a half-open probe."
+      ~get:(fun t -> (retry_policy t).Src_retry.breaker)
+      ~apply:(fun t breaker -> set_retry t (fun p -> { p with Src_retry.breaker }));
+    on_off_knob "retry-stale" "stale"
+      "Partial-results mode may serve expired fragment-cache extents for \
+       a source whose retry budget is exhausted, and names it stale."
+      ~get:(fun t -> (retry_policy t).Src_retry.serve_stale)
+      ~apply:(fun t serve_stale -> set_retry t (fun p -> { p with Src_retry.serve_stale }));
+    int_knob "chunk-size" "N" "Rows per morsel on the morsel-driven engine." ~get:chunk
+      ~bad:(fun n -> if n <= 0 then Some "chunk size must be positive" else None)
+      ~apply:(fun t n ->
+        t.chunk <- n;
+        match Med_catalog.exec_mode t.cat with
+        | Alg_exec.Parallel p -> Med_catalog.set_exec_mode t.cat (Alg_exec.Parallel { p with chunk = n })
+        | Alg_exec.Tuple -> ());
+    int_knob "parallel" "N"
+      "Run plans on the morsel-driven engine with N domains (the calling \
+       domain included; 1 is the sequential chunked mode); 0, the \
+       default, runs them tuple-at-a-time.  Answers are identical either \
+       way."
+      ~get:(fun t ->
+        match Med_catalog.exec_mode t.cat with
+        | Alg_exec.Parallel { domains; _ } -> domains
+        | Alg_exec.Tuple -> 0)
+      ~bad:(non_negative "parallelism")
+      ~apply:(fun t domains ->
+        Med_catalog.set_exec_mode t.cat
+          (if domains = 0 then Alg_exec.Tuple else Alg_exec.Parallel { domains; chunk = chunk t }));
+    {
+      name = "optimize";
+      docv = "MODE";
+      doc =
+        "Join-order strategy: greedy (connected cheapest-next walk, the \
+         default) or dp (DPsize dynamic-programming enumeration over the \
+         statistics catalog and network profiles, converting large \
+         fragments to bind joins; dp:N caps enumeration at N relations, \
+         falling back to greedy past it).  Answers are identical in both \
+         modes.";
+      get = (fun t -> Med_optimize.mode_to_string (Med_catalog.optimizer t.cat));
+      set =
+        (fun t v ->
+          match Med_optimize.mode_of_string v with
+          | Some m -> Ok (Med_catalog.set_optimizer t.cat m)
+          | None -> Error (Printf.sprintf "unknown optimizer mode %S (greedy, dp, dp:N)" v));
+    };
+    {
+      name = "index";
+      docv = "MODE";
+      doc =
+        "Path/value index mode: auto (build structural guides on first \
+         probe, the default), eager (build them when a view materializes or \
+         a document registers) or off (always walk trees).  Answers are \
+         identical in all modes.";
+      get = (fun _ -> Idx_manager.mode_to_string (Idx_manager.mode ()));
+      set = (fun _ v -> Result.map Idx_manager.set_mode (Idx_manager.mode_of_string v));
+    };
+  ]
+
+(* Read once, on a system created before anything runs: the index mode
+   is process-wide, so a system created later would report whatever an
+   earlier one set. *)
+let defaults =
+  let fresh = create () in
+  List.map (fun k -> (k.name, k.get fresh)) knobs
+
+let knob_default k = List.assoc k.name defaults
+
+let find_knob name =
+  match List.find_opt (fun k -> k.name = name) knobs with
+  | Some k -> Ok k
+  | None ->
+    Error
+      (Printf.sprintf "unknown knob %S (%s)" name
+         (String.concat ", " (List.map (fun k -> k.name) knobs)))
+
+let set_knob t name v = Result.bind (find_knob name) (fun k -> k.set t v)
+
+(* ------------------------------------------------------------------ *)
+(* Knob reports                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let sem_cache t = Med_catalog.sem_cache t.cat
+
+let sem_report t = Sem_cache.report (Med_catalog.sem_cache t.cat) ^ "\n"
+
+let fetch_report t =
+  let frag = Med_catalog.frag_cache t.cat in
+  let st = Frag_cache.stats frag in
+  let ttl =
+    match Frag_cache.ttl_ms frag with
+    | None -> ""
+    | Some ms -> Printf.sprintf " ttl=%.0fms" ms
+  in
+  Printf.sprintf
+    "fetch: %s\n\
+     fragment cache: %d/%d entries,%s hits=%d misses=%d evictions=%d \
+     expirations=%d invalidations=%d\n"
+    (Fetch_sched.options_to_string (fetch t))
+    (Frag_cache.size frag) (Frag_cache.capacity frag) ttl st.Frag_cache.frag_hits
+    st.Frag_cache.frag_misses st.Frag_cache.frag_evictions
+    st.Frag_cache.frag_expirations st.Frag_cache.frag_invalidations
+
+let retry_report t = Src_retry.report (Med_catalog.retry t.cat)
+
+let exec_report t =
+  Printf.sprintf "exec: %s\n"
+    (Alg_exec.mode_to_string (Med_catalog.exec_mode t.cat))
+
+(* Views register under "view:<name>"; a raw registry key (with its
+   prefix) is accepted too, so documents are reachable. *)
+let index_key name = if String.contains name ':' then name else "view:" ^ name
+
+let build_index (_ : t) name =
+  let key = index_key name in
+  match Idx_manager.build key with
+  | Some (paths, nodes, bytes) ->
+    Ok
+      (Printf.sprintf "built index %s: %d paths, %d nodes, %d bytes\n" key paths
+         nodes bytes)
+  | None -> Error (Printf.sprintf "nothing registered under %s" key)
+
+let index_report (_ : t) =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf
+    (Printf.sprintf "index: mode=%s epoch=%d bytes=%d\n"
+       (Idx_manager.mode_to_string (Idx_manager.mode ()))
+       (Idx_manager.epoch ()) (Idx_manager.total_bytes ()));
+  List.iter
+    (fun (name, built, roots, bytes) ->
+      Buffer.add_string buf
+        (Printf.sprintf "  %-40s %s roots=%d bytes=%d\n" name
+           (if built then "guide" else "unbuilt")
+           roots bytes))
+    (Idx_manager.registered ());
+  Buffer.contents buf
+
+let optimizer_report t =
+  Printf.sprintf "optimizer: %s\n"
+    (Med_optimize.mode_to_string (Med_catalog.optimizer t.cat))
+
 (* ------------------------------------------------------------------ *)
 (* Configuration scripts                                               *)
 (* ------------------------------------------------------------------ *)
@@ -178,8 +466,15 @@ let policy_of_directive = function
 
 let save_config t =
   let buf = Buffer.create 512 in
-  Buffer.add_string buf "# nimble configuration script
-";
+  Buffer.add_string buf "# nimble configuration script\n";
+  (* Knobs first, so a replayed materialize runs under the restored
+     index mode. *)
+  List.iter
+    (fun k ->
+      let v = k.get t in
+      if v <> knob_default k then
+        Buffer.add_string buf (Printf.sprintf "set %s %s\n" k.name v))
+    knobs;
   (* Views in dependency order so a replay re-creates them cleanly. *)
   let views =
     List.sort
@@ -223,6 +518,13 @@ let load_config t script =
         let keyword = String.sub line 0 i in
         let rest = String.trim (String.sub line (i + 1) (String.length line - i - 1)) in
         match keyword with
+        | "set" -> (
+          match String.index_opt rest ' ' with
+          | Some j ->
+            let name = String.sub rest 0 j in
+            let v = String.trim (String.sub rest (j + 1) (String.length rest - j - 1)) in
+            Result.map_error (Printf.sprintf "set %s: %s" name) (set_knob t name v)
+          | None -> Error (Printf.sprintf "malformed set directive %S" line))
         | "view" -> (
           match String.index_opt rest ' ' with
           | Some j
@@ -259,140 +561,6 @@ let load_config t script =
       | Error m -> Error m)
   in
   run_lines (String.split_on_char '\n' script)
-
-(* Source closure of a query: clause sources plus, through views, the
-   base sources they read — the invalidation tags of cached entries. *)
-let rec source_closure t q =
-  List.concat_map
-    (fun src_name ->
-      match Med_catalog.find_view t.cat src_name with
-      | Some v ->
-        src_name :: List.concat_map (source_closure t) v.Med_catalog.definitions
-      | None -> (
-        match Hashtbl.find_opt t.cleaners src_name with
-        (* Cleaned sources read through their base query, so updates to
-           the underlying sources must invalidate them too. *)
-        | Some cleaner -> src_name :: source_closure t cleaner.cl_query
-        | None -> (
-          match String.index_opt src_name '.' with
-          | Some i -> [ src_name; String.sub src_name 0 i ]
-          | None -> [ src_name ])))
-    (Xq_ast.all_sources_of q)
-  |> List.sort_uniq String.compare
-
-(* Every cache level hears the catalog's one invalidation path.  The
-   return counts query-level entries (the historical contract); fragment
-   drops are visible in the fragcache counters. *)
-let invalidate_source t source_name =
-  let before = Mat_cache.size t.results in
-  Med_catalog.notify_invalidation t.cat source_name;
-  before - Mat_cache.size t.results
-
-(* ------------------------------------------------------------------ *)
-(* Fetch scheduling                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let fetch_options t = Med_catalog.fetch_options t.cat
-
-let set_fetch_options t options = Med_catalog.set_fetch_options t.cat options
-
-let configure_frag_cache t ?ttl_ms ~capacity () =
-  Med_catalog.configure_frag_cache t.cat ?ttl_ms ~capacity ()
-
-let configure_sem_cache t ~budget_bytes () =
-  Med_catalog.configure_sem_cache t.cat ~budget_bytes ()
-
-let sem_cache t = Med_catalog.sem_cache t.cat
-
-let sem_report t = Sem_cache.report (Med_catalog.sem_cache t.cat) ^ "\n"
-
-let fetch_report t =
-  let fo = Med_catalog.fetch_options t.cat in
-  let frag = Med_catalog.frag_cache t.cat in
-  let st = Frag_cache.stats frag in
-  let ttl =
-    match Frag_cache.ttl_ms frag with
-    | None -> ""
-    | Some ms -> Printf.sprintf " ttl=%.0fms" ms
-  in
-  Printf.sprintf
-    "fetch: %s\n\
-     fragment cache: %d/%d entries,%s hits=%d misses=%d evictions=%d \
-     expirations=%d invalidations=%d\n"
-    (Fetch_sched.options_to_string fo)
-    (Frag_cache.size frag) (Frag_cache.capacity frag) ttl st.Frag_cache.frag_hits
-    st.Frag_cache.frag_misses st.Frag_cache.frag_evictions
-    st.Frag_cache.frag_expirations st.Frag_cache.frag_invalidations
-
-(* ------------------------------------------------------------------ *)
-(* Retry & resilience                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let retry_policy t = Med_catalog.retry_policy t.cat
-
-let set_retry_policy t pol = Med_catalog.set_retry_policy t.cat pol
-
-let retry_report t = Src_retry.report (Med_catalog.retry t.cat)
-
-(* ------------------------------------------------------------------ *)
-(* Execution engine selection                                          *)
-(* ------------------------------------------------------------------ *)
-
-let exec_mode t = Med_catalog.exec_mode t.cat
-
-let set_exec_mode t mode = Med_catalog.set_exec_mode t.cat mode
-
-let exec_report t =
-  Printf.sprintf "exec: %s\n"
-    (Alg_exec.mode_to_string (Med_catalog.exec_mode t.cat))
-
-(* ------------------------------------------------------------------ *)
-(* Path & value indexes                                                *)
-(* ------------------------------------------------------------------ *)
-
-let index_mode (_ : t) = Idx_manager.mode ()
-
-let set_index_mode (_ : t) mode = Idx_manager.set_mode mode
-
-(* Views register under "view:<name>"; a raw registry key (with its
-   prefix) is accepted too, so documents are reachable. *)
-let index_key name = if String.contains name ':' then name else "view:" ^ name
-
-let build_index (_ : t) name =
-  let key = index_key name in
-  match Idx_manager.build key with
-  | Some (paths, nodes, bytes) ->
-    Ok
-      (Printf.sprintf "built index %s: %d paths, %d nodes, %d bytes\n" key paths
-         nodes bytes)
-  | None -> Error (Printf.sprintf "nothing registered under %s" key)
-
-let index_report (_ : t) =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "index: mode=%s epoch=%d bytes=%d\n"
-       (Idx_manager.mode_to_string (Idx_manager.mode ()))
-       (Idx_manager.epoch ()) (Idx_manager.total_bytes ()));
-  List.iter
-    (fun (name, built, roots, bytes) ->
-      Buffer.add_string buf
-        (Printf.sprintf "  %-40s %s roots=%d bytes=%d\n" name
-           (if built then "guide" else "unbuilt")
-           roots bytes))
-    (Idx_manager.registered ());
-  Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Cost-based optimizer                                                *)
-(* ------------------------------------------------------------------ *)
-
-let optimizer t = Med_catalog.optimizer t.cat
-
-let set_optimizer t mode = Med_catalog.set_optimizer t.cat mode
-
-let optimizer_report t =
-  Printf.sprintf "optimizer: %s\n"
-    (Med_optimize.mode_to_string (Med_catalog.optimizer t.cat))
 
 let analyze_stats t =
   guard (fun () ->

@@ -43,6 +43,7 @@ val name : t -> string
 val catalog : t -> Med_catalog.t
 val store : t -> Mat_store.t
 val cache : t -> Mat_cache.t
+val sem_cache : t -> Sem_cache.t
 val auth : t -> Fe_auth.t
 
 (** {1 Administration} *)
@@ -70,69 +71,60 @@ val invalidate_source : t -> string -> int
     path every catalog mutation (defining or dropping a view,
     registering a source) also takes. *)
 
-(** {1 Fetch scheduling} *)
+(** {1 Execution knobs}
 
-val fetch_options : t -> Fetch_sched.options
-val set_fetch_options : t -> Fetch_sched.options -> unit
-(** Sequential (default) or scatter-gather source fetching for every
-    subsequent query against this engine. *)
+    Every execution knob is declared once, in {!knobs}: the CLI derives
+    its flags from the list, the repl its [\set]/[\show] commands,
+    and {!save_config} its [set] lines.  A knob's value is a string in
+    the same syntax everywhere. *)
 
-val configure_frag_cache : t -> ?ttl_ms:float -> capacity:int -> unit -> unit
-(** Resize/replace the fragment-level result cache (drops contents). *)
+type 'a knob = {
+  name : string;  (** the flag, [\set] and [set] name, e.g. ["fetch-mode"] *)
+  docv : string;  (** the value's placeholder in usage text *)
+  doc : string;  (** one paragraph for [--help] *)
+  get : 'a -> string;
+  set : 'a -> string -> (unit, string) result;
+      (** validates, applies, or returns the knob's error text *)
+}
+
+val knobs : t knob list
+(** The fetch, cache, retry, engine, optimizer and index knobs; each
+    entry's [doc] says what its values mean.  Answers are identical
+    under every value: the knobs trade latency, shipped rows and
+    throughput.  The index mode is process-wide; every other knob
+    belongs to its system. *)
+
+val knob_default : t knob -> string
+(** [get] on a system created at program start. *)
+
+val find_knob : string -> (t knob, string) result
+(** The knob of that name, or an error listing the known names. *)
+
+val set_knob : t -> string -> string -> (unit, string) result
+(** [set_knob t name value] is {!find_knob} then [set]. *)
+
+val set_retry_policy : t -> Src_retry.policy -> unit
+(** Install a whole retry/deadline/circuit-breaker policy
+    ({!Src_retry}) for every source call of every subsequent query;
+    installing one resets breaker state.  The [retry],
+    [retry-deadline], [breaker] and [retry-stale] knobs each set one
+    field of it. *)
+
+(** {1 Knob reports} *)
 
 val fetch_report : t -> string
-(** One-paragraph summary of the fetch mode, fan-out and fragment-cache
-    occupancy/counters — the repl's [\fetch] view. *)
-
-(** {1 Semantic cache} *)
-
-val configure_sem_cache : t -> budget_bytes:int -> unit -> unit
-(** Re-budget the semantic fragment cache (drops contents); 0 turns it
-    off. *)
-
-val sem_cache : t -> Sem_cache.t
+(** The fetch mode, fan-out and fragment-cache occupancy/counters — the
+    repl's [\fetch] view. *)
 
 val sem_report : t -> string
 (** Occupancy and hit/partial/miss counters — the repl's [\sem] view. *)
-
-(** {1 Retry & resilience} *)
-
-val retry_policy : t -> Src_retry.policy
-val set_retry_policy : t -> Src_retry.policy -> unit
-(** Retry/deadline/circuit-breaker policy ({!Src_retry}) applied to
-    every source call of every subsequent query.  The default policy is
-    inert; installing one resets breaker state. *)
 
 val retry_report : t -> string
 (** The current policy plus per-source breaker states — the repl's
     [\retry] view. *)
 
-(** {1 Execution engine} *)
-
-val exec_mode : t -> Alg_exec.mode
-val set_exec_mode : t -> Alg_exec.mode -> unit
-(** Tuple-at-a-time (default) or morsel-driven plan evaluation for
-    every subsequent query against this engine; morsel-driven mode
-    carries its domain count (1 is the sequential chunked mode) and
-    morsel size.  Answers are identical in both — this is a throughput
-    knob. *)
-
 val exec_report : t -> string
 (** One-line summary of the execution mode — the repl's [\exec] view. *)
-
-(** {1 Path & value indexes}
-
-    The structural-summary index subsystem ({!Idx_manager}): engines
-    answer indexable [Navigate] paths and pushed-down path selections
-    from per-view/per-document indexes instead of walking trees.
-    Answers are byte-identical with indexes on, off or mixed — this is
-    a throughput knob with optimizer visibility (index-backed
-    cardinalities, probe-aware costing). *)
-
-val index_mode : t -> Idx_manager.mode
-val set_index_mode : t -> Idx_manager.mode -> unit
-(** [Off] never probes, [Auto] (the default) builds guides on first
-    probe, [Eager] builds them at registration. *)
 
 val build_index : t -> string -> (string, string) result
 (** Force-build the structural guide for a materialized view (bare
@@ -140,22 +132,15 @@ val build_index : t -> string -> (string, string) result
     returns a one-line build summary.  The repl's [\index build]. *)
 
 val index_report : t -> string
-(** Mode, epoch, total bytes and one line per registration — the
-    repl's [\index] view. *)
-
-(** {1 Cost-based optimizer} *)
-
-val optimizer : t -> Med_optimize.mode
-val set_optimizer : t -> Med_optimize.mode -> unit
-(** Join-order strategy for every subsequent compilation against this
-    engine: the greedy connected walk (default) or DPsize enumeration
-    over the statistics catalog and network profiles, with bind-join
-    conversion.  Answers are identical in both — this is a shipped-rows
-    and latency knob. *)
+(** Mode, epoch, total bytes and one line per registration of the
+    structural-summary index subsystem ({!Idx_manager}) — the repl's
+    [\index] view. *)
 
 val optimizer_report : t -> string
 (** One-line summary of the optimizer mode — the repl's [\optimize]
     view. *)
+
+(** {1 Statistics} *)
 
 val analyze_stats : t -> (string, string) result
 (** Collect exact per-source statistics (row counts, distincts,
@@ -203,9 +188,11 @@ val report : t -> string
 (** Status page: sources, schemas, materializations, cache. *)
 
 val save_config : t -> string
-(** A reloadable script of the system's mediated schemas (in dependency
-    order) and materialization policies:
+(** A reloadable script of the system's knobs that differ from
+    {!knob_default}, then its mediated schemas (in dependency order) and
+    materialization policies:
     {v
+      set <knob> <value>
       view <name> := <xml-ql text, UNION allowed>
       describe <name> <description>
       materialize <name> manual|on-access|every:N

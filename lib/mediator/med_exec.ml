@@ -1204,11 +1204,6 @@ let run_analyzed ?(opts = Med_sqlgen.default_options) ?(view_lookup = no_lookup)
     analyzed_virtual_ms = Obs_clock.virtual_ms () -. v0;
   }
 
-let run_analyzed_text ?opts ?view_lookup catalog text =
-  match Xq_parser.parse text with
-  | Ok q -> run_analyzed ?opts ?view_lookup catalog q
-  | Error m -> fail "%s" m
-
 let analysis_to_string a =
   let buf = Buffer.create 512 in
   Buffer.add_string buf

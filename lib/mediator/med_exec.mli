@@ -149,14 +149,6 @@ val run_analyzed :
     plans with observed cardinalities), snapshots the estimates, then
     executes instrumented.  @raise Source.Unavailable as {!run}. *)
 
-val run_analyzed_text :
-  ?opts:Med_sqlgen.options ->
-  ?view_lookup:view_lookup ->
-  Med_catalog.t ->
-  string ->
-  analysis
-(** @raise Exec_error on syntax errors. *)
-
 val analysis_to_string : analysis -> string
 (** The EXPLAIN ANALYZE report: the operator tree with estimated vs
     actual rows and per-operator time, the access table with per-fragment

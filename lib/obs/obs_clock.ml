@@ -43,8 +43,6 @@ let end_round () =
   end
   else 0.0
 
-let in_round () = !round_depth > 0
-
 (* Including the in-progress lane keeps virtual deltas measured inside
    a lane (per-access spans, TTL checks) meaningful mid-round. *)
 let virtual_ms () = !virtual_clock +. (if !round_depth > 0 then !lane_cur else 0.0)

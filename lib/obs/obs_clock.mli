@@ -44,5 +44,3 @@ val begin_lane : unit -> unit
 val end_round : unit -> float
 (** Close the round; when the outermost round closes, advance the clock
     by the maximum lane total and return it (0 for nested rounds). *)
-
-val in_round : unit -> bool

@@ -41,58 +41,69 @@ let print_block env s =
   List.iter env.print
     (String.split_on_char '\n' s |> List.filter (fun l -> l <> ""))
 
+(* The server's knobs, in the record shape of {!Nimble.knob}; a
+   [config] line sets them before the server starts. *)
+let config_knobs : Srv_dispatch.config ref Nimble.knob list =
+  let int_knob name doc ~least get set =
+    let bad =
+      Printf.sprintf "%s must be a %s integer" name
+        (if least > 0 then "positive" else "non-negative")
+    in
+    {
+      Nimble.name;
+      docv = "N";
+      doc;
+      get = (fun c -> string_of_int (get !c));
+      set =
+        (fun c v ->
+          match int_of_string_opt v with
+          | Some n when n >= least -> Ok (c := set !c n)
+          | _ -> Error bad);
+    }
+  in
+  let queue (c : Srv_dispatch.config) f = { c with queue = f c.queue } in
+  [
+    int_knob "engines" "Logical engines the dispatcher balances requests over." ~least:1
+      (fun c -> c.Srv_dispatch.engines)
+      (fun c engines -> { c with engines });
+    int_knob "queue" "Admission queue capacity." ~least:1
+      (fun c -> c.Srv_dispatch.queue.Srv_admit.queue_capacity)
+      (fun c n -> queue c (fun q -> { q with queue_capacity = n }));
+    int_knob "inflight" "Requests one session may have in flight." ~least:1
+      (fun c -> c.Srv_dispatch.queue.Srv_admit.max_session_in_flight)
+      (fun c n -> queue c (fun q -> { q with max_session_in_flight = n }));
+    int_knob "cache" "Lens plan cache capacity (0 disables it)." ~least:0
+      (fun c -> c.Srv_dispatch.plan_cache_capacity)
+      (fun c plan_cache_capacity -> { c with plan_cache_capacity });
+    {
+      Nimble.name = "overhead";
+      docv = "MS";
+      doc = "Virtual milliseconds of service overhead per request.";
+      get = (fun c -> Printf.sprintf "%g" !c.Srv_dispatch.service_overhead_ms);
+      set =
+        (fun c v ->
+          match float_of_string_opt v with
+          | Some f when f >= 0.0 -> Ok (c := { !c with service_overhead_ms = f })
+          | _ -> Error "overhead must be a non-negative number");
+    };
+  ]
+
 let apply_config env pairs =
   if env.srv <> None then Error "config must precede the first directive"
   else
-    let rec go cfg = function
-      | [] ->
-        env.cfg <- cfg;
-        Ok ()
-      | tok :: rest -> (
-        match kv tok with
-        | None -> Error (Printf.sprintf "config: %S is not KEY=VAL" tok)
-        | Some (k, v) -> (
-          let int_v () = int_of_string_opt v in
-          match k with
-          | "engines" -> (
-            match int_v () with
-            | Some n when n >= 1 -> go { cfg with Srv_dispatch.engines = n } rest
-            | _ -> Error "config: engines must be a positive integer")
-          | "queue" -> (
-            match int_v () with
-            | Some n when n >= 1 ->
-              go
-                { cfg with
-                  Srv_dispatch.queue =
-                    { cfg.Srv_dispatch.queue with Srv_admit.queue_capacity = n }
-                }
-                rest
-            | _ -> Error "config: queue must be a positive integer")
-          | "inflight" -> (
-            match int_v () with
-            | Some n when n >= 1 ->
-              go
-                { cfg with
-                  Srv_dispatch.queue =
-                    { cfg.Srv_dispatch.queue with
-                      Srv_admit.max_session_in_flight = n
-                    }
-                }
-                rest
-            | _ -> Error "config: inflight must be a positive integer")
-          | "cache" -> (
-            match int_v () with
-            | Some n when n >= 0 ->
-              go { cfg with Srv_dispatch.plan_cache_capacity = n } rest
-            | _ -> Error "config: cache must be a non-negative integer")
-          | "overhead" -> (
-            match float_of_string_opt v with
-            | Some f when f >= 0.0 ->
-              go { cfg with Srv_dispatch.service_overhead_ms = f } rest
-            | _ -> Error "config: overhead must be a non-negative number")
-          | _ -> Error (Printf.sprintf "config: unknown key %S" k)))
+    let cfg = ref env.cfg in
+    let apply acc tok =
+      Result.bind acc (fun () ->
+          match kv tok with
+          | None -> Error (Printf.sprintf "%S is not KEY=VAL" tok)
+          | Some (k, v) -> (
+            match List.find_opt (fun kn -> kn.Nimble.name = k) config_knobs with
+            | Some kn -> kn.set cfg v
+            | None -> Error (Printf.sprintf "unknown key %S" k)))
     in
-    go env.cfg pairs
+    List.fold_left apply (Ok ()) pairs
+    |> Result.map (fun () -> env.cfg <- !cfg)
+    |> Result.map_error (( ^ ) "config: ")
 
 let do_request env = function
   | session :: lens :: query :: rest ->

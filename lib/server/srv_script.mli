@@ -29,6 +29,10 @@ val create :
     seeds the server configuration; a [config] directive can still
     adjust it before the first session opens. *)
 
+val config_knobs : Srv_dispatch.config ref Nimble.knob list
+(** The keys of a [config] line — [engines], [queue], [inflight],
+    [cache] and [overhead] — each with its validation and error text. *)
+
 val server : env -> Srv_dispatch.t
 (** The underlying server (created on first use). *)
 

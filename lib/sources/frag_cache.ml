@@ -200,7 +200,3 @@ let size t = Hashtbl.length t.table
 let capacity t = t.cap
 let ttl_ms t = t.ttl_ms
 let stats t = t.st
-
-let hit_rate t =
-  let total = t.st.frag_hits + t.st.frag_misses in
-  if total = 0 then 0.0 else float_of_int t.st.frag_hits /. float_of_int total

@@ -50,4 +50,3 @@ val size : t -> int
 val capacity : t -> int
 val ttl_ms : t -> float option
 val stats : t -> stats
-val hit_rate : t -> float

@@ -43,15 +43,6 @@ let scan_only =
   { can_select = false; can_project = false; can_join = false; can_aggregate = false;
     can_path = false }
 
-let rows_of_result = function
-  | R_rows (_, rows) -> rows
-  | R_trees _ -> invalid_arg "Source.rows_of_result: tree result"
-  | R_batch _ -> invalid_arg "Source.rows_of_result: batch result"
-
 let table_document name rows =
   Dtree.node name (List.map (fun row -> Dtree.of_tuple "row" row) rows)
 
-let trees_of_result = function
-  | R_trees trees -> trees
-  | R_rows (_, rows) -> List.map (fun row -> Dtree.of_tuple "row" row) rows
-  | R_batch _ -> invalid_arg "Source.trees_of_result: batch result"

@@ -66,12 +66,6 @@ type t = {
 val full_capability : capability
 val scan_only : capability
 
-val rows_of_result : result -> Tuple.t list
-(** @raise Invalid_argument when the result holds trees. *)
-
-val trees_of_result : result -> Dtree.t list
-(** Rows are converted to row trees when needed. *)
-
 val table_document : string -> Tuple.t list -> Dtree.t
 (** [<name>] wrapping one [<row>] child per tuple — the canonical XML
     view of a relation. *)

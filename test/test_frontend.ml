@@ -460,8 +460,41 @@ let test_cleaned_source_unknown () =
 (* Configuration scripts                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* A non-default value for every knob in [Nimble.knobs]; the roundtrip
+   fails when a knob joins the table without one. *)
+let non_default_knobs =
+  [
+    ("fetch-mode", "gather");
+    ("fetch-fanout", "2");
+    ("frag-cache", "16");
+    ("sem-cache", "65536");
+    ("retry", "2");
+    ("retry-deadline", "50");
+    ("breaker", "on");
+    ("retry-stale", "on");
+    ("chunk-size", "256");
+    ("parallel", "2");
+    ("optimize", "dp:3");
+    ("index", "eager");
+  ]
+
+let knob_values sys = List.map (fun (k : Nimble.t Nimble.knob) -> (k.name, k.get sys)) Nimble.knobs
+
 let test_config_roundtrip () =
+  (* The index mode is process-wide: put the default back however the
+     test ends. *)
+  Fun.protect ~finally:(fun () -> Idx_manager.set_mode Idx_manager.Auto) @@ fun () ->
   let sys, _ = make_system () in
+  List.iter
+    (fun (k : Nimble.t Nimble.knob) ->
+      match List.assoc_opt k.name non_default_knobs with
+      | Some v -> ok (k.set sys v)
+      | None -> Alcotest.failf "knob %s has no non-default test value" k.name)
+    Nimble.knobs;
+  List.iter
+    (fun (k : Nimble.t Nimble.knob) ->
+      check bool_t (k.name ^ " is off its default") true (k.get sys <> Nimble.knob_default k))
+    Nimble.knobs;
   ok
     (Nimble.define_view sys ~description:"west side" "west"
        {|WHERE <row><name>$n</name><region>"west"</region></row> IN "crm.customers"
@@ -474,9 +507,19 @@ let test_config_roundtrip () =
   check bool_t "script has view" true (contains script "view west :=");
   check bool_t "script has description" true (contains script "describe west west side");
   check bool_t "script has policy" true (contains script "materialize west every:10");
-  (* Replay into a fresh system with the same sources. *)
+  check bool_t "script has knob" true (contains script "set index eager\n");
+  let before_views needle =
+    let rec first i = if String.sub script i (String.length needle) = needle then i else first (i + 1) in
+    first 0
+  in
+  check bool_t "knobs precede views" true (before_views "set " < before_views "view ");
+  (* Replay into a fresh system with the same sources, the process-wide
+     index mode back at its default first. *)
+  Idx_manager.set_mode Idx_manager.Auto;
   let sys2, _ = make_system () in
   ok (Nimble.load_config sys2 script);
+  check (Alcotest.list (Alcotest.pair string_t string_t)) "every knob restored"
+    (knob_values sys) (knob_values sys2);
   check bool_t "views recreated" true
     (Med_catalog.find_view (Nimble.catalog sys2) "west_names" <> None);
   (match Med_catalog.find_view (Nimble.catalog sys2) "west" with
@@ -489,6 +532,44 @@ let test_config_roundtrip () =
   let q = {|WHERE <n>$x</n> IN "west_names" CONSTRUCT <o>$x</o>|} in
   check int_t "replayed system answers" (List.length (ok (Nimble.query sys q)))
     (List.length (ok (Nimble.query sys2 q)))
+
+(* Setting a knob to the value it reads on a fresh system succeeds and
+   changes no knob, in both tables. *)
+let test_knob_defaults_are_noops () =
+  let sys = Nimble.create () in
+  let fresh = knob_values sys in
+  List.iter
+    (fun (k : Nimble.t Nimble.knob) ->
+      check string_t (k.name ^ " reads its default") (Nimble.knob_default k) (k.get sys);
+      ok (k.set sys (k.get sys));
+      check (Alcotest.list (Alcotest.pair string_t string_t)) (k.name ^ " set is a no-op") fresh
+        (knob_values sys))
+    Nimble.knobs;
+  let cfg = ref Srv_dispatch.default_config in
+  List.iter
+    (fun (k : Srv_dispatch.config ref Nimble.knob) ->
+      ok (k.set cfg (k.get cfg));
+      check bool_t (k.name ^ " config set is a no-op") true (!cfg = Srv_dispatch.default_config))
+    Srv_script.config_knobs
+
+let test_knob_errors () =
+  let sys = Nimble.create () in
+  let err name v expected =
+    match Nimble.set_knob sys name v with
+    | Error m -> check string_t (name ^ " " ^ v) expected m
+    | Ok () -> Alcotest.failf "%s %s should be rejected" name v
+  in
+  err "fetch-mode" "turbo" {|unknown fetch mode "turbo" (seq, gather)|};
+  err "chunk-size" "0" "chunk size must be positive";
+  err "parallel" "-1" "parallelism must be non-negative";
+  err "breaker" "maybe" {|unknown breaker mode "maybe" (on, off)|};
+  err "index" "sometimes" {|unknown index mode "sometimes" (expected auto, off or eager)|};
+  err "optimize" "fast" {|unknown optimizer mode "fast" (greedy, dp, dp:N)|};
+  (match Nimble.set_knob sys "turbo" "on" with
+  | Error m -> check bool_t "unknown knob named" true (contains m {|unknown knob "turbo"|})
+  | Ok () -> Alcotest.fail "unknown knob accepted");
+  check (Alcotest.list (Alcotest.pair string_t string_t)) "rejections change nothing"
+    (knob_values (Nimble.create ())) (knob_values sys)
 
 let test_config_union_view_roundtrip () =
   let sys, _ = make_system () in
@@ -575,5 +656,7 @@ let () =
           Alcotest.test_case "save/load roundtrip" `Quick test_config_roundtrip;
           Alcotest.test_case "union view roundtrip" `Quick test_config_union_view_roundtrip;
           Alcotest.test_case "error reporting" `Quick test_config_errors;
+          Alcotest.test_case "knob defaults are no-ops" `Quick test_knob_defaults_are_noops;
+          Alcotest.test_case "knob errors" `Quick test_knob_errors;
         ] );
     ]
