@@ -1588,6 +1588,153 @@ let e19 () =
   Bench_json.note_param "retries" (string_of_int retry_policy.Src_retry.max_retries);
   Bench_json.note_rows queries
 
+(* ------------------------------------------------------------------ *)
+(* E20: projected XML fetches — what a path access ships               *)
+(* ------------------------------------------------------------------ *)
+
+let e20 () =
+  section "E20"
+    "projected XML fetches: nodes shipped per bound and per unbound catalog fetch";
+  let ncat = if !quick then 10 else 40 in
+  let per_cat = if !quick then 20 else 50 in
+  let nstores = 20 in
+  let nsales = if !quick then 80 else 200 in
+  let g = Prng.create 200 in
+  let sku p = Printf.sprintf "S%05d" p in
+  (* The benchmark's catalog shape: products dealt round-robin to
+     categories, each with a name and a price the queries read and a
+     stock count they never do. *)
+  let catalog =
+    Dtree.node "catalog"
+      (List.init ncat (fun c ->
+           Dtree.node
+             ~attrs:[ ("name", Value.String (Printf.sprintf "c%d" (c + 1))) ]
+             "category"
+             (List.init per_cat (fun k ->
+                  let p = (k * ncat) + c + 1 in
+                  Dtree.node ~attrs:[ ("sku", Value.String (sku p)) ] "product"
+                    [ Dtree.leaf "name" (Value.String (Printf.sprintf "item %d" p));
+                      Dtree.leaf "price" (Value.Int (1 + Prng.int g 500));
+                      Dtree.leaf "stock" (Value.Int (Prng.int g 100)) ]))))
+  in
+  let sales =
+    List.init nsales (fun i ->
+        (i + 1, 1 + Prng.int g nstores, 1 + Prng.int g (ncat * per_cat), 10 + Prng.int g 2000))
+  in
+  let till = Rel_db.create ~name:"till" () in
+  ignore (Rel_db.exec till "CREATE TABLE sales (sid INT PRIMARY KEY, store INT, sku TEXT, revenue INT)");
+  ignore
+    (Rel_db.exec till
+       ("INSERT INTO sales VALUES "
+       ^ String.concat ", "
+           (List.map
+              (fun (sid, store, p, revenue) ->
+                Printf.sprintf "(%d, %d, '%s', %d)" sid store (sku p) revenue)
+              sales)));
+  let shelf_src, shelf =
+    Net_sim.wrap Net_sim.default_profile (Xml_source.make ~name:"shelf" [ ("catalog", catalog) ])
+  in
+  let cat = Med_catalog.create () in
+  Med_catalog.register_source cat (Rel_source.make till);
+  Med_catalog.register_source cat shelf_src;
+  Med_catalog.define_view_text cat "sold"
+    {|WHERE <row><sid>$i</sid><store>$st</store><sku>$s</sku><revenue>$v</revenue></row> IN "till.sales"
+      CONSTRUCT <sd><sid>$i</sid><store>$st</store><sku>$s</sku><revenue>$v</revenue></sd>|};
+  Med_catalog.define_view_text cat "prod"
+    {|WHERE <category name=$k><product sku=$s><name>$n</name><price>$p</price></product></category> IN "shelf.catalog"
+      CONSTRUCT <prod><sku>$s</sku><cat>$k</cat><name>$n</name><price>$p</price></prod>|};
+  let norm trees = List.sort compare (List.map Dtree.to_string trees) in
+  (* Run one query, returning the nodes and calls it cost the shelf and
+     its answer count; the answers must be the reference evaluator's. *)
+  let fetch label text =
+    let q = Xq_parser.parse_exn text in
+    Net_sim.reset shelf;
+    let answers = Med_exec.run cat q in
+    let nodes = shelf.Net_sim.tuples_shipped and calls = shelf.Net_sim.calls in
+    if norm answers <> norm (Xq_eval.eval (Med_exec.direct_resolver cat) q) then
+      failwith (Printf.sprintf "E20: %s answers differ from the reference" label);
+    (nodes, calls, List.length answers)
+  in
+  let size_of_category c =
+    match List.nth_opt (Dtree.kids catalog) c with Some t -> Dtree.size t | None -> 0
+  in
+  (* Bound: one store's sales joined to [prod], whose path access ships
+     the store's skus as keys.  A whole-subtree fetch would ship every
+     category holding a key. *)
+  let bound =
+    List.init nstores (fun i ->
+        let store = i + 1 in
+        let text =
+          Printf.sprintf
+            {|WHERE <sd><sid>$i</sid><store>"%d"</store><sku>$s</sku><revenue>$v</revenue></sd> IN "sold",
+                    <prod><sku>$s</sku><name>$n</name><price>$p</price></prod> IN "prod"
+              CONSTRUCT <line><sid>$i</sid><name>$n</name><price>$p</price></line>|}
+            store
+        in
+        let plan = Med_planner.compile cat (Xq_parser.parse_exn text) in
+        if
+          not
+            (List.exists
+               (function _, Med_planner.A_view { bind = Some _; _ } -> true | _ -> false)
+               plan.Med_planner.accesses)
+        then failwith "E20: the product view is not bound";
+        let keys =
+          List.sort_uniq compare
+            (List.filter_map (fun (_, st, p, _) -> if st = store then Some p else None) sales)
+        in
+        let cats = List.sort_uniq compare (List.map (fun p -> (p - 1) mod ncat) keys) in
+        let nodes, calls, answers = fetch (Printf.sprintf "store %d" store) text in
+        (nodes, calls, answers, List.length keys, List.fold_left (fun acc c -> acc + size_of_category c) 0 cats))
+  in
+  (* Unbound: one category's products, as the shop lens asks. *)
+  let unbound =
+    List.init ncat (fun c ->
+        let text =
+          Printf.sprintf
+            {|WHERE <category name="c%d"><product sku=$s><name>$n</name><price>$p</price></product></category> IN "shelf.catalog"
+              CONSTRUCT <p><sku>$s</sku><name>$n</name><price>$p</price></p>|}
+            (c + 1)
+        in
+        let nodes, calls, answers = fetch (Printf.sprintf "category c%d" (c + 1)) text in
+        (nodes, calls, answers, per_cat, size_of_category c))
+  in
+  let summarize rows =
+    let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
+    let fetches = sum (fun (_, calls, _, _, _) -> calls) in
+    let per_fetch n = float_of_int n /. float_of_int (max 1 fetches) in
+    ( fetches,
+      per_fetch (sum (fun (nodes, _, _, _, _) -> nodes)),
+      per_fetch (sum (fun (_, _, _, _, whole) -> whole)),
+      float_of_int (sum (fun (nodes, _, _, _, _) -> nodes))
+      /. float_of_int (max 1 (sum (fun (_, _, _, products, _) -> products))),
+      sum (fun (_, _, answers, _, _) -> answers) )
+  in
+  let b_fetches, b_nodes, b_whole, b_per_product, b_answers = summarize bound in
+  let u_fetches, u_nodes, u_whole, u_per_product, u_answers = summarize unbound in
+  row "%-26s %8s %12s %18s %10s %14s\n" "fetch" "fetches" "nodes/fetch" "whole nodes/fetch"
+    "shipped" "nodes/product";
+  List.iter
+    (fun (label, fetches, nodes, whole, per_product) ->
+      row "%-26s %8d %12.1f %18.1f %9.0f%% %14.2f\n" label fetches nodes whole
+        (100.0 *. nodes /. whole) per_product)
+    [ ("bound prod (sku keys)", b_fetches, b_nodes, b_whole, b_per_product);
+      ("unbound category", u_fetches, u_nodes, u_whole, u_per_product) ];
+  row "answers identical to the reference evaluator: yes (%d bound, %d unbound)\n" b_answers
+    u_answers;
+  if b_nodes >= b_whole || u_nodes >= u_whole then
+    failwith "E20: a projected fetch shipped no fewer nodes than the whole subtree";
+  Bench_json.note_param "categories" (string_of_int ncat);
+  Bench_json.note_param "products_per_category" (string_of_int per_cat);
+  Bench_json.note_param "bound_fetches" (string_of_int b_fetches);
+  Bench_json.note_param "bound_nodes_per_fetch" (Printf.sprintf "%.1f" b_nodes);
+  Bench_json.note_param "bound_whole_nodes_per_fetch" (Printf.sprintf "%.1f" b_whole);
+  Bench_json.note_param "bound_nodes_per_matching_product" (Printf.sprintf "%.2f" b_per_product);
+  Bench_json.note_param "category_fetches" (string_of_int u_fetches);
+  Bench_json.note_param "category_nodes_per_fetch" (Printf.sprintf "%.1f" u_nodes);
+  Bench_json.note_param "category_whole_nodes_per_fetch" (Printf.sprintf "%.1f" u_whole);
+  Bench_json.note_param "identical" "yes";
+  Bench_json.note_rows (b_answers + u_answers)
+
 let all () =
   e1 ();
   e2 ();
@@ -1609,4 +1756,5 @@ let all () =
   e16 ();
   e17 ();
   e18 ();
-  e19 ()
+  e19 ();
+  e20 ()

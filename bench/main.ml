@@ -34,6 +34,7 @@ let experiments : (string * (unit -> unit)) list =
     ("E17", Experiments.e17);
     ("E18", Experiments.e18);
     ("E19", Experiments.e19);
+    ("E20", Experiments.e20);
   ]
 
 (* Experiments run behind this wrapper so every one of them emits its

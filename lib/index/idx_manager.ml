@@ -374,7 +374,7 @@ let value_probe_of preds =
 
 type outcome = Value | Guide
 
-let try_select tree path =
+let try_select ?(project = Fun.id) tree path =
   if Atomic.get mode_a = Off then None
   else
     match find_root tree with
@@ -428,8 +428,9 @@ let try_select tree path =
                   let node = Idx_guide.node guide id in
                   if List.for_all (fun holds -> holds node) tests then
                     (* Same XML round-trip the walker's results take, so
-                       answers are byte-identical. *)
-                    Some (Dtree.of_xml_element (Dtree.to_xml_element node))
+                       answers are byte-identical; a projection first, so
+                       only what ships is copied. *)
+                    Some (Dtree.of_xml_element (Dtree.to_xml_element (project node)))
                   else None)
                 ids
             in

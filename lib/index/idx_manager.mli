@@ -65,8 +65,19 @@ type outcome = Value | Guide
     result nodes in document order, re-imported through the same
     XML round-trip as the walker so answers are byte-identical.  [None]
     when indexing is off, [tree] is not a registered root, or the path
-    is outside the indexable subset — callers must then run the walker. *)
-val try_select : Dtree.t -> Xml_path.t -> (Dtree.t list * outcome) option
+    is outside the indexable subset — callers must then run the walker.
+    [project] (default: identity) maps each result node before the
+    round-trip, so a projecting caller copies only what it keeps. *)
+val try_select :
+  ?project:(Dtree.t -> Dtree.t) -> Dtree.t -> Xml_path.t -> (Dtree.t list * outcome) option
+
+(** [node_pred_holds pred] tests [pred] on a node as the walker tests it
+    on the node's XML rendering: attributes and text compare as
+    {!Value.to_string} renders them, under {!Xml_path.compare_values}.
+    The test is built once per predicate (an IN-list hashes its keys
+    once), then applied per node.  [Position] never holds: position is a
+    property of a node among its siblings, not of the node. *)
+val node_pred_holds : Xml_path.pred -> Dtree.t -> bool
 
 (** [lacks_label name label] is true when no element of the forest
     registered under [name] carries [label] — proven from its structural

@@ -85,13 +85,16 @@ let set_retry_policy t pol = Src_retry.set_policy t.retry pol
 
 let frag_cache t = t.frag
 
+(* Re-setting a cache to its current configuration keeps its entries
+   and counters: only a change of size, TTL or budget rebuilds it. *)
 let configure_frag_cache t ?ttl_ms ~capacity () =
-  t.frag <- Frag_cache.create ?ttl_ms ~capacity ()
+  if capacity <> Frag_cache.capacity t.frag || ttl_ms <> Frag_cache.ttl_ms t.frag then
+    t.frag <- Frag_cache.create ?ttl_ms ~capacity ()
 
 let sem_cache t = t.sem
 
 let configure_sem_cache t ~budget_bytes () =
-  t.sem <- Sem_cache.create ~budget_bytes ()
+  if budget_bytes <> Sem_cache.budget t.sem then t.sem <- Sem_cache.create ~budget_bytes ()
 
 let fetch_options t = t.fetch
 

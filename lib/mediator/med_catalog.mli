@@ -91,7 +91,9 @@ val frag_cache : t -> Frag_cache.t
     means every access goes to the wire. *)
 
 val configure_frag_cache : t -> ?ttl_ms:float -> capacity:int -> unit -> unit
-(** Replace the fragment cache (dropping its contents). *)
+(** Replace the fragment cache (dropping its contents) when the capacity
+    or TTL differs from the current one; otherwise a no-op that keeps
+    its entries and counters. *)
 
 val sem_cache : t -> Sem_cache.t
 (** The catalog's semantic fragment cache ({!Sem_cache}): extents
@@ -101,7 +103,8 @@ val sem_cache : t -> Sem_cache.t
     extents before subscribers run. *)
 
 val configure_sem_cache : t -> budget_bytes:int -> unit -> unit
-(** Replace the semantic cache (dropping its contents). *)
+(** Replace the semantic cache (dropping its contents) when the budget
+    differs from the current one; otherwise a no-op. *)
 
 val fetch_options : t -> Fetch_sched.options
 (** How executions against this catalog issue their source accesses:

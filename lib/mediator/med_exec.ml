@@ -218,7 +218,11 @@ let rec narrow_access catalog v keys (access : Med_planner.access) =
       | None -> Ok access
       | Some site ->
         let* texts = canonical (all_some (List.map Med_pathgen.key_text keys)) in
-        Ok (Med_planner.A_path { r with path = Med_pathgen.narrow r.path site texts }))
+        Ok
+          (Med_planner.A_path
+             { r with
+               path = Med_pathgen.narrow r.path site texts;
+               shape = Med_pathgen.shape ~bound:(site, texts) r.path r.pattern }))
     | Med_planner.A_view ({ composed = Some c; _ } as r) ->
       let* c = narrow_composed catalog r.pattern.Xq_ast.tag v keys c in
       Ok (Med_planner.A_view { r with composed = Some c })
@@ -262,8 +266,8 @@ and narrow_composed catalog tag v keys (c : Med_planner.composed) =
 (* The fragment string is the cache identity of what ships to the
    source; it doubles as a human-readable label.  SQL fragments are
    cached under their text verbatim. *)
-let frag_key_path export path =
-  Printf.sprintf "path:%s:%s" export (Xml_path.to_string path)
+let frag_key_path export path shape =
+  Printf.sprintf "path:%s:%s%s" export (Xml_path.to_string path) (Source.shape_to_string shape)
 
 let frag_key_scan export = "scan:" ^ export
 let frag_key_doc doc = "doc:" ^ doc
@@ -579,7 +583,7 @@ let rec run_access ?(sem = ignore) catalog ~opts ~view_lookup access : Alg_env.t
         rows
     | Source.R_trees _ -> fail "join fragment returned trees from %s" source_name
     | Source.R_batch _ -> fail "unexpected batch result from %s" source_name)
-  | Med_planner.A_path { source_name; export; path; pattern } -> (
+  | Med_planner.A_path { source_name; export; path; pattern; shape } -> (
     let src = Src_registry.find_exn (Med_catalog.registry catalog) source_name in
     if path_matches_nothing path then begin
       require_available catalog src;
@@ -588,8 +592,8 @@ let rec run_access ?(sem = ignore) catalog ~opts ~view_lookup access : Alg_env.t
     else
       try
         match
-          frag_fetch catalog src ~fragment:(frag_key_path export path)
-            (Source.Q_path (export, path))
+          frag_fetch catalog src ~fragment:(frag_key_path export path shape)
+            (Source.Q_path (export, path, shape))
         with
         | Source.R_trees candidates ->
           (* Preselection is a superset; full matching verifies and binds. *)

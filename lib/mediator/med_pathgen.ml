@@ -98,3 +98,62 @@ let narrow (path : Xml_path.t) site keys =
   | first :: rest ->
     let preds = first.Xml_path.preds @ [ Xml_path.in_list ?attr:site.attr site.rel keys ] in
     { path with Xml_path.steps = { first with Xml_path.preds } :: rest }
+
+(* ------------------------------------------------------------------ *)
+(* Projection                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* The element sub-patterns of [p] testing [tag]. *)
+let tagged (p : Xq_ast.pattern) tag =
+  List.filter_map
+    (function
+      | Xq_ast.P_element sub when String.equal sub.Xq_ast.tag tag -> Some sub
+      | Xq_ast.P_element _ | Xq_ast.P_var _ | Xq_ast.P_text _ -> None)
+    p.Xq_ast.children
+
+(* What [Xq_eval.match_pattern] reads of an element matching [p]: its
+   attributes, and the children its element sub-patterns can match.
+   Content (a variable or text child), ELEMENT_AS and a [*] child read
+   everything; a tag two sub-patterns share stays whole, so each kept
+   child has one sub-pattern to shape it. *)
+let rec pattern_shape (p : Xq_ast.pattern) =
+  let reads_all =
+    p.Xq_ast.tag = "*"
+    || p.Xq_ast.element_as <> None
+    || List.exists
+         (function
+           | Xq_ast.P_var _ | Xq_ast.P_text _ -> true
+           | Xq_ast.P_element sub -> sub.Xq_ast.tag = "*")
+         p.Xq_ast.children
+  in
+  if reads_all then Source.Whole
+  else
+    let tags =
+      List.sort_uniq String.compare
+        (List.filter_map
+           (function Xq_ast.P_element sub -> Some sub.Xq_ast.tag | _ -> None)
+           p.Xq_ast.children)
+    in
+    Source.Kids
+      (List.map
+         (fun tag ->
+           match tagged p tag with
+           | [ sub ] -> (tag, None, pattern_shape sub)
+           | _ -> (tag, None, Source.Whole))
+         tags)
+
+let shape ?bound (path : Xml_path.t) (p : Xq_ast.pattern) =
+  match path.Xml_path.steps with
+  | [ ({ Xml_path.test = Xml_path.Name tag; _ } as step) ]
+    when String.equal tag p.Xq_ast.tag && not (positional step) -> (
+    match pattern_shape p, bound with
+    | Source.Kids kids, Some ({ rel = first :: rest; attr }, keys)
+      when List.length (tagged p first) = 1 ->
+      Source.Kids
+        (List.map
+           (fun (tag, pred, sub) ->
+             if String.equal tag first then (tag, Some (Xml_path.in_list ?attr rest keys), sub)
+             else (tag, pred, sub))
+           kids)
+    | shape, _ -> shape)
+  | _ -> Source.Whole

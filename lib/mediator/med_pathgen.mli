@@ -51,3 +51,27 @@ val key_text : Value.t -> string option
 
 val narrow : Xml_path.t -> site -> string list -> Xml_path.t
 (** The path with [site in (keys)] added to its first step. *)
+
+(** {1 Projection}
+
+    A path access ships each candidate {e projected}: only what the
+    pattern's match can read (Marian & Siméon, "Projecting XML
+    Documents", VLDB 2003). *)
+
+val shape : ?bound:site * string list -> Xml_path.t -> Xq_ast.pattern -> Source.shape
+(** What a path access over the pattern ships of each candidate.
+    Attributes are always kept.  Below each element the shape keeps the
+    children whose tag one of the element's sub-patterns names, each
+    projected by that sub-pattern; an element is kept whole when its
+    pattern node has a variable or text child (its content is read), an
+    [ELEMENT_AS], a [*] tag or a [*] child.  A tag two sibling
+    sub-patterns share is kept whole.  A path that is not the one step
+    {!compile_pattern} builds for the pattern's root, or that carries a
+    [position()] predicate, gets {!Source.Whole}.
+
+    [bound] is the site and key texts a bind join {!narrow}s the path
+    with: the root's child on the site's path is then kept only where
+    the rest of the site holds a key — [product[@sku in keys]] for site
+    [product/@sku] — unless its tag is shared with a sibling sub-pattern
+    or the root is kept whole.  A row the join keeps binds the variable
+    through that child, so the filter drops only rows the join drops. *)

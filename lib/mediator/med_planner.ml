@@ -15,6 +15,7 @@ type access =
       export : string;
       path : Xml_path.t;
       pattern : Xq_ast.pattern;
+      shape : Source.shape;
     }
   | A_match of {
       source_name : string;
@@ -85,7 +86,7 @@ let access_key = function
     Printf.sprintf "sql|%s|%s" source_name fragment.Med_sqlgen.sql_text
   | A_sql_join { source_name; fragment; _ } ->
     Printf.sprintf "sqljoin|%s|%s" source_name fragment.Med_sqlgen.jf_sql_text
-  | A_path { source_name; export; path; pattern } ->
+  | A_path { source_name; export; path; pattern; _ } ->
     Printf.sprintf "path|%s.%s|%s|%s" source_name export (Xml_path.to_string path)
       (Xq_pretty.pattern_to_string pattern)
   | A_match { source_name; export; pattern } ->
@@ -789,9 +790,10 @@ and clause_access ?feedback opts catalog (clause : Xq_ast.clause) candidates =
         if src.Source.capability.Source.can_path && opts.Med_sqlgen.pushdown_select then
           match Med_pathgen.compile_pattern clause.Xq_ast.clause_pattern with
           | Some path ->
+            let pattern = clause.Xq_ast.clause_pattern in
             ( A_path
-                { source_name = src.Source.name; export; path;
-                  pattern = clause.Xq_ast.clause_pattern },
+                { source_name = src.Source.name; export; path; pattern;
+                  shape = Med_pathgen.shape path pattern },
               [] )
           | None -> (fallback, [])
         else (fallback, [])
@@ -1085,7 +1087,7 @@ let access_to_string (aid, access) =
     Printf.sprintf "  %s -> SQL @%s: %s" aid source_name fragment.Med_sqlgen.sql_text
   | A_sql_join { source_name; fragment; _ } ->
     Printf.sprintf "  %s -> SQL-JOIN @%s: %s" aid source_name fragment.Med_sqlgen.jf_sql_text
-  | A_path { source_name; export; path; pattern } ->
+  | A_path { source_name; export; path; pattern; _ } ->
     Printf.sprintf "  %s -> PATH @%s.%s: %s then match %s" aid source_name export
       (Xml_path.to_string path)
       (Xq_pretty.pattern_to_string pattern)

@@ -46,6 +46,8 @@ type access =
       export : string;
       path : Xml_path.t;         (** preselection pushed to the store *)
       pattern : Xq_ast.pattern;  (** verified on the candidates *)
+      shape : Source.shape;
+          (** what of each candidate ships ({!Med_pathgen.shape}) *)
     }
   | A_match of {
       source_name : string;

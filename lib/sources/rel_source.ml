@@ -68,7 +68,9 @@ let make_limited cap db =
       | Some table ->
         Source.R_rows (Dschema.column_names (Rel_table.schema table), Rel_table.to_list table)
       | None -> raise (Source.Query_rejected (Printf.sprintf "unknown table %s" name)))
-    | Source.Q_path (name, path) ->
+    | Source.Q_path (name, path, _shape) ->
+      (* Whole matches: a superset of any projection, which the mediator's
+         pattern match verifies. *)
       let doc = List.hd (documents name) in
       let matches = Xml_path.select path (Dtree.to_xml_element doc) in
       Source.R_trees (List.map Dtree.of_xml_element matches)

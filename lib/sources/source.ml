@@ -11,9 +11,13 @@ type capability = {
   can_path : bool;
 }
 
+type shape =
+  | Whole
+  | Kids of (string * Xml_path.pred option * shape) list
+
 type query =
   | Q_sql of string
-  | Q_path of string * Xml_path.t
+  | Q_path of string * Xml_path.t * shape
   | Q_scan of string
   | Q_batch of query list
 
@@ -46,3 +50,15 @@ let scan_only =
 let table_document name rows =
   Dtree.node name (List.map (fun row -> Dtree.of_tuple "row" row) rows)
 
+let rec shape_to_string = function
+  | Whole -> ""
+  | Kids kids ->
+    "{"
+    ^ String.concat ","
+        (List.map
+           (fun (tag, pred, sub) ->
+             tag
+             ^ (match pred with Some p -> Xml_path.pred_to_string p | None -> "")
+             ^ (match sub with Whole -> "" | Kids _ -> shape_to_string sub))
+           kids)
+    ^ "}"

@@ -24,9 +24,25 @@ type capability = {
   can_path : bool;       (** path-expression pushdown *)
 }
 
+(** What of each element a path selects an XML store ships: a
+    projection in the sense of Marian & Siméon ("Projecting XML
+    Documents"), derived from the pattern that verifies the candidates
+    ({!Med_pathgen.shape}). *)
+type shape =
+  | Whole  (** the element and its whole subtree *)
+  | Kids of (string * Xml_path.pred option * shape) list
+      (** the element's attributes and, of its children, only the
+          elements labelled with a listed tag — each kept only where the
+          predicate, if any, holds on it, and shaped in turn.  Text
+          children are dropped. *)
+
 type query =
   | Q_sql of string          (** SQL text (relational sources) *)
-  | Q_path of string * Xml_path.t  (** document name, path (XML stores) *)
+  | Q_path of string * Xml_path.t * shape
+      (** document name, path, and what of each match to ship (XML
+          stores).  A store may ignore the shape and ship whole matches:
+          the mediator verifies every candidate, so a superset is
+          always correct. *)
   | Q_scan of string         (** table or document name *)
   | Q_batch of query list
       (** several fragments shipped as one round trip (the fetch
@@ -65,6 +81,11 @@ type t = {
 
 val full_capability : capability
 val scan_only : capability
+
+val shape_to_string : shape -> string
+(** Injective rendering: [""] for {!Whole},
+    [{product[@sku in ('a')]{name,price}}] for a projection.  Part of
+    the fragment cache's identity for a path fetch. *)
 
 val table_document : string -> Tuple.t list -> Dtree.t
 (** [<name>] wrapping one [<row>] child per tuple — the canonical XML

@@ -27,6 +27,29 @@ let reindex name =
   | Some store -> register_docs name store.docs
   | None -> ()
 
+let rec projector = function
+  | Source.Whole -> Fun.id
+  | Source.Kids kids ->
+    let kids =
+      List.map
+        (fun (tag, pred, sub) ->
+          ( tag,
+            Option.fold ~none:(fun _ -> true) ~some:Idx_manager.node_pred_holds pred,
+            projector sub ))
+        kids
+    in
+    let keep kid =
+      match kid with
+      | Dtree.Atom _ -> None
+      | Dtree.Node { label; _ } -> (
+        match List.find_opt (fun (tag, _, _) -> String.equal tag label) kids with
+        | Some (_, holds, project) when holds kid -> Some (project kid)
+        | Some _ | None -> None)
+    in
+    (function
+      | Dtree.Atom _ as a -> a
+      | Dtree.Node n -> Dtree.Node { n with kids = List.filter_map keep n.kids })
+
 let make ~name docs =
   let store = { docs } in
   Hashtbl.replace stores name store;
@@ -39,7 +62,7 @@ let make ~name docs =
   in
   let execute = function
     | Source.Q_scan doc_name -> Source.R_trees (find doc_name)
-    | Source.Q_path (doc_name, path) ->
+    | Source.Q_path (doc_name, path, shape) ->
       let trees = find doc_name in
       (* Self-heal after a source invalidation dropped this document's
          entry: re-register from the live trees (no refetch, so wrapped
@@ -47,13 +70,17 @@ let make ~name docs =
       let key = idx_name name doc_name in
       if (not (Idx_manager.is_registered key)) && Idx_manager.mode () <> Idx_manager.Off
       then Idx_manager.register key trees;
+      let project = projector shape in
       let matches =
         List.concat_map
           (fun tree ->
-            match Idx_manager.try_select tree path with
+            match Idx_manager.try_select ~project tree path with
             | Some (results, _) -> results
             | None ->
-              List.map Dtree.of_xml_element
+              (* The walker selects on the XML rendering, so its matches
+                 are imported before they are projected. *)
+              List.map
+                (fun e -> project (Dtree.of_xml_element e))
                 (Xml_path.select path (Dtree.to_xml_element tree)))
           trees
       in

@@ -99,6 +99,10 @@ val in_target_to_string : string list -> string option -> string
 (** What an IN-list tests, as {!to_string} renders it:
     [in_target_to_string ["product"] (Some "sku") = "product/@sku"]. *)
 
+val pred_to_string : pred -> string
+(** One predicate as {!to_string} renders it, brackets included:
+    [pred_to_string (in_list ~attr:"sku" [] ["a"]) = "[@sku in ('a')]"]. *)
+
 (** {1 Evaluation} *)
 
 val eval : t -> Xml_cursor.t -> Xml_cursor.t list

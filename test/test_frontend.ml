@@ -545,6 +545,26 @@ let test_knob_defaults_are_noops () =
       check (Alcotest.list (Alcotest.pair string_t string_t)) (k.name ^ " set is a no-op") fresh
         (knob_values sys))
     Nimble.knobs;
+  (* Warmed: with both caches holding an entry, setting every knob to
+     its current value keeps their entries and counters. *)
+  let sys, _ = make_system () in
+  ok (Nimble.set_knob sys "frag-cache" "8");
+  ok (Nimble.set_knob sys "sem-cache" "100000");
+  ignore
+    (ok
+       (Nimble.query sys
+          {|WHERE <row><name>$n</name><tier>$t</tier></row> IN "crm.customers", $t > 1
+            CONSTRUCT <c>$n</c>|}));
+  check bool_t "fragment cache warmed" true
+    (Frag_cache.size (Med_catalog.frag_cache (Nimble.catalog sys)) > 0);
+  check bool_t "semantic cache warmed" true (Sem_cache.entry_count (Nimble.sem_cache sys) > 0);
+  let caches () = (Nimble.fetch_report sys, Nimble.sem_report sys) in
+  let warm = caches () in
+  List.iter
+    (fun (k : Nimble.t Nimble.knob) ->
+      ok (k.set sys (k.get sys));
+      check (Alcotest.pair string_t string_t) (k.name ^ " keeps warm caches") warm (caches ()))
+    Nimble.knobs;
   let cfg = ref Srv_dispatch.default_config in
   List.iter
     (fun (k : Srv_dispatch.config ref Nimble.knob) ->

@@ -316,9 +316,183 @@ let prop_indexed_equals_unindexed =
       String.equal off on)
 
 (* ------------------------------------------------------------------ *)
+(* QCheck: projected fetches ≡ the reference evaluator                 *)
+(* ------------------------------------------------------------------ *)
+
+(* A random store: [a]/[b]/[c] elements nested three deep (same-tag
+   nesting included), with optional [k]/[m] attributes and text mixed
+   between child elements. *)
+let random_store g =
+  let pick l = List.nth l (Prng.int g (List.length l)) in
+  let buf = Buffer.create 512 in
+  let rec elem depth =
+    let tag = pick [ "a"; "b"; "a"; "b"; "c" ] in
+    Buffer.add_string buf ("<" ^ tag);
+    if Prng.int g 3 > 0 then Buffer.add_string buf (Printf.sprintf " k=%S" (pick [ "1"; "2"; "x"; "q" ]));
+    if Prng.int g 3 = 0 then Buffer.add_string buf (Printf.sprintf " m=%S" (pick [ "1"; "y" ]));
+    Buffer.add_string buf ">";
+    for _ = 1 to Prng.int g (if depth = 0 then 2 else 6) do
+      if depth > 0 && Prng.int g 4 > 0 then elem (depth - 1)
+      else Buffer.add_string buf (pick [ "1"; "2"; "x"; "y z" ])
+    done;
+    Buffer.add_string buf ("</" ^ tag ^ ">")
+  in
+  Buffer.add_string buf "<lib>";
+  for _ = 1 to 4 + Prng.int g 5 do elem 3 done;
+  Buffer.add_string buf "</lib>";
+  Buffer.contents buf
+
+(* A random pattern rooted at [a] or [b].  Child patterns may be [*],
+   repeat a sibling's tag, bind content, test text or carry
+   ELEMENT_AS.  [site] puts [k=$key] on the root's first child pattern,
+   the site a bind join filters on. *)
+let random_pattern g ~site =
+  let pick l = List.nth l (Prng.int g (List.length l)) in
+  let n = ref 0 in
+  let fresh () = incr n; Printf.sprintf "v%d" !n in
+  let rec pat ?tag depth ~key =
+    let tag =
+      match tag with
+      | Some t -> t
+      | None -> if depth = 2 then pick [ "a"; "b" ] else pick [ "a"; "b"; "a"; "b"; "c"; "*" ]
+    in
+    let attrs =
+      (if key then [ ("k", Xq_ast.A_var "key") ] else [])
+      @ List.filter_map
+          (fun a ->
+            match a, Prng.int g 6 with
+            | "k", (0 | 1) | "m", 0 -> Some (a, Xq_ast.A_var (fresh ()))
+            | "k", 2 -> Some (a, Xq_ast.A_lit (pick [ "1"; "x" ]))
+            | _ -> None)
+          (if key then [ "m" ] else [ "k"; "m" ])
+    in
+    let children =
+      List.init
+        (match depth with
+        | 0 -> 0
+        | 1 -> Prng.int g (if key then 2 else 3)
+        | _ -> Prng.int g (if site then 2 else 4))
+        (fun _ ->
+          match Prng.int g 8 with
+          | 0 -> Xq_ast.P_var (fresh ())
+          | 1 -> Xq_ast.P_text (pick [ "1"; "x" ])
+          | _ -> Xq_ast.P_element (pat (depth - 1) ~key:false))
+    in
+    let children =
+      if site && depth = 2 then Xq_ast.P_element (pat 1 ~key:true) :: children else children
+    in
+    (* Often a sibling repeating the first child's tag. *)
+    let children =
+      match List.find_opt (function Xq_ast.P_element _ -> true | _ -> false) children with
+      | Some (Xq_ast.P_element first) when depth > 0 && Prng.int g 2 = 0 ->
+        children @ [ Xq_ast.P_element (pat ~tag:first.Xq_ast.tag (depth - 1) ~key:false) ]
+      | _ -> children
+    in
+    let element_as = if Prng.int g 8 = 0 then Some (fresh ()) else None in
+    { Xq_ast.tag; attrs; children; element_as }
+  in
+  pat 2 ~key:false
+
+(* The pattern with its root's element children emptied: the same path
+   ([Med_pathgen.compile_pattern] reads the root level only), a narrower
+   projection. *)
+let shallow (p : Xq_ast.pattern) =
+  let empty (sub : Xq_ast.pattern) =
+    match sub.Xq_ast.children with
+    | [ Xq_ast.P_text _ ] -> sub
+    | _ -> { sub with Xq_ast.children = [] }
+  in
+  { p with
+    Xq_ast.children =
+      List.map
+        (function Xq_ast.P_element sub -> Xq_ast.P_element (empty sub) | c -> c)
+        p.Xq_ast.children }
+
+(* Variables a pattern binds to attribute values (atoms). *)
+let rec atom_vars (p : Xq_ast.pattern) =
+  List.filter_map (function _, Xq_ast.A_var v -> Some v | _, Xq_ast.A_lit _ -> None) p.Xq_ast.attrs
+  @ List.concat_map
+      (function Xq_ast.P_element sub -> atom_vars sub | Xq_ast.P_var _ | Xq_ast.P_text _ -> [])
+      p.Xq_ast.children
+
+let gen_projection_case = QCheck2.Gen.(pair (int_bound 99_999) (int_bound 2))
+
+let prop_projected_equals_reference =
+  QCheck2.Test.make ~name:"projected fetches = reference (modes x engines x binds)"
+    ~print:(fun (seed, engine) -> Printf.sprintf "seed=%d engine=%d" seed engine)
+    ~count:60 gen_projection_case
+    (fun (seed, engine) ->
+      let g = Prng.create seed in
+      let store = random_store g in
+      let unbound = random_pattern g ~site:false in
+      let bound = random_pattern g ~site:true in
+      let keys =
+        String.concat ""
+          (List.filter_map
+             (fun k -> if Prng.int g 3 > 0 then Some ("<key>" ^ k ^ "</key>") else None)
+             [ "1"; "2"; "x" ])
+      in
+      let pat = Xq_pretty.pattern_to_string in
+      let non_key = List.filter (fun v -> v <> "key") in
+      let fields vars =
+        String.concat "" (List.map (fun v -> Printf.sprintf "<%s>$%s</%s>" v v v) vars)
+      in
+      let queries =
+        (* One path, two projections, the narrower fetched first: the
+           fragment cache must keep the fetches apart. *)
+        List.map
+          (fun p ->
+            Printf.sprintf {|WHERE %s IN "s.d" CONSTRUCT <r>%s</r>|} (pat p)
+              (fields (Xq_ast.pattern_vars p)))
+          [ shallow unbound; unbound ]
+        @ [
+          (* A bind join into views over the keyed pattern: [pv]'s
+             template carries atoms only, so it binds whatever the index
+             mode; [pw]'s carries content too. *)
+          Printf.sprintf {|WHERE <key>$key</key> IN "drv.k", <pv><key>$key</key>%s</pv> IN "pv"
+                           CONSTRUCT <r><key>$key</key>%s</r>|}
+            (fields (non_key (atom_vars bound))) (fields (non_key (atom_vars bound)));
+          Printf.sprintf {|WHERE <key>$key</key> IN "drv.k", <pw><key>$key</key>%s</pw> IN "pw"
+                           CONSTRUCT <r><key>$key</key>%s</r>|}
+            (fields (non_key (Xq_ast.pattern_vars bound)))
+            (fields (non_key (Xq_ast.pattern_vars bound))) ]
+      in
+      let agree mode =
+        Idx_manager.clear ();
+        Idx_manager.set_mode mode;
+        let cat = Med_catalog.create () in
+        Med_catalog.register_source cat (Xml_source.of_xml_strings ~name:"s" [ ("d", store) ]);
+        Med_catalog.register_source cat
+          (Xml_source.of_xml_strings ~name:"drv" [ ("k", "<keys>" ^ keys ^ "</keys>") ]);
+        Med_catalog.define_view_text cat "pv"
+          (Printf.sprintf {|WHERE %s IN "s.d" CONSTRUCT <pv><key>$key</key>%s</pv>|} (pat bound)
+             (fields (non_key (atom_vars bound))));
+        Med_catalog.define_view_text cat "pw"
+          (Printf.sprintf {|WHERE %s IN "s.d" CONSTRUCT <pw><key>$key</key>%s</pw>|} (pat bound)
+             (fields (non_key (Xq_ast.pattern_vars bound))));
+        Med_catalog.set_exec_mode cat (engine_of engine);
+        Med_catalog.configure_frag_cache cat ~capacity:16 ();
+        let norm trees = List.sort compare (List.map Dtree.to_string trees) in
+        List.for_all
+          (fun text ->
+            let q = Xq_parser.parse_exn text in
+            (* Twice: the second run reads what the first one shipped
+               and cached. *)
+            let reference = norm (Xq_eval.eval (Med_exec.direct_resolver cat) q) in
+            norm (Med_exec.run cat q) = reference && norm (Med_exec.run cat q) = reference)
+          queries
+      in
+      let ok = List.for_all agree [ Idx_manager.Off; Idx_manager.Auto; Idx_manager.Eager ] in
+      fresh ();
+      ok)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
-  let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_indexed_equals_unindexed ] in
+  let qsuite =
+    List.map QCheck_alcotest.to_alcotest
+      [ prop_indexed_equals_unindexed; prop_projected_equals_reference ]
+  in
   Alcotest.run "index"
     [
       ( "guide",

@@ -93,7 +93,8 @@ let test_rel_source_capability () =
 let test_xml_source_path () =
   let src = Xml_source.of_xml_strings ~name:"products" [ ("catalog", catalog_xml) ] in
   match
-    src.Source.execute (Source.Q_path ("catalog", Xml_path.parse_exn "//product[cat='tools']"))
+    src.Source.execute
+      (Source.Q_path ("catalog", Xml_path.parse_exn "//product[cat='tools']", Source.Whole))
   with
   | Source.R_trees trees -> check int_t "two tools" 2 (List.length trees)
   | Source.R_rows _ | Source.R_batch _ -> Alcotest.fail "expected trees"
@@ -1456,6 +1457,166 @@ let test_path_bind_ineligible () =
          "s")
   | _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Projected fetches                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The store_month-shaped example of test/cram/exec.t: a sales driver
+   joined to a product view over an XML shelf behind the network
+   simulator. *)
+let shelf_fixture () =
+  let till = Rel_db.create ~name:"till" () in
+  List.iter
+    (fun s -> ignore (Rel_db.exec till s))
+    [ "CREATE TABLE sales (sid INT PRIMARY KEY, store INT, sku TEXT, revenue INT)";
+      "INSERT INTO sales VALUES (1, 7, 'server', 9000), (2, 7, 'widget', 250), (3, 8, 'widget', 120), \
+       (4, 7, 'server', 4500), (5, 8, 'bolt', 3)" ];
+  let shelf_src, shelf =
+    Net_sim.wrap Net_sim.default_profile
+      (Xml_source.of_xml_strings ~name:"shelf"
+         [ ( "shelf",
+             {|<catalog>
+                 <category name="tools"><product sku="widget"><name>Widget</name><price>25</price></product><product sku="gadget"><name>Gadget</name><price>70</price></product></category>
+                 <category name="infra"><product sku="server"><name>Server</name><price>4500</price></product><product sku="router"><name>Router</name><price>900</price></product></category>
+                 <category name="scrap"><product sku="bolt"><name>Bolt</name><price>1</price></product></category>
+               </catalog>|} ) ])
+  in
+  let cat = Med_catalog.create () in
+  Med_catalog.register_source cat (Rel_source.make till);
+  Med_catalog.register_source cat shelf_src;
+  define cat "sold"
+    {|WHERE <row><sid>$i</sid><store>$st</store><sku>$s</sku><revenue>$v</revenue></row> IN "till.sales"
+      CONSTRUCT <sd><sid>$i</sid><store>$st</store><sku>$s</sku><revenue>$v</revenue></sd>|};
+  define cat "prod"
+    {|WHERE <category name=$k><product sku=$s><name>$n</name><price>$p</price></product></category> IN "shelf.shelf"
+      CONSTRUCT <prod><sku>$s</sku><cat>$k</cat><name>$n</name><price>$p</price></prod>|};
+  (cat, shelf)
+
+(* A bound fetch ships, of each matching category, only the products
+   whose sku is a key, and of those only what the pattern reads: the
+   category, then per product itself, its name and price with their
+   text — not the other products of the category. *)
+let test_projection_bound_fetch () =
+  let cat, shelf = shelf_fixture () in
+  let query =
+    q
+      {|WHERE <sd><sid>$i</sid><store>"7"</store><sku>$s</sku><revenue>$v</revenue></sd> IN "sold",
+              <prod><sku>$s</sku><name>$n</name><price>$p</price></prod> IN "prod", $v >= 1000
+        CONSTRUCT <line><sid>$i</sid><name>$n</name><price>$p</price><revenue>$v</revenue></line>
+        ORDER BY $v DESC, $i|}
+  in
+  check bool_t "the view is bound" true (contains (explain cat query) "[narrowed by keys of a0.$s]");
+  Net_sim.reset shelf;
+  let report = analyze cat query in
+  check bool_t "one key" true (has_cell report "keys=1");
+  check int_t "one call" 1 shelf.Net_sim.calls;
+  (* One matching product (server). *)
+  check bool_t
+    (Printf.sprintf "at most 10 nodes per matching product (shipped %d)" shelf.Net_sim.tuples_shipped)
+    true
+    (shelf.Net_sim.tuples_shipped <= 10);
+  check bool_t "matches reference" true (agree_all cat query)
+
+(* Two clauses whose patterns compile to one path but read different
+   children: their fetches ship different projections, so the fragment
+   cache must key them apart. *)
+let test_projection_cache_key () =
+  let cat, _ = shelf_fixture () in
+  Med_catalog.configure_frag_cache cat ~capacity:16 ();
+  let price = {|<category name=$c><product sku=$s><price>$p</price></product></category>|} in
+  let name = {|<category name=$c><product sku=$s><name>$n</name></product></category>|} in
+  let path pattern =
+    match (Med_planner.compile cat (q ("WHERE " ^ pattern ^ {| IN "shelf.shelf" CONSTRUCT <x/>|}))).Med_planner.accesses with
+    | [ (_, Med_planner.A_path r) ] -> Xml_path.to_string r.path
+    | _ -> Alcotest.fail "expected one path access"
+  in
+  check string_t "one path" (path price) (path name);
+  List.iter
+    (fun text -> check bool_t text true (agree_all cat (q text)))
+    [ Printf.sprintf {|WHERE %s IN "shelf.shelf" CONSTRUCT <r><s>$s</s><p>$p</p></r>|} price;
+      Printf.sprintf {|WHERE %s IN "shelf.shelf" CONSTRUCT <r><s>$s</s><n>$n</n></r>|} name;
+      Printf.sprintf
+        {|WHERE %s IN "shelf.shelf", %s IN "shelf.shelf" CONSTRUCT <r><s>$s</s><n>$n</n><p>$p</p></r>|}
+        price name ];
+  check bool_t "the cache served repeats" true
+    ((Frag_cache.stats (Med_catalog.frag_cache cat)).Frag_cache.frag_hits > 0)
+
+(* Each reading the projection cannot bound keeps the subtree whole. *)
+let test_projection_refusals () =
+  let pattern text =
+    match (q ("WHERE " ^ text ^ {| IN "x" CONSTRUCT <x/>|})).Xq_ast.clauses with
+    | [ c ] -> c.Xq_ast.clause_pattern
+    | _ -> Alcotest.fail "one clause"
+  in
+  let shape ?bound text =
+    let p = pattern text in
+    match Med_pathgen.compile_pattern p with
+    | Some path -> Source.shape_to_string (Med_pathgen.shape ?bound path p)
+    | None -> Alcotest.fail "expected a path"
+  in
+  let site = ({ Med_pathgen.rel = [ "product" ]; attr = Some "sku" }, [ "a" ]) in
+  List.iter
+    (fun (label, text, expected) -> check string_t label expected (shape ~bound:site text))
+    [ ("projected and filtered", {|<category><product sku=$s><name>$n</name></product><note/></category>|},
+       "{note{},product[@sku in ('a')]{name}}");
+      ("a * child", {|<category><*><sku>$s</sku></*><product sku=$s/></category>|}, "");
+      ("ELEMENT_AS", {|<category><product sku=$s/></category> ELEMENT_AS $e|}, "");
+      ("ELEMENT_AS below", {|<category><product sku=$s/> ELEMENT_AS $e</category>|},
+       "{product[@sku in ('a')]}");
+      ("element content", {|<category><product sku=$s/>$c</category>|}, "");
+      ("text content", {|<category><product sku=$s/>"x"</category>|}, "");
+      ("a repeated sibling tag, never filtered", {|<category><product sku=$s/><product><name>$n</name></product></category>|},
+       "{product}");
+      ("a nested element read whole", {|<category><product sku=$s><name>$n</name></product></category>|},
+       "{product[@sku in ('a')]{name}}") ];
+  (* A positional path ships whole. *)
+  let p = pattern {|<category><product sku=$s/></category>|} in
+  (match Med_pathgen.compile_pattern p with
+  | Some path ->
+    let positional =
+      { path with
+        Xml_path.steps =
+          List.map
+            (fun (st : Xml_path.step) -> { st with Xml_path.preds = st.Xml_path.preds @ [ Xml_path.Position 1 ] })
+            path.Xml_path.steps }
+    in
+    check string_t "position()" "" (Source.shape_to_string (Med_pathgen.shape ~bound:site positional p))
+  | None -> Alcotest.fail "expected a path");
+  (* And a whole shape ships the element as it is. *)
+  let tree =
+    Dtree.node ~attrs:[ ("name", Value.String "c") ] "category"
+      [ Dtree.atom (Value.String "mixed");
+        Dtree.node ~attrs:[ ("sku", Value.String "b") ] "product" [ Dtree.leaf "name" (Value.String "n") ] ]
+  in
+  check bool_t "whole is the identity" true (Dtree.equal tree (Xml_source.projector Source.Whole tree))
+
+(* DESIGN §8: a hand-built store with atypically-typed atoms answers a
+   PATH access with the types guessed back from its XML rendering, not
+   with the stored strings.  Pinned as it stands; the projection leaves
+   it unchanged. *)
+let test_projection_hand_built_store () =
+  let cat = Med_catalog.create () in
+  Med_catalog.register_source cat
+    (Xml_source.make ~name:"hand"
+       [ ( "doc",
+           Dtree.node "doc"
+             [ Dtree.node ~attrs:[ ("code", Value.String "014") ] "item"
+                 [ Dtree.leaf "qty" (Value.String "007");
+                   Dtree.leaf "price" (Value.String "1.50");
+                   Dtree.leaf "note" (Value.String "unread") ] ] ) ]);
+  let query =
+    q {|WHERE <item code=$c><qty>$q</qty><price>$p</price></item> IN "hand.doc"
+        CONSTRUCT <r><c>$c</c><q>$q</q><p>$p</p></r>|}
+  in
+  check bool_t "a PATH access" true (contains (explain cat query) "PATH @hand.doc");
+  match Med_exec.run cat query with
+  | [ r ] ->
+    let value tag = Option.bind (Dtree.first_named r tag) Dtree.atom_value in
+    check bool_t "014 reads 14" true (value "c" = Some (Value.Int 14));
+    check bool_t "007 reads 7" true (value "q" = Some (Value.Int 7));
+    check bool_t "1.50 reads 1.5" true (value "p" = Some (Value.Float 1.5))
+  | trees -> Alcotest.failf "expected one answer, got %d" (List.length trees)
+
 (* Property: compiled pipeline agrees with the reference evaluator on
    random relational data for a fixed query family. *)
 let prop_compiled_equals_reference =
@@ -1605,6 +1766,13 @@ let () =
           Alcotest.test_case "materialized bound side" `Quick test_path_bind_materialized;
           Alcotest.test_case "element content" `Quick test_path_bind_element_content;
           Alcotest.test_case "ineligible bindings" `Quick test_path_bind_ineligible;
+        ] );
+      ( "projection",
+        [
+          Alcotest.test_case "bound fetch ships matching products" `Quick test_projection_bound_fetch;
+          Alcotest.test_case "one path, two projections" `Quick test_projection_cache_key;
+          Alcotest.test_case "refusals keep subtrees whole" `Quick test_projection_refusals;
+          Alcotest.test_case "hand-built store (DESIGN 8)" `Quick test_projection_hand_built_store;
         ] );
       ( "join-pushdown",
         [
